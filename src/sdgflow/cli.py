@@ -43,7 +43,6 @@ class RunConfig:
     quad_degree: int | None = None
     out_csv: str | None = None
     out_svg: str | None = None
-    serial: bool = True
 
     def validate(self) -> None:
         problems = []
@@ -59,6 +58,9 @@ class RunConfig:
             )
         if self.mesh == "file" and not self.mesh_file:
             problems.append("mesh 'file' requires --mesh-file PATH")
+        if self.mesh == "file" and len(self.levels) > 1:
+            problems.append("mesh 'file' is a single mesh and takes one level, "
+                            f"got {self.levels}")
         if not self.levels:
             problems.append("at least one level is required")
         elif any(n < 1 for n in self.levels):
@@ -138,8 +140,10 @@ def _get_case(config: RunConfig):
 def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     """Solve one resolution and report errors, norms, sizes and timings."""
     config.validate()
-    if config.quad_degree is not None:
-        os.environ["SDG_QUAD_DEGREE"] = str(config.quad_degree)
+    # Quadrature degree: the config's, else SDG_QUAD_DEGREE, else the default.
+    quad_degree = config.quad_degree
+    if quad_degree is None and os.environ.get("SDG_QUAD_DEGREE"):
+        quad_degree = int(os.environ["SDG_QUAD_DEGREE"])
     level = config.levels[0] if n is None else n
     case = _get_case(config)
     timings = {}
@@ -147,7 +151,7 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     mesh = _build_mesh(config, level)
     timings["mesh"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    spaces = StaggeredSpaces(mesh, config.k)
+    spaces = StaggeredSpaces(mesh, config.k, quad_degree=quad_degree)
     timings["spaces"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     solution, system = solve_case(spaces, config.epsilon, config.alpha, case.f, case.g)
@@ -333,13 +337,12 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quad-degree", type=int, help="data quadrature degree")
     sub.add_argument("--out-csv", help="CSV output path")
     sub.add_argument("--out-svg", help="SVG plot output path")
-    sub.add_argument("--serial", action="store_true", help="force serial execution")
 
 
 _CONFIG_KEYS = {
     "k": int, "epsilon": float, "alpha": float, "mesh": str, "mesh_file": str,
     "levels": None, "delta": float, "seed": int, "case": str,
-    "quad_degree": int, "out_csv": str, "out_svg": str, "serial": bool,
+    "quad_degree": int, "out_csv": str, "out_svg": str,
 }
 
 
@@ -375,7 +378,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 config = replace(config, **{key: _CONFIG_KEYS[key](value)})
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
-        if flag is None or (key == "serial" and not flag):
+        if flag is None:
             continue
         if key == "levels":
             config = replace(config, levels=_parse_levels(flag))

@@ -55,8 +55,8 @@ def _finish(acc, shape) -> sp.csr_matrix:
 def _edge_pair_matrices(spaces: StaggeredSpaces, eid: int):
     """Yield (ti, si, tj, sj, S) with S[m, n] = int_e m_m^(i) m_n^(j) ds."""
     e = spaces.mesh.edges[eid]
-    ws = spaces.edge_w * (e.length / 2.0)
-    traces = spaces.edge_traces[eid]
+    ws = spaces.form_edge_quad.weights * (e.length / 2.0)
+    traces = spaces.side_traces(eid, spaces.form_traces)
     for (ti, si), Ti in zip(e.tris, traces):
         Tw = Ti * ws
         for (tj, sj), Tj in zip(e.tris, traces):

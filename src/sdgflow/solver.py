@@ -255,16 +255,13 @@ def solve(system: SaddleSystem, method: str = "auto") -> DiscreteSolution:
         if not np.isfinite(res) or res >= best_res:
             break
         best, best_res = x, res
-    x = best
-    resid = system.matrix @ x - system.rhs
-    rel = float(np.linalg.norm(resid) / max(np.linalg.norm(system.rhs), 1.0))
     nW, nU, nP = system.dims
     return DiscreteSolution(
-        L=DiscreteField("W", x[:nW].copy()),
-        u=DiscreteField("U", x[nW:nW + nU].copy()),
-        p=DiscreteField("P", x[nW + nU:nW + nU + nP].copy()),
-        multiplier=float(x[-1]),
-        residual=rel,
+        L=DiscreteField("W", best[:nW].copy()),
+        u=DiscreteField("U", best[nW:nW + nU].copy()),
+        p=DiscreteField("P", best[nW + nU:nW + nU + nP].copy()),
+        multiplier=float(best[-1]),
+        residual=best_res,
     )
 
 

@@ -17,11 +17,17 @@ moments) and, per triangle, a dual basis expressed in the orthonormal
 modal basis. The sparse embedding matrix maps global coefficients to
 broken per-triangle modal coefficients; every assembly and evaluation
 goes through it.
+
+Edge traces come from reference tables: the affine map of a submesh
+triangle [a, b, nu] sends its sides (a, b), (b, nu), (nu, a) onto the three
+reference edges, so its trace on side s, at edge-rule points running from
+the edge's v0 to v1, is entry [s, side_flip[t, s]] of `form_traces` (exact
+form integrals) or `data_traces` (non-polynomial data). Edge moments and
+the edge terms of the forms and norms are all built from these tables.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -46,14 +52,6 @@ COND_LIMIT = 1e8
 
 class SpaceError(RuntimeError):
     """Local DOF system failure (singular or badly conditioned)."""
-
-
-def data_quad_degree(k: int) -> int:
-    """Quadrature degree for non-polynomial data (RHS, errors, projections)."""
-    env = os.environ.get("SDG_QUAD_DEGREE")
-    if env:
-        return int(env)
-    return max(2 * k + 6, 12)
 
 
 @dataclass
@@ -94,9 +92,13 @@ class _Space:
 
 
 class StaggeredSpaces:
-    """All three staggered spaces plus shared geometry/quadrature tables."""
+    """All three staggered spaces plus shared geometry/quadrature tables.
 
-    def __init__(self, mesh: StaggeredMesh, k: int):
+    `quad_degree` is the quadrature degree for non-polynomial data (right-hand
+    side, interpolation, errors); None picks max(2k+6, 12).
+    """
+
+    def __init__(self, mesh: StaggeredMesh, k: int, quad_degree: int | None = None):
         if not 0 <= k <= 3:
             raise ValueError("supported polynomial orders are 0..3 (k=0 experimental)")
         self.mesh = mesh
@@ -105,9 +107,10 @@ class StaggeredSpaces:
         self.nk1 = tri_dim(k - 1) if k >= 1 else 0
         self.basis = tri_basis(k)
         self.edge_basis = edge_basis(k)
+        self.quad_degree = max(2 * k + 6, 12) if quad_degree is None else quad_degree
 
         self._build_geometry()
-        self._build_edge_traces()
+        self._build_edge_tables()
         self.W = self._build_space_W()
         self.U = self._build_space_U()
         self.P = self._build_space_P()
@@ -136,44 +139,49 @@ class StaggeredSpaces:
         self.ref_dr = (self.vol_vals * w) @ self.vol_grads[:, :, 0].T
         self.ref_ds = (self.vol_vals * w) @ self.vol_grads[:, :, 1].T
 
-        deg = data_quad_degree(self.k)
-        self.data_quad = tri_quadrature(min(deg, 20))
+        deg = min(self.quad_degree, 20)
+        self.data_quad = tri_quadrature(deg)
         self.data_vals = self.basis.eval(self.data_quad.points)
         self.data_grads = self.basis.grad(self.data_quad.points)
-        self.data_edge_quad = edge_quadrature(min(deg, 20))
+        self.data_edge_quad = edge_quadrature(deg)
 
-    def _build_edge_traces(self) -> None:
-        """Per edge and adjacent triangle: modal trace values at edge Gauss points."""
-        rule = edge_quadrature(max(2 * self.k + 2, 2))
-        self.edge_xi = rule.points
-        self.edge_w = rule.weights
-        self.edge_leg = self.edge_basis.eval(self.edge_xi)  # (k+1, nq)
+    def _build_edge_tables(self) -> None:
         mesh = self.mesh
-        self.edge_points = []  # physical quad points per edge, lo->hi orientation
-        self.edge_traces = []  # aligned with edge.tris: list of (nk, nq) arrays
-        for e in mesh.edges:
-            lo = mesh.vertices[e.v0]
-            hi = mesh.vertices[e.v1]
-            pts = lo + np.outer((self.edge_xi + 1.0) / 2.0, hi - lo)
-            self.edge_points.append(pts)
-            traces = []
-            for t, _sign in e.tris:
-                ref = (pts - self.origin[t]) @ self.invJT[t]
-                traces.append(self.basis.eval(ref))
-            self.edge_traces.append(traces)
+        # Local side s of triangle [a, b, nu] starts at its vertex s; the side
+        # is flipped when that vertex is not the edge's v0.
+        v0 = np.array([e.v0 for e in mesh.edges])
+        self.side_flip = (mesh.triangles != v0[mesh.tri_edges]).astype(int)
+        # Local side of each edge in each adjacent triangle, aligned with edge.tris.
+        rows = mesh.tri_edges.tolist()
+        self.edge_sides = [[rows[t].index(eid) for t, _ in e.tris]
+                           for eid, e in enumerate(mesh.edges)]
 
-    def _edge_trace(self, eid: int, t: int) -> np.ndarray:
-        e = self.mesh.edges[eid]
-        for idx, (tt, _s) in enumerate(e.tris):
-            if tt == t:
-                return self.edge_traces[eid][idx]
-        raise SpaceError(f"triangle {t} is not adjacent to edge {eid}")
+        self.form_edge_quad = edge_quadrature(max(2 * self.k + 2, 2))
+        self.form_traces = self._reference_traces(self.form_edge_quad)
+        self.data_traces = self._reference_traces(self.data_edge_quad)
+        # ref_moments[s, f, m, i] = int over reference side (s, f) of L_m * modal_i
+        # per unit half-length; side_moments[t, s] scales it to side s of triangle t.
+        leg = self.edge_basis.eval(self.form_edge_quad.points)
+        ref_moments = (leg * self.form_edge_quad.weights) @ np.swapaxes(self.form_traces, -1, -2)
+        half = np.array([e.length / 2.0 for e in mesh.edges])[mesh.tri_edges]
+        self.side_moments = half[:, :, None, None] * ref_moments[np.arange(3), self.side_flip]
 
-    def _edge_moment(self, eid: int, t: int) -> np.ndarray:
-        """EM[m, i] = int_e L_m * (modal_i of triangle t) ds."""
-        e = self.mesh.edges[eid]
-        T = self._edge_trace(eid, t)
-        return (self.edge_leg * (self.edge_w * e.length / 2.0)) @ T.T
+    def _reference_traces(self, rule) -> np.ndarray:
+        """T[s, f, i, q]: modal function i at point q of reference side s, read
+        from its start vertex (f=0) or from its end vertex (f=1)."""
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        frac = (rule.points + 1.0) / 2.0
+        table = np.empty((3, 2, self.nk, len(frac)))
+        for s in range(3):
+            start, end = corners[s], corners[(s + 1) % 3]
+            table[s, 0] = self.basis.eval(start + np.outer(frac, end - start))
+            table[s, 1] = self.basis.eval(end + np.outer(frac, start - end))
+        return table
+
+    def side_traces(self, eid: int, table: np.ndarray) -> list[np.ndarray]:
+        """Traces (nk, nq) from `table` of the triangles of edge `eid`, in edge.tris order."""
+        tris = self.mesh.edges[eid].tris
+        return [table[s, self.side_flip[t, s]] for (t, _), s in zip(tris, self.edge_sides[eid])]
 
     # -- space construction ---------------------------------------------
 
@@ -191,38 +199,28 @@ class StaggeredSpaces:
     def _finalize_space(self, tag: str, ncomp: int, cell_dofs: np.ndarray,
                         descriptors: list, ndof: int,
                         vmats: np.ndarray) -> _Space:
-        nT = self.mesh.num_triangles
-        nloc = cell_dofs.shape[1]
-        dual = np.empty((nT, nloc, nloc))
-        conds = np.empty(nT)
-        for t in range(nT):
-            V = vmats[t]
-            conds[t] = np.linalg.cond(V)
-            if not np.isfinite(conds[t]) or conds[t] > COND_LIMIT:
-                raise SpaceError(
-                    f"space {tag}: local DOF system on triangle {t} is singular or "
-                    f"badly conditioned (cond={conds[t]:.3g})"
-                )
-            dual[t] = np.linalg.inv(V)
+        nT, nloc = cell_dofs.shape
+        conds = np.linalg.cond(vmats)
+        bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise SpaceError(
+                f"space {tag}: local DOF system on triangle {t} is singular or "
+                f"badly conditioned (cond={conds[t]:.3g})"
+            )
+        dual = np.linalg.inv(vmats)
         worst = float(conds.max())
         if worst > COND_WARN:
             warnings.warn(
                 f"space {tag}: worst local DOF condition number {worst:.3g}",
                 stacklevel=3,
             )
-        rows = []
-        cols = []
-        vals = []
+        # Row t*block + i of the embedding holds row i of triangle t's dual basis.
         block = ncomp * self.nk
-        for t in range(nT):
-            C = dual[t]
-            r = t * block + np.arange(nloc)
-            rows.append(np.repeat(r, nloc))
-            cols.append(np.tile(cell_dofs[t], nloc))
-            vals.append(C.ravel())
+        rows = np.repeat(np.arange(nT)[:, None] * block + np.arange(nloc), nloc, axis=1)
+        cols = np.tile(cell_dofs, (1, nloc))
         E = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nT * block, ndof),
+            (dual.ravel(), (rows.ravel(), cols.ravel())), shape=(nT * block, ndof)
         )
         dofmap = DofMap(tag, self.k, ndof, cell_dofs, descriptors)
         return _Space(dofmap, E, dual, conds, ncomp)
@@ -257,7 +255,7 @@ class StaggeredSpaces:
             e_prim, e_d1, e_d2 = mesh.tri_edges[t]
             # Primal edge: full vector moments of G n.
             e = mesh.edges[e_prim]
-            EM = self._edge_moment(e_prim, t)
+            EM = self.side_moments[t, 0]
             for m in range(k + 1):
                 for c in range(2):
                     for (a, b) in W_COMPONENTS:
@@ -268,9 +266,9 @@ class StaggeredSpaces:
                     gdofs.append(offsets[e_prim] + 2 * m + c)
                     row += 1
             # Dual edges: tangential moments of G n.
-            for eid in (e_d1, e_d2):
+            for side, eid in ((1, e_d1), (2, e_d2)):
                 e = mesh.edges[eid]
-                EM = self._edge_moment(eid, t)
+                EM = self.side_moments[t, side]
                 for m in range(k + 1):
                     for (a, b) in W_COMPONENTS:
                         vmats[t, row, (2 * a + b) * nk: (2 * a + b + 1) * nk] = (
@@ -312,9 +310,9 @@ class StaggeredSpaces:
             row = 0
             gdofs = []
             _e_prim, e_d1, e_d2 = mesh.tri_edges[t]
-            for eid in (e_d1, e_d2):
+            for side, eid in ((1, e_d1), (2, e_d2)):
                 e = mesh.edges[eid]
-                EM = self._edge_moment(eid, t)
+                EM = self.side_moments[t, side]
                 for m in range(k + 1):
                     for a in range(2):
                         vmats[t, row, a * nk: (a + 1) * nk] = e.normal[a] * EM[m]
@@ -351,7 +349,7 @@ class StaggeredSpaces:
             row = 0
             gdofs = []
             e_prim = mesh.tri_edges[t][0]
-            EM = self._edge_moment(e_prim, t)
+            EM = self.side_moments[t, 0]
             for m in range(k + 1):
                 vmats[t, row] = EM[m]
                 gdofs.append(offsets[e_prim] + m)

@@ -149,16 +149,16 @@ def _exact_tables(spaces: StaggeredSpaces, tag: str, exact):
 
 
 def _edge_values(spaces: StaggeredSpaces, f: DiscreteField, exact):
-    """Per edge: physical points and per-side trace values of (field - exact)."""
+    """Per edge: quadrature weights and per-side trace values of (field - exact)."""
     broken = spaces.broken(f)
     rule = spaces.data_edge_quad
     mesh = spaces.mesh
     out = []
     for eid, e in enumerate(mesh.edges):
-        lo, hi = mesh.vertices[e.v0], mesh.vertices[e.v1]
-        pts = lo + np.outer((rule.points + 1.0) / 2.0, hi - lo)
         ev = 0.0
         if exact is not None:
+            lo, hi = mesh.vertices[e.v0], mesh.vertices[e.v1]
+            pts = lo + np.outer((rule.points + 1.0) / 2.0, hi - lo)
             ev = np.asarray(exact(pts))
             if ev.ndim == 3:
                 ev = ev.reshape(len(pts), 4).T
@@ -166,11 +166,8 @@ def _edge_values(spaces: StaggeredSpaces, f: DiscreteField, exact):
                 ev = ev.T
             else:
                 ev = ev[None, :]
-        sides = []
-        for t, sign in e.tris:
-            ref = (pts - spaces.origin[t]) @ spaces.invJT[t]
-            tr = broken[t] @ spaces.basis.eval(ref)  # (ncomp, nq)
-            sides.append((sign, tr - ev))
+        traces = spaces.side_traces(eid, spaces.data_traces)
+        sides = [(sign, broken[t] @ T - ev) for (t, sign), T in zip(e.tris, traces)]
         out.append((e, rule.weights * (e.length / 2.0), sides))
     return out
 

@@ -98,6 +98,16 @@ def test_run_single_is_deterministic():
     assert a.errors == b.errors
 
 
+def test_run_single_quad_degree_does_not_leak():
+    # A run with its own quadrature degree leaves later default runs unchanged.
+    default = RunConfig(k=1, levels=(4,))
+    first = cli.run_single(default)
+    coarse = cli.run_single(RunConfig(k=1, levels=(4,), quad_degree=3))
+    again = cli.run_single(default)
+    assert coarse.errors != first.errors
+    assert again.errors == first.errors
+
+
 def test_run_convergence_orders():
     table = cli.run_convergence(RunConfig(k=1, levels=(4, 8, 16)))
     assert len(table.rows) == 3
@@ -188,6 +198,15 @@ def test_main_mesh_check_and_file_import(tmp_path, capsys):
     code = cli.main(["solve", "--k", "1", "--mesh", "file",
                      "--mesh-file", str(mesh_path)])
     assert code == 0
+
+
+def test_main_rejects_several_levels_on_a_mesh_file(tmp_path, capsys):
+    mesh_path = tmp_path / "two.txt"
+    mesh_path.write_text(MESH_FILE)
+    code = cli.main(["converge", "--k", "1", "--mesh", "file",
+                     "--mesh-file", str(mesh_path), "--levels", "2,4"])
+    assert code == 2
+    assert "one level" in capsys.readouterr().err
 
 
 def test_main_preset_list(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdgflow import forms, mesh as mm
+from sdgflow.polybasis import edge_quadrature
 from sdgflow.spaces import StaggeredSpaces
 
 
@@ -66,16 +67,24 @@ def test_mass_W_gives_l2_norm():
 
 
 def boundary_normal_moments(spaces, fn_normal):
-    """c_m = boundary integral of fn_normal times global pressure basis m."""
+    """c_m = boundary integral of fn_normal times global pressure basis m.
+
+    The pressure basis is evaluated directly at physical boundary points
+    mapped back to the reference triangle, independently of the spaces'
+    trace tables.
+    """
     sm = spaces.mesh
     nk = spaces.nk
+    rule = edge_quadrature(2 * spaces.k + 2)
     corr = np.zeros(spaces.P.ndof)
-    for eid, e in enumerate(sm.edges):
+    for e in sm.edges:
         if e.kind != mm.PRIMAL_BOUNDARY:
             continue
         t = e.tris[0][0]
-        T = spaces._edge_trace(eid, t)
-        w_eff = spaces.edge_w * (e.length / 2.0) * fn_normal(spaces.edge_points[eid], e)
+        lo, hi = sm.vertices[e.v0], sm.vertices[e.v1]
+        pts = lo + np.outer((rule.points + 1.0) / 2.0, hi - lo)
+        T = spaces.basis.eval((pts - spaces.origin[t]) @ spaces.invJT[t])
+        w_eff = rule.weights * (e.length / 2.0) * fn_normal(pts, e)
         corr += spaces.P.embedding[t * nk:(t + 1) * nk, :].T @ (T @ w_eff)
     return corr
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sdgflow import mesh as mm
+from sdgflow import spaces as spaces_mod
 from sdgflow.mesh import DUAL, PRIMAL_INTERIOR
 from sdgflow.polybasis import tri_dim
-from sdgflow.spaces import DiscreteField, StaggeredSpaces
+from sdgflow.spaces import DiscreteField, SpaceError, StaggeredSpaces
 
 
 MESHES = {
@@ -57,6 +58,41 @@ def test_unknown_space_tag():
     spaces = StaggeredSpaces(MESHES["square2"], 1)
     with pytest.raises(ValueError):
         spaces.space("Q")
+
+
+def test_local_condition_limits(monkeypatch):
+    sm = MESHES["distorted"]
+    conds = StaggeredSpaces(sm, 2).W.conds
+    # A limit below some triangles' condition numbers fails on the first of them.
+    limit = float(np.median(conds))
+    first = int(np.argmax(conds > limit))
+    monkeypatch.setattr(spaces_mod, "COND_LIMIT", limit)
+    with pytest.raises(SpaceError, match=f"triangle {first} .*cond={conds[first]:.3g}"):
+        StaggeredSpaces(sm, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(spaces_mod, "COND_WARN", limit)
+    with pytest.warns(UserWarning, match=f"space W: worst .* {conds.max():.3g}"):
+        StaggeredSpaces(sm, 2)
+
+
+@pytest.mark.parametrize("name", ["square3", "distorted", "hanging"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_trace_tables_match_basis_at_edge_points(name, k):
+    # Each table trace equals the modal basis evaluated at the rule's physical
+    # points on the edge (v0 to v1), mapped back to the adjacent triangle.
+    sm = MESHES[name]
+    spaces = StaggeredSpaces(sm, k)
+    rules = ((spaces.form_edge_quad, spaces.form_traces),
+             (spaces.data_edge_quad, spaces.data_traces))
+    for rule, table in rules:
+        for eid, e in enumerate(sm.edges):
+            lo, hi = sm.vertices[e.v0], sm.vertices[e.v1]
+            pts = lo + np.outer((rule.points + 1.0) / 2.0, hi - lo)
+            traces = spaces.side_traces(eid, table)
+            assert len(traces) == len(e.tris)
+            for (t, _s), T in zip(e.tris, traces):
+                ref = (pts - spaces.origin[t]) @ spaces.invJT[t]
+                assert np.abs(T - spaces.basis.eval(ref)).max() < 1e-12
 
 
 def test_local_dual_basis_inverts_dof_matrix():

@@ -181,3 +181,92 @@ def test_convergence_table_skips_non_doubling_levels():
     table.add(ConvergenceRow(level=4, h=0.25, ndof=16, errors={"u": 1.0}))
     table.add(ConvergenceRow(level=12, h=1 / 12, ndof=144, errors={"u": 0.1}))
     assert table.rows[1].orders == {}
+
+
+# -- pinned values --------------------------------------------------------
+#
+# Recorded norms of seeded random fields (k=2, h=1/4) and of the gradient
+# interpolant. A change to how traces, norms or the interpolant are computed
+# must reproduce them to roundoff.
+
+_PINNED_NORMS = {
+    "distorted": {
+        ("W", "L2", False): 238.37481807473034,
+        ("W", "Xprime", False): 239.9508540541407,
+        ("W", "Zprime", False): 6457.265140187016,
+        ("W", "L2", True): 238.38367152439838,
+        ("W", "Xprime", True): 239.94393239654178,
+        ("U", "L2", False): 152.48416869997638,
+        ("U", "X1", False): 153.88676410728837,
+        ("U", "Z1", False): 4890.93492677856,
+        ("U", "Z2", False): 7539.037293468783,
+        ("U", "L2", True): 152.45931258737102,
+        ("U", "X1", True): 153.85821215151066,
+        ("P", "L2", False): 94.83304251501625,
+        ("P", "P0h", False): 96.09063625892631,
+        ("P", "P1h", False): 4321.501317141098,
+        ("P", "L2", True): 94.81851044756706,
+        ("P", "P0h", True): 96.07934466396445,
+        "error_Z2": 6302.516486100105,
+        "interp_probe": -0.25590051649875645,
+        "interp_L2": 0.014845881029685214,
+        "interp_Xprime": 0.018098024275130287,
+    },
+    "hanging": {
+        ("W", "L2", False): 700.2498249950511,
+        ("W", "Xprime", False): 701.6101028433487,
+        ("W", "Zprime", False): 35532.136374226946,
+        ("W", "L2", True): 700.2397791713761,
+        ("W", "Xprime", True): 701.5985638516222,
+        ("U", "L2", False): 398.6749709807765,
+        ("U", "X1", False): 399.8454913219219,
+        ("U", "Z1", False): 23560.04175171419,
+        ("U", "Z2", False): 33592.14746303487,
+        ("U", "L2", True): 398.6762908950031,
+        ("U", "X1", True): 399.8473418923116,
+        ("P", "L2", False): 287.74368886227404,
+        ("P", "P0h", False): 288.8269875478348,
+        ("P", "P1h", False): 25483.800061333124,
+        ("P", "L2", True): 287.75813450556035,
+        ("P", "P0h", True): 288.8418593374358,
+        "error_Z2": 35474.98705096986,
+        "interp_probe": 0.022417244885474197,
+        "interp_L2": 0.00801862538401697,
+        "interp_Xprime": 0.00998370022932134,
+    },
+}
+
+_NORMS_BY_SPACE = {
+    "W": ("L2", "Xprime", "Zprime"),
+    "U": ("L2", "X1", "Z1", "Z2"),
+    "P": ("L2", "P0h", "P1h"),
+}
+# Norms that accept an exact reference function.
+_ERROR_NORMS = ("L2", "X1", "Xprime", "P0h")
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_NORMS))
+def test_norms_and_gradient_interpolant_match_pinned_values(family):
+    spaces = StaggeredSpaces(cases.build_mesh(family, 4), 2)
+    case = verify.trig_case(1e-2)
+    exact = {"W": case.L, "U": case.u, "P": case.p}
+    rng = np.random.default_rng(7)
+    got = {}
+    for tag, norm_ids in _NORMS_BY_SPACE.items():
+        f = DiscreteField(tag, rng.standard_normal(spaces.space(tag).ndof))
+        for norm_id in norm_ids:
+            got[tag, norm_id, False] = verify.norm_eval(spaces, f, norm_id)
+        for norm_id in norm_ids:
+            if norm_id in _ERROR_NORMS:
+                got[tag, norm_id, True] = verify.norm_eval(
+                    spaces, f, norm_id, exact=exact[tag])
+    uh = DiscreteField("U", rng.standard_normal(spaces.U.ndof))
+    got["error_Z2"] = verify.error_Z2(spaces, uh, case)
+    Lh = verify.interpolate_gradient(case, spaces)
+    got["interp_probe"] = float(rng.standard_normal(spaces.W.ndof) @ Lh.coeffs)
+    got["interp_L2"] = verify.norm_eval(spaces, Lh, "L2", exact=case.L)
+    got["interp_Xprime"] = verify.norm_eval(spaces, Lh, "Xprime", exact=case.L)
+    pinned = _PINNED_NORMS[family]
+    assert set(got) == set(pinned)
+    for key, value in pinned.items():
+        assert abs(got[key] - value) <= 1e-12 * abs(value), key
