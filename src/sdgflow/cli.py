@@ -105,8 +105,10 @@ class RunReport:
 
     def summary(self) -> str:
         nW, nU, nP = self.dims
+        # A file mesh has no level: its h is the mesh's own.
+        h = f"h={self.h:.4g}" if self.config.mesh == "file" else f"h=1/{self.level}"
         lines = [
-            f"mesh {self.config.mesh} h=1/{self.level}  k={self.config.k}"
+            f"mesh {self.config.mesh} {h}  k={self.config.k}"
             f"  epsilon={self.config.epsilon:g}  alpha={self.config.alpha:g}",
             f"unknowns {self.ndof} (gradient {nW}, velocity {nU}, pressure {nP})",
         ]
@@ -174,7 +176,7 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     return RunReport(
         config=config,
         level=level,
-        h=1.0 / level,
+        h=mesh.h if config.mesh == "file" else 1.0 / level,
         ndof=system.num_unknowns,
         dims=system.dims,
         errors=errors,

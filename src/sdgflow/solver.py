@@ -72,17 +72,9 @@ class DiscreteSolution:
 
 def _interior_indices(spaces: StaggeredSpaces) -> np.ndarray | None:
     """Per-triangle stacked indices of interior W and U unknowns, (nT, m)."""
-    nT = spaces.mesh.num_triangles
-    groups: list[list[int]] = [[] for _ in range(nT)]
-    offset = 0
-    for space in (spaces.W, spaces.U):
-        for g, desc in enumerate(space.dofmap.descriptors):
-            if desc[0] == "cell":
-                groups[desc[1]].append(offset + g)
-        offset += space.ndof
-    if not groups or not groups[0]:
-        return None
-    return np.asarray(groups, dtype=np.int64)
+    W, U = spaces.W.dofmap, spaces.U.dofmap
+    interior = np.hstack([W.cell_entries, W.ndof + U.cell_entries])
+    return interior if interior.shape[1] else None
 
 
 def _prune(matrix: sp.csr_matrix, rel_tol: float = 1e-13) -> sp.csr_matrix:

@@ -12,22 +12,26 @@ different trace component:
 * P: scalar P^k fields continuous across interior primal edges (the
   pressure space; the zero-mean condition is imposed at solve time).
 
-Each space is represented by a DOF map (shared edge moments plus cell
-moments) and, per triangle, a dual basis expressed in the orthonormal
-modal basis. The sparse embedding matrix maps global coefficients to
-broken per-triangle modal coefficients; every assembly and evaluation
-goes through it.
+Each space is represented by an integer DOF layout (a DofMap: edge
+moments first, at per-edge offsets, then the cell moments as one
+contiguous range) and, per triangle, a dual basis expressed in the
+orthonormal modal basis. The sparse embedding matrix maps global
+coefficients to broken per-triangle modal coefficients; every assembly and
+evaluation goes through it.
 
 Edge traces come from reference tables: the affine map of a submesh
 triangle [a, b, nu] sends its sides (a, b), (b, nu), (nu, a) onto the three
 reference edges, so its trace on side s, at edge-rule points running from
 the edge's v0 to v1, is entry [s, side_flip[t, s]] of `form_traces` (exact
 form integrals) or `data_traces` (non-polynomial data). Edge moments and
-the edge terms of the forms and norms are all built from these tables.
+the edge terms of the forms and norms are all built from these tables; the
+forms read them as `edge_pairs` (every ordered pair of triangles sharing an
+edge) and `trace_products`, the 36 reference products of two traces.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -44,8 +48,6 @@ from .polybasis import (
     tri_quadrature,
 )
 
-W_COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 COND_WARN = 1e6
 COND_LIMIT = 1e8
 
@@ -56,25 +58,51 @@ class SpaceError(RuntimeError):
 
 @dataclass
 class DofMap:
+    """Integer DOF layout of one space.
+
+    Edge DOFs come first: edge e owns the range that starts at
+    edge_offsets[e] (-1 where the space has no DOF on e). The cell DOFs
+    follow as one contiguous range, per_cell per triangle in triangle order;
+    they are the last per_cell entries of each row of cell_dofs.
+    """
+
     tag: str
     k: int
     ndof: int
     cell_dofs: np.ndarray  # (nT, nloc) global ids in local functional order
-    descriptors: list  # per global dof: ("edge", eid, m, comp) or ("cell", t, j, slot)
+    edge_offsets: np.ndarray  # (nE,) first DOF of each edge, -1 where none
+    num_edge_dofs: int
+
+    @property
+    def cell_entries(self) -> np.ndarray:
+        """(nT, per_cell) cell DOFs of each triangle."""
+        nT, nloc = self.cell_dofs.shape
+        per_cell = (self.ndof - self.num_edge_dofs) // nT
+        return self.cell_dofs[:, nloc - per_cell:]
+
+
+@dataclass
+class EdgePairs:
+    """Ordered pairs of triangles that share an edge, including (t, t).
+
+    On each edge, every adjacent triangle ti meets every adjacent triangle
+    tj, in edge.tris order. `sign` is the jump sign of ti on the edge, and
+    `ai`/`aj` index the trace of ti/tj in a reference table flattened to six
+    traces: 2 * local side + side_flip.
+    """
+
+    edge: np.ndarray
+    ti: np.ndarray
+    tj: np.ndarray
+    sign: np.ndarray
+    ai: np.ndarray
+    aj: np.ndarray
 
 
 @dataclass
 class DiscreteField:
     tag: str
     coeffs: np.ndarray
-
-
-@dataclass
-class LocalDualBasis:
-    tag: str
-    tri: int
-    coeffs: np.ndarray  # (nloc, nloc): column l = modal coefficients of dual function l
-    cond: float
 
 
 class _Space:
@@ -147,23 +175,44 @@ class StaggeredSpaces:
 
     def _build_edge_tables(self) -> None:
         mesh = self.mesh
+        rows = [(e.v0, e.v1, e.is_primal, e.length, e.normal, e.tangent, e.tris)
+                for e in mesh.edges]
+        v0, v1, primal, length, normal, tangent, tris = zip(*rows)
+        self.edge_v0, self.edge_v1 = np.array(v0), np.array(v1)
+        self.edge_primal = np.array(primal)
+        self.edge_length = np.array(length)
+        self.edge_normal, self.edge_tangent = np.array(normal), np.array(tangent)
+        self.edge_ntris = np.fromiter(map(len, tris), dtype=int, count=len(tris))
+        self.edge_start = np.cumsum(self.edge_ntris) - self.edge_ntris
         # Local side s of triangle [a, b, nu] starts at its vertex s; the side
         # is flipped when that vertex is not the edge's v0.
-        v0 = np.array([e.v0 for e in mesh.edges])
-        self.side_flip = (mesh.triangles != v0[mesh.tri_edges]).astype(int)
-        # Local side of each edge in each adjacent triangle, aligned with edge.tris.
-        rows = mesh.tri_edges.tolist()
-        self.edge_sides = [[rows[t].index(eid) for t, _ in e.tris]
-                           for eid, e in enumerate(mesh.edges)]
+        self.side_flip = (mesh.triangles != self.edge_v0[mesh.tri_edges]).astype(int)
+
+        # One incidence per (edge, adjacent triangle), in edge.tris order.
+        inc_tri, inc_sign = np.array(list(itertools.chain.from_iterable(tris))).T
+        inc_edge = np.repeat(np.arange(len(rows)), self.edge_ntris)
+        inc_side = np.argmax(mesh.tri_edges[inc_tri] == inc_edge[:, None], axis=1)
+        self.side_trace = 2 * inc_side + self.side_flip[inc_tri, inc_side]
+        # Pair every incidence with each incidence of its edge, itself included.
+        reps = self.edge_ntris[inc_edge]
+        i = np.repeat(np.arange(len(inc_tri)), reps)
+        within = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
+        j = self.edge_start[inc_edge[i]] + within
+        self.edge_pairs = EdgePairs(inc_edge[i], inc_tri[i], inc_tri[j], inc_sign[i],
+                                    self.side_trace[i], self.side_trace[j])
 
         self.form_edge_quad = edge_quadrature(max(2 * self.k + 2, 2))
         self.form_traces = self._reference_traces(self.form_edge_quad)
         self.data_traces = self._reference_traces(self.data_edge_quad)
+        # trace_products[a, b] = int over a reference side of T_a T_b^T per unit
+        # half-length, for the six flattened traces of `form_traces`.
+        T = self.form_traces.reshape(6, self.nk, -1)
+        self.trace_products = (T * self.form_edge_quad.weights)[:, None] @ np.swapaxes(T, 1, 2)
         # ref_moments[s, f, m, i] = int over reference side (s, f) of L_m * modal_i
         # per unit half-length; side_moments[t, s] scales it to side s of triangle t.
         leg = self.edge_basis.eval(self.form_edge_quad.points)
         ref_moments = (leg * self.form_edge_quad.weights) @ np.swapaxes(self.form_traces, -1, -2)
-        half = np.array([e.length / 2.0 for e in mesh.edges])[mesh.tri_edges]
+        half = self.edge_length[mesh.tri_edges] / 2.0
         self.side_moments = half[:, :, None, None] * ref_moments[np.arange(3), self.side_flip]
 
     def _reference_traces(self, rule) -> np.ndarray:
@@ -180,26 +229,45 @@ class StaggeredSpaces:
 
     def side_traces(self, eid: int, table: np.ndarray) -> list[np.ndarray]:
         """Traces (nk, nq) from `table` of the triangles of edge `eid`, in edge.tris order."""
-        tris = self.mesh.edges[eid].tris
-        return [table[s, self.side_flip[t, s]] for (t, _), s in zip(tris, self.edge_sides[eid])]
+        lo = self.edge_start[eid]
+        flat = table.reshape(6, *table.shape[2:])
+        return list(flat[self.side_trace[lo:lo + self.edge_ntris[eid]]])
+
+    def data_points(self) -> np.ndarray:
+        """Data-quadrature points on all triangles, shape (nT, nq, 2)."""
+        return (np.einsum("qa,tba->tqb", self.data_quad.points, self.jac)
+                + self.origin[:, None, :])
 
     # -- space construction ---------------------------------------------
 
-    def _number_edge_dofs(self, per_primal: int, per_dual: int):
-        offsets = np.full(len(self.mesh.edges), -1, dtype=int)
-        descriptors: list = []
-        base = 0
-        for eid, e in enumerate(self.mesh.edges):
-            count = per_primal if e.is_primal else per_dual
-            if count:
-                offsets[eid] = base
-                base += count
-        return offsets, base, descriptors
+    def _build_space(self, tag: str, ncomp: int, per_primal: int, per_dual: int,
+                     edge_rows: np.ndarray) -> _Space:
+        """Number one space's DOFs and invert its local DOF matrices.
 
-    def _finalize_space(self, tag: str, ncomp: int, cell_dofs: np.ndarray,
-                        descriptors: list, ndof: int,
-                        vmats: np.ndarray) -> _Space:
-        nT, nloc = cell_dofs.shape
+        edge_rows (nT, nedge, ncomp*nk) holds each triangle's edge functionals
+        in modal coefficients: per_primal rows for its primal side, then
+        per_dual rows for each dual side. The ncomp*nk1 cell moments follow,
+        ordered (j, component), with component c of modal function j.
+        """
+        mesh, nk, nk1 = self.mesh, self.nk, self.nk1
+        nT = mesh.num_triangles
+        counts = np.where(self.edge_primal, per_primal, per_dual)
+        offsets = np.where(counts > 0, np.cumsum(counts) - counts, -1)
+        num_edge = int(counts.sum())
+        per_cell = ncomp * nk1
+        ndof = num_edge + nT * per_cell
+        cols = [offsets[mesh.tri_edges[:, s], None] + np.arange(n)
+                for s, n in enumerate((per_primal, per_dual, per_dual)) if n]
+        cols.append(num_edge + np.arange(nT * per_cell).reshape(nT, per_cell))
+        cell_dofs = np.hstack(cols)
+
+        nloc = ncomp * nk
+        nedge = edge_rows.shape[1]
+        vmats = np.zeros((nT, nloc, nloc))
+        vmats[:, :nedge] = edge_rows
+        j, c = np.divmod(np.arange(per_cell), ncomp)
+        vmats[:, nedge + np.arange(per_cell), c * nk + j] = self.detJ[:, None]
+
         conds = np.linalg.cond(vmats)
         bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
         if bad.any():
@@ -215,152 +283,38 @@ class StaggeredSpaces:
                 f"space {tag}: worst local DOF condition number {worst:.3g}",
                 stacklevel=3,
             )
-        # Row t*block + i of the embedding holds row i of triangle t's dual basis.
-        block = ncomp * self.nk
-        rows = np.repeat(np.arange(nT)[:, None] * block + np.arange(nloc), nloc, axis=1)
-        cols = np.tile(cell_dofs, (1, nloc))
+        # Row t*nloc + i of the embedding holds row i of triangle t's dual basis.
+        rows = np.repeat(np.arange(nT)[:, None] * nloc + np.arange(nloc), nloc, axis=1)
         E = sp.csr_matrix(
-            (dual.ravel(), (rows.ravel(), cols.ravel())), shape=(nT * block, ndof)
+            (dual.ravel(), (rows.ravel(), np.tile(cell_dofs, (1, nloc)).ravel())),
+            shape=(nT * nloc, ndof),
         )
-        dofmap = DofMap(tag, self.k, ndof, cell_dofs, descriptors)
+        dofmap = DofMap(tag, self.k, ndof, cell_dofs, offsets, num_edge)
         return _Space(dofmap, E, dual, conds, ncomp)
 
     def _build_space_W(self) -> _Space:
-        mesh, k, nk, nk1 = self.mesh, self.k, self.nk, self.nk1
-        nT = mesh.num_triangles
-        per_primal = 2 * (k + 1)
-        per_dual = k + 1
-        per_cell = 4 * nk1
-        offsets, edge_total, descriptors = self._number_edge_dofs(per_primal, per_dual)
-        for eid, e in enumerate(mesh.edges):
-            if e.is_primal:
-                for m in range(k + 1):
-                    for c in range(2):
-                        descriptors.append(("edge", eid, m, ("x", "y")[c]))
-            else:
-                for m in range(k + 1):
-                    descriptors.append(("edge", eid, m, "t"))
-        for t in range(nT):
-            for j in range(nk1):
-                for comp in W_COMPONENTS:
-                    descriptors.append(("cell", t, j, comp))
-        ndof = edge_total + nT * per_cell
-
-        nloc = 4 * nk
-        cell_dofs = np.empty((nT, nloc), dtype=int)
-        vmats = np.zeros((nT, nloc, nloc))
-        for t in range(nT):
-            row = 0
-            gdofs = []
-            e_prim, e_d1, e_d2 = mesh.tri_edges[t]
-            # Primal edge: full vector moments of G n.
-            e = mesh.edges[e_prim]
-            EM = self.side_moments[t, 0]
-            for m in range(k + 1):
-                for c in range(2):
-                    for (a, b) in W_COMPONENTS:
-                        if a == c:
-                            vmats[t, row, (2 * a + b) * nk: (2 * a + b + 1) * nk] = (
-                                e.normal[b] * EM[m]
-                            )
-                    gdofs.append(offsets[e_prim] + 2 * m + c)
-                    row += 1
-            # Dual edges: tangential moments of G n.
-            for side, eid in ((1, e_d1), (2, e_d2)):
-                e = mesh.edges[eid]
-                EM = self.side_moments[t, side]
-                for m in range(k + 1):
-                    for (a, b) in W_COMPONENTS:
-                        vmats[t, row, (2 * a + b) * nk: (2 * a + b + 1) * nk] = (
-                            e.tangent[a] * e.normal[b] * EM[m]
-                        )
-                    gdofs.append(offsets[eid] + m)
-                    row += 1
-            # Interior tensor moments against P^{k-1}.
-            cell_base = edge_total + t * per_cell
-            for j in range(nk1):
-                for ci, (a, b) in enumerate(W_COMPONENTS):
-                    col = (2 * a + b) * nk + j
-                    vmats[t, row, col] = self.detJ[t]
-                    gdofs.append(cell_base + 4 * j + ci)
-                    row += 1
-            cell_dofs[t] = gdofs
-        return self._finalize_space("W", 4, cell_dofs, descriptors, ndof, vmats)
+        k1, nT = self.k + 1, self.mesh.num_triangles
+        EM = self.side_moments
+        n, tg = self.edge_normal[self.mesh.tri_edges], self.edge_tangent[self.mesh.tri_edges]
+        # Primal side: both components c of G n, rows (m, c), cols (a, b, i).
+        primal = np.einsum("ca,tb,tmi->tmcabi", np.eye(2), n[:, 0], EM[:, 0])
+        # Dual sides: the tangential component t . G n, rows (side, m).
+        frame = tg[:, 1:, :, None] * n[:, 1:, None, :]
+        dual = frame[:, :, None, :, :, None] * EM[:, 1:, :, None, None, :]
+        edge_rows = np.concatenate([primal.reshape(nT, 2 * k1, -1),
+                                    dual.reshape(nT, 2 * k1, -1)], axis=1)
+        return self._build_space("W", 4, 2 * k1, k1, edge_rows)
 
     def _build_space_U(self) -> _Space:
-        mesh, k, nk, nk1 = self.mesh, self.k, self.nk, self.nk1
-        nT = mesh.num_triangles
-        per_dual = k + 1
-        per_cell = 2 * nk1
-        offsets, edge_total, descriptors = self._number_edge_dofs(0, per_dual)
-        for eid, e in enumerate(mesh.edges):
-            if not e.is_primal:
-                for m in range(k + 1):
-                    descriptors.append(("edge", eid, m, "n"))
-        for t in range(nT):
-            for j in range(nk1):
-                for c in range(2):
-                    descriptors.append(("cell", t, j, ("x", "y")[c]))
-        ndof = edge_total + nT * per_cell
-
-        nloc = 2 * nk
-        cell_dofs = np.empty((nT, nloc), dtype=int)
-        vmats = np.zeros((nT, nloc, nloc))
-        for t in range(nT):
-            row = 0
-            gdofs = []
-            _e_prim, e_d1, e_d2 = mesh.tri_edges[t]
-            for side, eid in ((1, e_d1), (2, e_d2)):
-                e = mesh.edges[eid]
-                EM = self.side_moments[t, side]
-                for m in range(k + 1):
-                    for a in range(2):
-                        vmats[t, row, a * nk: (a + 1) * nk] = e.normal[a] * EM[m]
-                    gdofs.append(offsets[eid] + m)
-                    row += 1
-            cell_base = edge_total + t * per_cell
-            for j in range(nk1):
-                for a in range(2):
-                    vmats[t, row, a * nk + j] = self.detJ[t]
-                    gdofs.append(cell_base + 2 * j + a)
-                    row += 1
-            cell_dofs[t] = gdofs
-        return self._finalize_space("U", 2, cell_dofs, descriptors, ndof, vmats)
+        k1, nT = self.k + 1, self.mesh.num_triangles
+        EM, n = self.side_moments, self.edge_normal[self.mesh.tri_edges]
+        # Dual sides: the normal component v . n, rows (side, m), cols (a, i).
+        dual = n[:, 1:, None, :, None] * EM[:, 1:, :, None, :]
+        return self._build_space("U", 2, 0, k1, dual.reshape(nT, 2 * k1, -1))
 
     def _build_space_P(self) -> _Space:
-        mesh, k, nk, nk1 = self.mesh, self.k, self.nk, self.nk1
-        nT = mesh.num_triangles
-        per_primal = k + 1
-        per_cell = nk1
-        offsets, edge_total, descriptors = self._number_edge_dofs(per_primal, 0)
-        for eid, e in enumerate(mesh.edges):
-            if e.is_primal:
-                for m in range(k + 1):
-                    descriptors.append(("edge", eid, m, "s"))
-        for t in range(nT):
-            for j in range(nk1):
-                descriptors.append(("cell", t, j, "s"))
-        ndof = edge_total + nT * per_cell
-
-        nloc = nk
-        cell_dofs = np.empty((nT, nloc), dtype=int)
-        vmats = np.zeros((nT, nloc, nloc))
-        for t in range(nT):
-            row = 0
-            gdofs = []
-            e_prim = mesh.tri_edges[t][0]
-            EM = self.side_moments[t, 0]
-            for m in range(k + 1):
-                vmats[t, row] = EM[m]
-                gdofs.append(offsets[e_prim] + m)
-                row += 1
-            cell_base = edge_total + t * per_cell
-            for j in range(nk1):
-                vmats[t, row, j] = self.detJ[t]
-                gdofs.append(cell_base + j)
-                row += 1
-            cell_dofs[t] = gdofs
-        return self._finalize_space("P", 1, cell_dofs, descriptors, ndof, vmats)
+        k1 = self.k + 1
+        return self._build_space("P", 1, k1, 0, self.side_moments[:, 0])
 
     # -- access helpers --------------------------------------------------
 
@@ -369,10 +323,6 @@ class StaggeredSpaces:
             return {"W": self.W, "U": self.U, "P": self.P}[tag]
         except KeyError:
             raise ValueError(f"unknown space tag {tag!r}") from None
-
-    def local_dual_basis(self, tag: str, tri: int) -> LocalDualBasis:
-        s = self.space(tag)
-        return LocalDualBasis(tag, tri, s.dual_coeffs[tri].copy(), float(s.conds[tri]))
 
     def broken(self, field: DiscreteField) -> np.ndarray:
         """Per-triangle modal coefficients, shape (nT, ncomp, nk)."""
@@ -417,41 +367,40 @@ class StaggeredSpaces:
         shaped (npts,) for P, (npts, 2) for U, (npts, 2, 2) for W.
         """
         s = self.space(tag)
-        mesh = self.mesh
-        coeffs = np.zeros(s.ndof)
+        dm = s.dofmap
+        k1 = self.k + 1
+        coeffs = np.empty(s.ndof)
+
+        # Edge moments against Legendre polynomials on every edge with DOFs.
+        eids = np.flatnonzero(dm.edge_offsets >= 0)
+        off, n = dm.edge_offsets[eids], self.edge_normal[eids]
         xi, wq = self.data_edge_quad.points, self.data_edge_quad.weights
-        leg = self.edge_basis.eval(xi)
-        cell_cache: dict[int, np.ndarray] = {}
-        for g, desc in enumerate(s.dofmap.descriptors):
-            if desc[0] == "edge":
-                _, eid, m, comp = desc
-                e = mesh.edges[eid]
-                lo, hi = mesh.vertices[e.v0], mesh.vertices[e.v1]
-                pts = lo + np.outer((xi + 1.0) / 2.0, hi - lo)
-                vals = np.asarray(fn(pts))
-                if comp in ("x", "y"):
-                    trace = vals[:, ("x", "y").index(comp), :] @ e.normal
-                elif comp == "t":
-                    trace = np.einsum("pab,b,a->p", vals, e.normal, e.tangent)
-                elif comp == "n":
-                    trace = vals @ e.normal
-                else:
-                    trace = vals
-                coeffs[g] = float(np.sum(wq * leg[m] * trace) * e.length / 2.0)
-            else:
-                _, t, j, slot = desc
-                if t not in cell_cache:
-                    pts = self.data_quad.points @ self.jac[t].T + self.origin[t]
-                    cell_cache[t] = np.asarray(fn(pts))
-                vals = cell_cache[t]
-                if slot == "s":
-                    comp_vals = vals
-                elif slot in ("x", "y"):
-                    comp_vals = vals[:, ("x", "y").index(slot)]
-                else:
-                    comp_vals = vals[:, slot[0], slot[1]]
-                coeffs[g] = float(
-                    np.sum(self.data_quad.weights * self.data_vals[j] * comp_vals)
-                    * self.detJ[t]
-                )
+        lo = self.mesh.vertices[self.edge_v0[eids]]
+        hi = self.mesh.vertices[self.edge_v1[eids]]
+        pts = lo[:, None] + ((xi + 1.0) / 2.0)[:, None] * (hi - lo)[:, None]
+        vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(eids), len(xi), -1)
+        if tag == "P":
+            traces = vals
+        elif tag == "U":
+            traces = np.einsum("eqa,ea->eq", vals, n)[..., None]
+        else:
+            traces = np.einsum("eqab,eb->eqa", vals.reshape(len(eids), len(xi), 2, 2), n)
+        leg = self.edge_basis.eval(xi) * wq
+        mom = (self.edge_length[eids] / 2.0)[:, None, None] * np.einsum("mq,eqr->emr", leg, traces)
+        if tag == "W":
+            # Primal edges carry both components of G n, dual edges t . G n.
+            prim = self.edge_primal[eids]
+            coeffs[off[prim, None] + np.arange(2 * k1)] = mom[prim].reshape(-1, 2 * k1)
+            coeffs[off[~prim, None] + np.arange(k1)] = np.einsum(
+                "emr,er->em", mom[~prim], self.edge_tangent[eids[~prim]])
+        else:
+            coeffs[off[:, None] + np.arange(k1)] = mom[..., 0]
+
+        # Cell moments of each component against the P^{k-1} modal functions.
+        X = self.data_points()
+        nT, nq, _ = X.shape
+        vals = np.asarray(fn(X.reshape(-1, 2))).reshape(nT, nq, s.ncomp)
+        w_vals = self.data_vals[:self.nk1] * self.data_quad.weights
+        cell = self.detJ[:, None, None] * np.einsum("jq,tqc->tjc", w_vals, vals)
+        coeffs[dm.num_edge_dofs:] = cell.ravel()
         return DiscreteField(tag, coeffs)

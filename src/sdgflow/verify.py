@@ -135,10 +135,7 @@ def _broken_tables(spaces: StaggeredSpaces, f: DiscreteField):
 
 
 def _exact_tables(spaces: StaggeredSpaces, tag: str, exact):
-    X = (
-        np.einsum("qa,tba->tqb", spaces.data_quad.points, spaces.jac)
-        + spaces.origin[:, None, :]
-    )
+    X = spaces.data_points()
     nT, nq, _ = X.shape
     vals = np.asarray(exact(X.reshape(-1, 2)))
     if tag == "P":
@@ -255,10 +252,7 @@ def error_Z2(spaces: StaggeredSpaces, u_h: DiscreteField, case: ManufacturedCase
     """Z2 norm of the velocity error, including the exact gradient volume term."""
     w = spaces.data_quad.weights
     _, _vals, grads = _broken_tables(spaces, u_h)
-    X = (
-        np.einsum("qa,tba->tqb", spaces.data_quad.points, spaces.jac)
-        + spaces.origin[:, None, :]
-    )
+    X = spaces.data_points()
     nT, nq, _ = X.shape
     # Exact gradient rearranged to (nT, component, quad point, derivative).
     gx = case.grad_u(X.reshape(-1, 2)).reshape(nT, nq, 2, 2).transpose(0, 2, 1, 3)

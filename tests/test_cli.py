@@ -200,6 +200,22 @@ def test_main_mesh_check_and_file_import(tmp_path, capsys):
     assert code == 0
 
 
+def test_file_mesh_reports_its_own_h(tmp_path, capsys):
+    # The nominal 1/level of the grid families does not apply to a file mesh:
+    # the two-rectangle mesh has unit-length primal sides, so h = 1.
+    mesh_path = tmp_path / "two.txt"
+    mesh_path.write_text(MESH_FILE)
+    report = cli.run_single(RunConfig(k=1, mesh="file", mesh_file=str(mesh_path)))
+    assert report.h == 1.0
+    csv_path = tmp_path / "out.csv"
+    code = cli.main(["solve", "--k", "1", "--mesh", "file",
+                     "--mesh-file", str(mesh_path), "--out-csv", str(csv_path)])
+    assert code == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("mesh file h=1 ")
+    assert csv_path.read_text().splitlines()[1].startswith("8,1,")
+
+
 def test_main_rejects_several_levels_on_a_mesh_file(tmp_path, capsys):
     mesh_path = tmp_path / "two.txt"
     mesh_path.write_text(MESH_FILE)

@@ -115,17 +115,20 @@ def test_interior_block_never_couples_across_triangles():
     assert sol.residual < 1e-10
 
 
-def test_interior_indices_cover_cell_descriptors():
+def test_interior_indices_cover_cell_ranges():
     spaces, _case, system = make_system(k=2, n=2)
     cells = system.blocks.interior
     nT = spaces.mesh.num_triangles
-    assert cells.shape[0] == nT
-    # Every interior index maps back to a cell descriptor of W or U.
+    W, U = spaces.W.dofmap, spaces.U.dofmap
+    per_W, per_U = 4 * spaces.nk1, 2 * spaces.nk1
+    assert cells.shape == (nT, per_W + per_U)
     nW = spaces.W.ndof
     for t in range(nT):
-        for g in cells[t]:
-            if g < nW:
-                desc = spaces.W.dofmap.descriptors[g]
-            else:
-                desc = spaces.U.dofmap.descriptors[g - nW]
-            assert desc[0] == "cell" and desc[1] == t
+        # Row t: the cell entries of W.cell_dofs[t], then those of U shifted by nW.
+        assert np.array_equal(cells[t, :per_W], W.cell_dofs[t, -per_W:])
+        assert np.array_equal(cells[t, per_W:], nW + U.cell_dofs[t, -per_U:])
+    w_part, u_part = cells[:, :per_W], cells[:, per_W:] - nW
+    # Interior DOFs lie past each space's edge DOFs and cover its cell range once.
+    assert w_part.min() >= W.num_edge_dofs and u_part.min() >= U.num_edge_dofs
+    assert np.array_equal(np.sort(w_part, axis=None), np.arange(W.num_edge_dofs, W.ndof))
+    assert np.array_equal(np.sort(u_part, axis=None), np.arange(U.num_edge_dofs, U.ndof))

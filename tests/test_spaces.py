@@ -96,15 +96,23 @@ def test_trace_tables_match_basis_at_edge_points(name, k):
 
 
 def test_local_dual_basis_inverts_dof_matrix():
+    # Local dual function l, taken as a polynomial on the whole plane, has
+    # DOF values e_l on its triangle: its interpolant reads the identity.
     spaces = StaggeredSpaces(MESHES["distorted"], 2)
-    basis = spaces.local_dual_basis("U", 3)
-    assert basis.tag == "U"
-    assert basis.cond < 1e6
-    # Columns of the dual-basis matrix are the coefficient vectors whose DOF
-    # evaluations give the identity; check through the embedding instead of
-    # the raw matrix: applying all DOFs to the interpolant of a polynomial
-    # reproduces it (see the reproduction tests below).
-    assert basis.coeffs.shape == (2 * spaces.nk, 2 * spaces.nk)
+    t, nloc = 3, 2 * spaces.nk
+    dual = spaces.U.dual_coeffs[t]
+    assert dual.shape == (nloc, nloc)
+    assert spaces.U.conds[t] < 1e6
+    dofs = spaces.U.dofmap.cell_dofs[t]
+    for l in range(nloc):
+        coeffs = dual[:, l].reshape(2, spaces.nk)
+
+        def fn(pts):
+            ref = (pts - spaces.origin[t]) @ spaces.invJT[t]
+            return (coeffs @ spaces.basis.eval(ref)).T
+
+        got = spaces.interpolate("U", fn).coeffs[dofs]
+        assert np.abs(got - np.eye(nloc)[l]).max() < 1e-10
 
 
 # -- polynomial reproduction by interpolation ---------------------------

@@ -270,3 +270,62 @@ def test_norms_and_gradient_interpolant_match_pinned_values(family):
     assert set(got) == set(pinned)
     for key, value in pinned.items():
         assert abs(got[key] - value) <= 1e-12 * abs(value), key
+
+
+# Recorded projection coefficients (h=1/4, k=1..3): Euclidean norm, a seeded
+# random probe, and the entries at indices 0, 1, n//2 and n-1.
+_PINNED_PROJECTIONS = {
+    ("distorted", 1, "Ih"): (0.27838456137691076, -0.18300321971992106,
+                             (-0.04639892538528596, 0.012638451362299194,
+                              0.013827735398826127, 0.002176179835499807)),
+    ("distorted", 1, "Jh"): (0.5322528360733844, -0.736360583433168,
+                             (-0.05433957979411473, -0.026388811257747453,
+                              0.0038294980079890887, 0.018594838909756328)),
+    ("distorted", 2, "Ih"): (0.2784564623963611, 0.25777950204216177,
+                             (-0.04639892538528596, 0.012638451362299194,
+                              0.0092905663293436, 0.0008886064828105898)),
+    ("distorted", 2, "Jh"): (0.5355060414677547, -1.0191449629921037,
+                             (-0.05433957979411473, -0.026388811257747453,
+                              0.018788288617171717, 0.0056010060924294985)),
+    ("distorted", 3, "Ih"): (0.2784565141913488, -0.18437817581366478,
+                             (-0.04639892538528596, 0.012638451362299194,
+                              -1.7023326976292985e-05, -2.313273632924585e-05)),
+    ("distorted", 3, "Jh"): (0.5356283766572574, -0.019857180549790097,
+                             (-0.05433957979411473, -0.026388811257747453,
+                              0.0006708146478636377, -0.0016024893196848378)),
+    ("hanging", 1, "Ih"): (0.259695228471954, -0.20577705199593394,
+                           (-0.028673498990962908, 0.003181969153333124,
+                            -0.009128791519328319, 0.0015132231752202267)),
+    ("hanging", 1, "Jh"): (0.5106404237513257, 0.6999219808743916,
+                           (-0.008538735772973833, -0.0037756501792874384,
+                            0.0002724840809221827, 0.014067442439954784)),
+    ("hanging", 2, "Ih"): (0.25972659252390223, 0.11648951784393187,
+                           (-0.028673498990962908, 0.003181969153333124,
+                            0.001009692376666691, 0.00060485874280898)),
+    ("hanging", 2, "Jh"): (0.5122235607867442, 0.0515827186523811,
+                           (-0.008538735772973833, -0.0037756501792874384,
+                            0.0020601292483556615, 0.004707651762012201)),
+    ("hanging", 3, "Ih"): (0.2597266206637427, -0.3223415891376942,
+                           (-0.028673498990962908, 0.003181969153333124,
+                            6.052599784485231e-07, -1.321787146450454e-05)),
+    ("hanging", 3, "Jh"): (0.5122710103763141, -0.11427863199827601,
+                           (-0.008538735772973833, -0.0037756501792874384,
+                            2.918482369848616e-06, -0.0007936022256579726)),
+}
+
+
+@pytest.mark.parametrize("family", ["distorted", "hanging"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_projections_match_pinned_values(family, k):
+    spaces = StaggeredSpaces(cases.build_mesh(family, 4), k)
+    case = verify.trig_case(1e-2)
+    for name, project in (("Ih", verify.project_Ih), ("Jh", verify.project_Jh)):
+        norm, probe, entries = _PINNED_PROJECTIONS[family, k, name]
+        c = project(case, spaces).coeffs
+        n = len(c)
+        assert abs(np.linalg.norm(c) - norm) <= 1e-12 * norm, name
+        rng = np.random.default_rng(11)
+        assert abs(rng.standard_normal(n) @ c - probe) <= 1e-12 * abs(probe), name
+        # Entries are held relative to the vector norm: some are near zero.
+        got = c[[0, 1, n // 2, n - 1]]
+        assert np.abs(got - entries).max() <= 1e-12 * norm, name
