@@ -95,22 +95,26 @@ class RunReport:
     """Results of one solve: errors, solution norms, sizes, wall times."""
 
     config: RunConfig
-    level: int
+    level: int | None  # None for a file mesh, which has no level
     h: float
     ndof: int
     dims: tuple[int, int, int]
+    skeleton: int
+    lu_fill: int
+    residuals: list[float]
     errors: dict[str, float]
     norms: dict[str, float]
     timings: dict[str, float] = field(default_factory=dict)
 
     def summary(self) -> str:
         nW, nU, nP = self.dims
-        # A file mesh has no level: its h is the mesh's own.
-        h = f"h={self.h:.4g}" if self.config.mesh == "file" else f"h=1/{self.level}"
+        h = f"h={self.h:.4g}" if self.level is None else f"h=1/{self.level}"
         lines = [
             f"mesh {self.config.mesh} {h}  k={self.config.k}"
             f"  epsilon={self.config.epsilon:g}  alpha={self.config.alpha:g}",
             f"unknowns {self.ndof} (gradient {nW}, velocity {nU}, pressure {nP})",
+            f"skeleton {self.skeleton}  lu_fill {self.lu_fill}  residuals "
+            + " ".join(f"{r:.2e}" for r in self.residuals),
         ]
         for key in ERROR_KEYS:
             lines.append(f"err_{key:<10s} {self.errors[key]:.3e}")
@@ -146,7 +150,7 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     quad_degree = config.quad_degree
     if quad_degree is None and os.environ.get("SDG_QUAD_DEGREE"):
         quad_degree = int(os.environ["SDG_QUAD_DEGREE"])
-    level = config.levels[0] if n is None else n
+    level = None if config.mesh == "file" else (config.levels[0] if n is None else n)
     case = _get_case(config)
     timings = {}
     t0 = time.perf_counter()
@@ -176,9 +180,12 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     return RunReport(
         config=config,
         level=level,
-        h=mesh.h if config.mesh == "file" else 1.0 / level,
+        h=mesh.h if level is None else 1.0 / level,
         ndof=system.num_unknowns,
         dims=system.dims,
+        skeleton=solution.skeleton,
+        lu_fill=solution.lu_fill,
+        residuals=solution.residuals,
         errors=errors,
         norms=norms,
         timings=timings,
@@ -192,7 +199,7 @@ def run_convergence(config: RunConfig) -> ConvergenceTable:
     for n in config.levels:
         report = run_single(config, n=n)
         table.add(ConvergenceRow(
-            level=n, h=report.h, ndof=report.ndof, errors=dict(report.errors)))
+            level=report.level, h=report.h, ndof=report.ndof, errors=dict(report.errors)))
     return table
 
 
@@ -209,7 +216,7 @@ def _fmt_ord(v: float | None) -> str:
 def table_to_csv(table: ConvergenceTable) -> str:
     lines = [CSV_COLUMNS]
     for row in table.rows:
-        fields = [str(row.level), f"{row.h:.6g}", str(row.ndof)]
+        fields = ["N/A" if row.level is None else str(row.level), f"{row.h:.6g}", str(row.ndof)]
         for key in ERROR_KEYS:
             fields.append(_fmt_err(row.errors[key]))
             fields.append(_fmt_ord(row.orders.get(key)))
@@ -226,10 +233,10 @@ def parse_csv(text: str) -> list[dict]:
         vals = ln.split(",")
         row = {}
         for name, val in zip(header, vals):
-            if name == "level" or name == "n_dof":
-                row[name] = int(val)
-            elif val == "N/A":
+            if val == "N/A":
                 row[name] = None
+            elif name == "level" or name == "n_dof":
+                row[name] = int(val)
             else:
                 row[name] = float(val)
         out.append(row)

@@ -5,6 +5,10 @@ pressure coefficients, mean multiplier). After negating the gradient and
 divergence rows the global matrix is symmetric indefinite; a scalar
 Lagrange multiplier enforces the zero-mean pressure condition without
 breaking symmetry.
+
+The solve eliminates the cell W/U unknowns of each triangle (stage 1), then
+the dual-edge W/U and cell P unknowns of each polygon (stage 2), and
+factorizes what remains: the primal-edge W and P moments and the multiplier.
 """
 
 from __future__ import annotations
@@ -25,17 +29,27 @@ class SolverError(RuntimeError):
 
 
 @dataclass
+class InteriorGroups:
+    """Owner of each saddle unknown: its triangle in stage 1, its polygon in
+    stage 2, -1 where the stage keeps it. Kept by both: the skeleton."""
+
+    triangle: np.ndarray
+    polygon: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of eliminated unknowns."""
+        return int(np.count_nonzero(self.triangle >= 0) + np.count_nonzero(self.polygon >= 0))
+
+
+@dataclass
 class SystemBlocks:
     M: sp.csr_matrix  # nW x nW gradient mass
     B: sp.csr_matrix  # nU x nW coupling
     A: sp.csr_matrix  # nU x nU reaction mass
     D: sp.csr_matrix  # nP x nU divergence coupling
     c: np.ndarray  # (nP,) pressure means
-    # Stacked indices of the interior (per-triangle) gradient/velocity
-    # unknowns, shape (nT, m).  These never couple across triangles, so the
-    # corresponding diagonal block of the saddle matrix is block-diagonal and
-    # can be eliminated exactly before factorizing the rest.
-    interior: np.ndarray | None = field(default=None, repr=False)
+    interior: InteriorGroups = field(repr=False)
 
 
 @dataclass
@@ -68,13 +82,25 @@ class DiscreteSolution:
     p: DiscreteField
     multiplier: float
     residual: float
+    skeleton: int  # size of the factorized matrix
+    lu_fill: int  # nonzeros of its L and U factors
+    residuals: list[float]  # relative residual after each refinement step
 
 
-def _interior_indices(spaces: StaggeredSpaces) -> np.ndarray | None:
-    """Per-triangle stacked indices of interior W and U unknowns, (nT, m)."""
-    W, U = spaces.W.dofmap, spaces.U.dofmap
-    interior = np.hstack([W.cell_entries, W.ndof + U.cell_entries])
-    return interior if interior.shape[1] else None
+def _interior_groups(spaces: StaggeredSpaces) -> InteriorGroups:
+    """Stage-1 triangle and stage-2 polygon owners of every saddle unknown."""
+    W, U, P = spaces.W.dofmap, spaces.U.dofmap, spaces.P.dofmap
+    k1, nW, nU = spaces.k + 1, W.ndof, U.ndof
+    triangle = np.full(nW + nU + P.ndof + 1, -1)  # the multiplier is last
+    polygon = triangle.copy()
+    tri = np.arange(spaces.mesh.num_triangles)[:, None]
+    poly = spaces.mesh.tri_poly[:, None]
+    triangle[W.cell_entries] = triangle[nW + U.cell_entries] = tri
+    # Local DOF order: primal side, the two dual sides, cell. Both triangles
+    # of a dual edge lie in one polygon.
+    polygon[W.cell_dofs[:, 2 * k1:4 * k1]] = polygon[nW + U.cell_dofs[:, :2 * k1]] = poly
+    polygon[nW + nU + P.cell_entries] = poly
+    return InteriorGroups(triangle, polygon)
 
 
 def _prune(matrix: sp.csr_matrix, rel_tol: float = 1e-13) -> sp.csr_matrix:
@@ -98,7 +124,7 @@ def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
         A=_prune(forms.assemble_mass_U(spaces, alpha)),
         D=_prune(forms.assemble_D(spaces)),
         c=forms.mean_vector(spaces),
-        interior=_interior_indices(spaces),
+        interior=_interior_groups(spaces),
     )
 
 
@@ -128,10 +154,6 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
     return SaddleSystem(blocks, eps, alpha, rhs_F, rhs_G, K, rhs)
 
 
-# Systems above this size are solved through static condensation by default;
-# below it a plain factorization is cheaper than the extra sparse algebra.
-CONDENSE_THRESHOLD = 20_000
-
 # Iterative refinement: cheap re-solves with the existing factorization that
 # recover the digits lost to cancellation in ill-conditioned regimes (small
 # viscosity), where a single factorized solve can be several digits short.
@@ -139,96 +161,80 @@ REFINE_STEPS = 5
 REFINE_TARGET = 1e-12
 
 
-def _direct_solver(system: SaddleSystem):
-    lu = spla.splu(system.matrix)
-    return lu.solve
+def _eliminate(K: sp.spmatrix, group: np.ndarray, owner: str):
+    """Schur complement of K onto the unknowns whose group is -1.
 
-
-def _condensed_solver(system: SaddleSystem):
-    """Eliminate the per-triangle interior unknowns, then factorize the rest.
-
-    The interior gradient/velocity block is block-diagonal (one small dense
-    block per triangle) and symmetric quasi-definite, so it is inverted
-    exactly and folded into a Schur complement on the skeleton unknowns.
+    The other unknowns must not couple across groups, so their block of K is
+    block diagonal with one dense block per group; blocks of equal size are
+    inverted in one batch. Returns the Schur complement and `lift`, which
+    turns a solver of the Schur complement into a solver of K.
     """
-    cells = system.blocks.interior
-    assert cells is not None
-    nT, m = cells.shape
-    n = system.matrix.shape[0]
-    cidx = cells.reshape(-1)
-    mask = np.ones(n, dtype=bool)
-    mask[cidx] = False
-    ridx = np.nonzero(mask)[0]
-    nr = len(ridx)
-
-    # Reorder skeleton unknowns first, interiors last, then slice the four
-    # blocks from the single permuted copy.  The matrix is symmetric, so the
-    # lower coupling block is the transpose of the upper one.
-    perm = np.concatenate([ridx, cidx])
-    Kp = system.matrix.tocsr()[perm].tocsc()[:, perm].tocsr()
-    Krr = Kp[:nr, :nr]
-    Krc = Kp[:nr, nr:].tocsr()
+    elim = np.flatnonzero(group >= 0)
+    if not elim.size:
+        return K, lambda inner: inner
+    keep = np.flatnonzero(group < 0)
+    _, gid, sizes = np.unique(group[elim], return_inverse=True, return_counts=True)
+    # Order by block size, then by group: each size class is one run of
+    # equal consecutive blocks.
+    order = np.lexsort((gid, sizes[gid]))
+    elim, gid = elim[order], gid[order]
+    nr = len(keep)
+    perm = np.concatenate([keep, elim])
+    Kp = K.tocsr()[perm].tocsc()[:, perm].tocsr()
+    Krr, Krc, Kcr = Kp[:nr, :nr], Kp[:nr, nr:], Kp[nr:, :nr]
     Kcc = Kp[nr:, nr:].tocoo()
     del Kp
+    cross = gid[Kcc.row] != gid[Kcc.col]
+    # Cross-group entries are roundoff from traces that vanish analytically;
+    # anything larger means the elimination is invalid.
+    if np.abs(Kcc.data[cross]).max(initial=0.0) > 1e-10 * np.abs(Kcc.data).max(initial=0.0):
+        raise SolverError(f"interior unknowns couple across {owner}s")
 
-    br, bc = Kcc.row // m, Kcc.col // m
-    off = br != bc
-    if np.any(off):
-        # Cross-triangle entries are roundoff from traces that vanish
-        # analytically; anything larger means the elimination is invalid.
-        scale = np.abs(Kcc.data[~off]).max()
-        if np.abs(Kcc.data[off]).max() > 1e-10 * scale:
-            raise SolverError("interior unknowns couple across triangles")
-        keep = ~off
-        br = br[keep]
-        Kcc = sp.coo_matrix(
-            (Kcc.data[keep], (Kcc.row[keep], Kcc.col[keep])), shape=Kcc.shape
-        )
-    dense = np.zeros((nT, m, m))
-    dense[br, Kcc.row % m, Kcc.col % m] = Kcc.data
-    del Kcc
+    batches, start = [], 0
+    for m, count in zip(*np.unique(sizes, return_counts=True)):
+        end = start + m * count
+        sel = ~cross & (Kcc.row >= start) & (Kcc.row < end)
+        r, c = Kcc.row[sel] - start, Kcc.col[sel] - start
+        dense = np.zeros((count, m, m))
+        dense[r // m, r % m, c % m] = Kcc.data[sel]
+        try:
+            inv = np.linalg.inv(dense)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular {owner} block: {exc}") from exc
+        batches.append(sp.bsr_matrix((inv, np.arange(count), np.arange(count + 1)),
+                                     shape=(end - start, end - start)))
+        start = end
+    Kcc_inv = sp.block_diag(batches, format="csr")
+    T = Krc @ Kcc_inv
+    S = _prune(Krr - T @ Kcr)
+
+    def lift(inner):
+        def apply(b: np.ndarray) -> np.ndarray:
+            bc = b[elim]
+            xr = inner(b[keep] - T @ bc)
+            x = np.empty(len(b))
+            x[keep] = xr
+            x[elim] = Kcc_inv @ (bc - Kcr @ xr)
+            return x
+        return apply
+
+    return S, lift
+
+
+def solve(system: SaddleSystem) -> DiscreteSolution:
+    """Direct solve of the saddle system by two-stage static condensation,
+    followed by iterative refinement against the full matrix."""
+    groups = system.blocks.interior
     try:
-        inv = np.linalg.inv(dense)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular interior block: {exc}") from exc
-    del dense
-    Kcc_inv = sp.bsr_matrix(
-        (inv, np.arange(nT), np.arange(nT + 1)), shape=(nT * m, nT * m)
-    ).tocsr()
-    del inv
-
-    T1 = Krc @ Kcc_inv
-    S = _prune(Krr - T1 @ Krc.T).tocsc()
-    lu = spla.splu(S)
-
-    def apply(b: np.ndarray) -> np.ndarray:
-        bc_ = b[cidx]
-        xr = lu.solve(b[ridx] - T1 @ bc_)
-        xc = Kcc_inv @ (bc_ - Krc.T @ xr)
-        x = np.empty(n)
-        x[ridx] = xr
-        x[cidx] = xc
-        return x
-
-    return apply
-
-
-def solve(system: SaddleSystem, method: str = "auto") -> DiscreteSolution:
-    """Direct sparse solve of the saddle system.
-
-    method: "auto" picks static condensation for large systems, "direct"
-    factorizes the full matrix, "condensed" forces the condensed path.
-    """
-    if method not in ("auto", "direct", "condensed"):
-        raise ValueError(f"unknown solve method {method!r}")
-    condense = system.blocks.interior is not None and (
-        method == "condensed"
-        or (method == "auto" and system.num_unknowns > CONDENSE_THRESHOLD)
-    )
-    if method == "condensed" and system.blocks.interior is None:
-        raise SolverError("no interior unknowns to condense at this order")
-    try:
-        apply = _condensed_solver(system) if condense else _direct_solver(system)
+        S1, lift1 = _eliminate(system.matrix, groups.triangle, "triangle")
+        S, lift2 = _eliminate(S1, groups.polygon[groups.triangle < 0], "polygon")
+        del S1
+        # The skeleton Schur complement is symmetric: minimum-degree ordering
+        # of A^T + A and diagonal pivots where they are at least 0.01 of the
+        # column maximum (0.1 multiplies the fill at small viscosity).
+        lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                       options=dict(SymmetricMode=True))
+        apply = lift1(lift2(lu.solve))
         x = apply(system.rhs)
     except RuntimeError as exc:
         if isinstance(exc, SolverError):
@@ -239,11 +245,13 @@ def solve(system: SaddleSystem, method: str = "auto") -> DiscreteSolution:
     bnorm = max(float(np.linalg.norm(system.rhs)), 1.0)
     best = x
     best_res = float(np.linalg.norm(system.matrix @ x - system.rhs)) / bnorm
+    residuals = [best_res]
     for _ in range(REFINE_STEPS):
         if best_res <= REFINE_TARGET:
             break
         x = best + apply(system.rhs - system.matrix @ best)
         res = float(np.linalg.norm(system.matrix @ x - system.rhs)) / bnorm
+        residuals.append(res)
         if not np.isfinite(res) or res >= best_res:
             break
         best, best_res = x, res
@@ -254,13 +262,15 @@ def solve(system: SaddleSystem, method: str = "auto") -> DiscreteSolution:
         p=DiscreteField("P", best[nW + nU:nW + nU + nP].copy()),
         multiplier=float(best[-1]),
         residual=best_res,
+        skeleton=S.shape[0],
+        lu_fill=lu.L.nnz + lu.U.nnz,
+        residuals=residuals,
     )
 
 
-def solve_case(spaces: StaggeredSpaces, eps: float, alpha: float, f, g,
-               method: str = "auto"):
+def solve_case(spaces: StaggeredSpaces, eps: float, alpha: float, f, g):
     """Assemble and solve in one step; returns (solution, system)."""
     blocks = assemble_blocks(spaces, alpha)
     rhs_F, rhs_G = forms.assemble_rhs(spaces, f, g)
     system = build_system(blocks, eps, alpha, rhs_F, rhs_G)
-    return solve(system, method=method), system
+    return solve(system), system

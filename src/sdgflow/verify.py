@@ -313,7 +313,7 @@ def superconvergence_error(spaces: StaggeredSpaces, u_h: DiscreteField,
 
 @dataclass
 class ConvergenceRow:
-    level: int  # h^{-1}
+    level: int | None  # h^{-1}; None for a file mesh
     h: float
     ndof: int
     errors: dict[str, float]

@@ -79,8 +79,12 @@ def test_run_single_reports_errors_and_sizes():
     assert all(v > 0.0 for v in report.errors.values())
     assert report.ndof == sum(report.dims) + 1
     assert report.h == 0.25
+    # Skeleton: 3(k+1) moments on each of the 40 primal edges, plus the multiplier.
+    assert report.skeleton == 6 * 40 + 1
+    assert report.lu_fill > 0 and report.residuals[-1] < 1e-12
     text = report.summary()
     assert "err_u" in text and "unknowns" in text
+    assert f"skeleton {report.skeleton}  lu_fill {report.lu_fill}  residuals" in text
 
 
 def test_run_single_zero_case():
@@ -213,7 +217,10 @@ def test_file_mesh_reports_its_own_h(tmp_path, capsys):
     assert code == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("mesh file h=1 ")
-    assert csv_path.read_text().splitlines()[1].startswith("8,1,")
+    # A file mesh has no level, so the CSV row says N/A and reads back as None.
+    text = csv_path.read_text()
+    assert text.splitlines()[1].startswith("N/A,1,")
+    assert cli.parse_csv(text)[0]["level"] is None
 
 
 def test_main_rejects_several_levels_on_a_mesh_file(tmp_path, capsys):

@@ -1,7 +1,11 @@
-"""Tests for the saddle-point assembly, direct and condensed solves."""
+"""Tests for the saddle-point assembly and the condensed solve."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from direct_oracle import direct_solve
 
 from sdgflow import forms, mesh as mm, verify
 from sdgflow.solver import (
@@ -14,12 +18,18 @@ from sdgflow.solver import (
 from sdgflow.spaces import StaggeredSpaces
 
 
-def make_system(k=1, n=3, eps=1.0, alpha=1.0, family="square"):
+def make_spaces(k=1, n=3, family="square"):
     if family == "square":
         primal = mm.build_square_grid(n)
+    elif family == "hanging":
+        primal = mm.build_hanging_grid(n)
     else:
         primal = mm.build_distorted_grid(n, 0.25, 42)
-    spaces = StaggeredSpaces(mm.build_staggered(primal), k)
+    return StaggeredSpaces(mm.build_staggered(primal), k)
+
+
+def make_system(k=1, n=3, eps=1.0, alpha=1.0, family="square"):
+    spaces = make_spaces(k, n, family)
     case = verify.trig_case(eps, alpha)
     blocks = assemble_blocks(spaces, alpha)
     F, G = forms.assemble_rhs(spaces, case.f, case.g)
@@ -55,30 +65,21 @@ def test_solve_residual_and_mean():
     assert abs(float(system.blocks.c @ sol.p.coeffs)) < 1e-10
 
 
-def test_unknown_method_rejected():
-    _spaces, _case, system = make_system()
-    with pytest.raises(ValueError, match="unknown solve method"):
-        solve(system, method="fancy")
-
-
-def test_condense_requires_interior_unknowns():
-    # k=0 spaces have no cell unknowns to eliminate.
-    _spaces, _case, system = make_system(k=0)
-    with pytest.raises(SolverError, match="no interior"):
-        solve(system, method="condensed")
-    assert solve(system, method="direct").residual < 1e-10
-
-
-@pytest.mark.parametrize("family", ["square", "distorted"])
-@pytest.mark.parametrize("k,eps", [(1, 1.0), (2, 1e-4), (3, 1e-8)])
+@pytest.mark.parametrize("family", ["square", "distorted", "hanging"])
+@pytest.mark.parametrize("k,eps", [(0, 1e-8), (1, 1.0), (2, 1e-4), (3, 1e-8)])
 def test_condensed_matches_direct(family, k, eps):
-    _spaces, _case, system = make_system(k=k, n=3, eps=eps, family=family)
-    sd = solve(system, method="direct")
-    sc = solve(system, method="condensed")
-    for a, b in ((sd.L, sc.L), (sd.u, sc.u), (sd.p, sc.p)):
-        scale = max(1.0, np.abs(a.coeffs).max())
-        assert np.abs(a.coeffs - b.coeffs).max() < 1e-9 * scale
-    assert abs(sd.multiplier - sc.multiplier) < 1e-9
+    # The hanging mesh has 5-gon polygons, so stage 2 inverts blocks of two
+    # sizes; at k=0 stage 1 has nothing to eliminate.
+    n = 4 if family == "hanging" else 3
+    _spaces, _case, system = make_system(k=k, n=n, eps=eps, family=family)
+    x = direct_solve(system)
+    sol = solve(system)
+    nW, nU, _nP = system.dims
+    for a, b in ((x[:nW], sol.L), (x[nW:nW + nU], sol.u), (x[nW + nU:-1], sol.p)):
+        scale = max(1.0, np.abs(a).max())
+        assert np.abs(a - b.coeffs).max() < 1e-9 * scale
+    assert abs(x[-1] - sol.multiplier) < 1e-9
+    assert sol.residual == min(sol.residuals) <= 1e-12
 
 
 def test_zero_data_gives_zero_solution():
@@ -111,24 +112,62 @@ def test_interior_block_never_couples_across_triangles():
     blocks = assemble_blocks(spaces, 1.0)
     F, G = forms.assemble_rhs(spaces, case.f, case.g)
     system = build_system(blocks, 1.0, 1.0, F, G)
-    sol = solve(system, method="condensed")
+    sol = solve(system)
     assert sol.residual < 1e-10
 
 
-def test_interior_indices_cover_cell_ranges():
-    spaces, _case, system = make_system(k=2, n=2)
-    cells = system.blocks.interior
-    nT = spaces.mesh.num_triangles
-    W, U = spaces.W.dofmap, spaces.U.dofmap
-    per_W, per_U = 4 * spaces.nk1, 2 * spaces.nk1
-    assert cells.shape == (nT, per_W + per_U)
-    nW = spaces.W.ndof
-    for t in range(nT):
-        # Row t: the cell entries of W.cell_dofs[t], then those of U shifted by nW.
-        assert np.array_equal(cells[t, :per_W], W.cell_dofs[t, -per_W:])
-        assert np.array_equal(cells[t, per_W:], nW + U.cell_dofs[t, -per_U:])
-    w_part, u_part = cells[:, :per_W], cells[:, per_W:] - nW
-    # Interior DOFs lie past each space's edge DOFs and cover its cell range once.
-    assert w_part.min() >= W.num_edge_dofs and u_part.min() >= U.num_edge_dofs
-    assert np.array_equal(np.sort(w_part, axis=None), np.arange(W.num_edge_dofs, W.ndof))
-    assert np.array_equal(np.sort(u_part, axis=None), np.arange(U.num_edge_dofs, U.ndof))
+@pytest.mark.parametrize("family", ["square", "distorted", "hanging"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_interior_groups_layout(family, k):
+    spaces = make_spaces(k, 4, family)
+    groups = assemble_blocks(spaces, 1.0).interior
+    mesh, k1 = spaces.mesh, k + 1
+    W, U, P = spaces.W.dofmap, spaces.U.dofmap, spaces.P.dofmap
+    nW, nU = W.ndof, U.ndof
+    n = nW + nU + P.ndof + 1
+    assert groups.triangle.shape == groups.polygon.shape == (n,)
+    assert not np.any((groups.triangle >= 0) & (groups.polygon >= 0))
+
+    # Stage 1: triangle t owns its cell W entries and its cell U entries, and
+    # the groups cover each of the two cell ranges once.
+    cells = np.hstack([W.cell_entries, nW + U.cell_entries])
+    for t in range(mesh.num_triangles):
+        assert np.array_equal(np.flatnonzero(groups.triangle == t), np.sort(cells[t]))
+    cell_ranges = np.concatenate([np.arange(W.num_edge_dofs, nW),
+                                  nW + np.arange(U.num_edge_dofs, nU)])
+    assert np.array_equal(np.flatnonzero(groups.triangle >= 0), cell_ranges)
+
+    # Stage 2: polygon p owns the W and U moments on its dual edges and the
+    # cell P entries of its triangles, nothing else.
+    for p in range(mesh.primal.num_polygons):
+        tris = np.flatnonzero(mesh.tri_poly == p)
+        duals = np.unique(mesh.tri_edges[tris, 1:])
+        assert not any(mesh.edges[e].is_primal for e in duals)
+        expected = np.concatenate(
+            [W.edge_offsets[duals, None] + np.arange(k1),
+             nW + U.edge_offsets[duals, None] + np.arange(k1)], axis=None)
+        expected = np.concatenate([expected, nW + nU + P.cell_entries[tris].ravel()])
+        assert np.array_equal(np.flatnonzero(groups.polygon == p), np.sort(expected))
+
+    # Skeleton: 2(k+1) W and k+1 P moments per primal edge, plus the multiplier.
+    skeleton = np.flatnonzero((groups.triangle < 0) & (groups.polygon < 0))
+    assert len(skeleton) == 3 * k1 * int(spaces.edge_primal.sum()) + 1
+    assert skeleton[-1] == n - 1
+
+
+def test_invalid_eliminations_raise_solver_error():
+    _spaces, _case, system = make_system(k=1, n=3, family="distorted")
+    poly = system.blocks.interior.polygon
+    i, j = np.flatnonzero(poly == 0)[0], np.flatnonzero(poly == 1)[0]
+    n = system.num_unknowns
+    # An entry that couples the interiors of polygons 0 and 1.
+    scale = np.abs(system.matrix.data).max()
+    coupling = sp.csc_matrix(([scale, scale], ([i, j], [j, i])), shape=(n, n))
+    coupled = replace(system, matrix=(system.matrix + coupling).tocsc())
+    with pytest.raises(SolverError, match="couple across polygons"):
+        solve(coupled)
+    # Polygon 0's rows and columns zeroed: its stage-2 block is singular.
+    keep = sp.diags((poly != 0).astype(float))
+    singular = replace(system, matrix=(keep @ system.matrix @ keep).tocsc())
+    with pytest.raises(SolverError, match="singular polygon block"):
+        solve(singular)
