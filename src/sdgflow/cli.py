@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import cases, mesh as meshmod, verify
-from .solver import solve_case
+from . import cases, forms, mesh as meshmod, verify
+from .solver import assemble_blocks, build_system, solve
 from .spaces import StaggeredSpaces
 from .verify import ConvergenceRow, ConvergenceTable
 
@@ -160,7 +160,12 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     spaces = StaggeredSpaces(mesh, config.k, quad_degree=quad_degree)
     timings["spaces"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    solution, system = solve_case(spaces, config.epsilon, config.alpha, case.f, case.g)
+    blocks = assemble_blocks(spaces, config.alpha)
+    rhs_F, rhs_G = forms.assemble_rhs(spaces, case.f, case.g)
+    system = build_system(blocks, config.epsilon, config.alpha, rhs_F, rhs_G)
+    timings["assemble"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    solution = solve(system)
     timings["solve"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     errors = {

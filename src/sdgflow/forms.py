@@ -1,13 +1,20 @@
-"""Sparse assembly of the staggered bilinear forms and load vectors.
+"""Element-by-element assembly of the staggered bilinear forms and load vectors.
 
-Every form is first assembled on the broken per-triangle modal space, then
-compressed onto the staggered global spaces with the embedding matrices.
-The assembly is batched: volume terms come from one stack of reference
-derivative blocks, and each edge term from the spaces' edge pairs, whose
-trace products are reference products scaled by the half edge length.
-On the constrained spaces the averaged trace of a continuous component
-coincides with its single value, so the assembled matrices realize the
-forms exactly; quadrature is exact for all polynomial integrands.
+The continuity constraints live in the basis: on each triangle the global
+basis functions are the local dual basis (`dual_coeffs`, C below) in
+orthonormal modal coefficients, so every form is a sum of small dense
+per-triangle blocks C_test^T X C_trial, where X is the form on the broken
+modal space of that triangle. The blocks of all triangles come from one
+batched product and are scattered once through `cell_dofs`.
+
+X is a volume term plus edge terms on the triangle's own three sides. The
+edge terms of the forms are averages {G n}, {(G n) . t} and {v . n} of a
+component the space keeps single-valued across that edge, so on the
+constrained spaces each average equals the triangle's own trace (for the
+DOFs of that edge; it vanishes for all other DOFs). No pair of triangles
+sharing an edge is visited; the own-side trace products are reference
+products scaled by the half edge length, and quadrature is exact for all
+polynomial integrands.
 
 Matrix layouts (rows x cols): mass_W is nW x nW, B is nU x nW with B[i, j]
 the form evaluated on (global W basis j, global U basis i), D is nP x nU.
@@ -18,12 +25,10 @@ other independently as the oracle.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import scipy.sparse as sp
 
-from .spaces import StaggeredSpaces
+from .spaces import StaggeredSpaces, _Space
 
 
 def _volume_derivative_blocks(spaces: StaggeredSpaces) -> np.ndarray:
@@ -33,93 +38,67 @@ def _volume_derivative_blocks(spaces: StaggeredSpaces) -> np.ndarray:
     return spaces.detJ[:, None, None, None] * np.einsum("tab,bij->taij", inv, ref)
 
 
-def _block_triplets(row0: np.ndarray, col0: np.ndarray, vals: np.ndarray):
-    """COO triplets placing block vals[p] (nr, nc) at corner (row0[p], col0[p])."""
-    _, nr, nc = vals.shape
-    rows = np.broadcast_to(row0[:, None, None] + np.arange(nr)[:, None], vals.shape)
-    cols = np.broadcast_to(col0[:, None, None] + np.arange(nc), vals.shape)
-    return rows.ravel(), cols.ravel(), vals.ravel()
+def _scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
+    """Sum the element matrices local[t] (test x trial local DOFs) into the
+    global matrix at the rows and columns of each triangle's cell_dofs."""
+    rows = np.broadcast_to(test.dofmap.cell_dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(trial.dofmap.cell_dofs[:, None, :], local.shape)
+    return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(test.ndof, trial.ndof))
 
 
-def _csr(shape, triplets) -> sp.csr_matrix:
-    rows, cols, vals = (np.concatenate(x) for x in zip(*triplets))
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+def _mass(spaces: StaggeredSpaces, space: _Space, scale: float) -> sp.csr_matrix:
+    # The modal basis is orthonormal on the reference triangle.
+    C = space.dual_coeffs
+    local = (scale * spaces.detJ)[:, None, None] * (np.swapaxes(C, 1, 2) @ C)
+    return _scatter(space, space, local)
 
 
-def _edge_pair_terms(spaces: StaggeredSpaces):
-    """Per edge pair: S[p, m, n] = int_e m_m^(ti) m_n^(tj) ds, the averaged
-    jump weight sign/N (N triangles on the edge), and the edge's frame."""
-    pairs = spaces.edge_pairs
-    e = pairs.edge
-    S = (spaces.edge_length[e] / 2.0)[:, None, None] * spaces.trace_products[pairs.ai, pairs.aj]
-    weight = pairs.sign / spaces.edge_ntris[e]
-    return S, weight, spaces.edge_normal[e], spaces.edge_tangent[e], spaces.edge_primal[e]
+def _side_terms(spaces: StaggeredSpaces):
+    """Per (triangle, side): the own-trace product S[t, s, m, n] = int m_m m_n ds,
+    the triangle's jump sign, the edge's normal and tangent, and whether it
+    is a primal edge."""
+    te = spaces.mesh.tri_edges
+    S = (spaces.edge_length[te] / 2.0)[:, :, None, None] * spaces.side_products
+    return (S, spaces.side_sign, spaces.edge_normal[te], spaces.edge_tangent[te],
+            spaces.edge_primal[te])
 
 
 def assemble_mass_W(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    nk = spaces.nk
-    diag = np.repeat(spaces.detJ, 4 * nk)
-    E = spaces.W.embedding
-    return (E.T @ sp.diags(diag) @ E).tocsr()
+    return _mass(spaces, spaces.W, 1.0)
 
 
 def assemble_mass_U(spaces: StaggeredSpaces, alpha: float) -> sp.csr_matrix:
     if alpha <= 0.0:
         raise ValueError("reaction coefficient must be positive")
-    nk = spaces.nk
-    diag = alpha * np.repeat(spaces.detJ, 2 * nk)
-    E = spaces.U.embedding
-    return (E.T @ sp.diags(diag) @ E).tocsr()
-
-
-def _assemble_B_broken(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    nk = spaces.nk
-    nT = spaces.mesh.num_triangles
-    t = np.arange(nT)
-    D = _volume_derivative_blocks(spaces)  # (nT, 2, nk, nk)
-    parts = []
-    for a in range(2):
-        for c in range(2):
-            # int G_{ac} d_c v_a: rows (a, m), cols (a, c, n).
-            parts.append(_block_triplets(t * 2 * nk + a * nk,
-                                         t * 4 * nk + (2 * a + c) * nk,
-                                         np.swapaxes(D[:, c], 1, 2)))
-    pairs = spaces.edge_pairs
-    S, weight, n, tg, primal = _edge_pair_terms(spaces)
-    for a, r, c in itertools.product(range(2), repeat=3):
-        # -[v] . {G n} over primal edges (one-sided on the boundary) and
-        # -[v . t] {(G n) . t} over dual edges: rows (a, m), cols (r, c, n).
-        coef = -weight * np.where(primal, float(a == r), tg[:, a] * tg[:, r]) * n[:, c]
-        sel = coef != 0.0
-        parts.append(_block_triplets(pairs.ti[sel] * 2 * nk + a * nk,
-                                     pairs.tj[sel] * 4 * nk + (2 * r + c) * nk,
-                                     coef[sel, None, None] * S[sel]))
-    return _csr((nT * 2 * nk, nT * 4 * nk), parts)
+    return _mass(spaces, spaces.U, alpha)
 
 
 def assemble_B(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    Bb = _assemble_B_broken(spaces)
-    return (spaces.U.embedding.T @ Bb @ spaces.W.embedding).tocsr()
+    nk, nT = spaces.nk, spaces.mesh.num_triangles
+    D = _volume_derivative_blocks(spaces)  # (nT, 2, nk, nk)
+    S, sign, n, tg, primal = _side_terms(spaces)
+    # -[v] . {G n} over primal edges (one-sided on the boundary) and
+    # -[v . t] {(G n) . t} over dual edges: rows (a, m), cols (r, c, n).
+    frame = np.where(primal[:, :, None, None], np.eye(2), tg[:, :, :, None] * tg[:, :, None, :])
+    coef = -sign[:, :, None, None, None] * frame[..., None] * n[:, :, None, None, :]
+    # Plus the volume term int G_{ac} d_c v_a: rows (a, m), cols (a, c, n).
+    X = (np.einsum("ar,tcnm->tamrcn", np.eye(2), D)
+         + np.einsum("tsarc,tsmn->tamrcn", coef, S)).reshape(nT, 2 * nk, 4 * nk)
+    return _scatter(spaces.U, spaces.W,
+                     np.swapaxes(spaces.U.dual_coeffs, 1, 2) @ X @ spaces.W.dual_coeffs)
 
 
 def assemble_D(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    nk = spaces.nk
-    nT = spaces.mesh.num_triangles
-    t = np.arange(nT)
+    nk, nT = spaces.nk, spaces.mesh.num_triangles
     Dv = _volume_derivative_blocks(spaces)
-    # int v_a d_a q: rows q index, cols (a, m).
-    parts = [_block_triplets(t * nk, t * 2 * nk + a * nk, np.swapaxes(Dv[:, a], 1, 2))
-             for a in range(2)]
-    pairs = spaces.edge_pairs
-    S, weight, n, _tg, primal = _edge_pair_terms(spaces)
-    for a in range(2):
-        # -{v . n} [q] over dual edges; S rows follow the q side ti.
-        coef = np.where(primal, 0.0, -weight * n[:, a])
-        sel = coef != 0.0
-        parts.append(_block_triplets(pairs.ti[sel] * nk, pairs.tj[sel] * 2 * nk + a * nk,
-                                     coef[sel, None, None] * S[sel]))
-    Db = _csr((nT * nk, nT * 2 * nk), parts)
-    return (spaces.P.embedding.T @ Db @ spaces.U.embedding).tocsr()
+    S, sign, n, _tg, primal = _side_terms(spaces)
+    # int v_a d_a q - {v . n} [q] over dual edges: rows q index, cols (a, m).
+    coef = np.where(primal, 0.0, -sign)[:, :, None] * n
+    X = (np.einsum("tamq->tqam", Dv)
+         + np.einsum("tsa,tsqm->tqam", coef, S)).reshape(nT, nk, 2 * nk)
+    return _scatter(spaces.P, spaces.U,
+                     np.swapaxes(spaces.P.dual_coeffs, 1, 2) @ X @ spaces.U.dual_coeffs)
 
 
 def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]:

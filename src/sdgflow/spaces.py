@@ -15,18 +15,20 @@ different trace component:
 Each space is represented by an integer DOF layout (a DofMap: edge
 moments first, at per-edge offsets, then the cell moments as one
 contiguous range) and, per triangle, a dual basis expressed in the
-orthonormal modal basis. The sparse embedding matrix maps global
-coefficients to broken per-triangle modal coefficients; every assembly and
-evaluation goes through it.
+orthonormal modal basis (`dual_coeffs`). The forms are assembled element
+by element from the dual bases; the sparse embedding matrix, which maps
+global coefficients to broken per-triangle modal coefficients, serves the
+load vectors and every evaluation.
 
 Edge traces come from reference tables: the affine map of a submesh
 triangle [a, b, nu] sends its sides (a, b), (b, nu), (nu, a) onto the three
 reference edges, so its trace on side s, at edge-rule points running from
 the edge's v0 to v1, is entry [s, side_flip[t, s]] of `form_traces` (exact
 form integrals) or `data_traces` (non-polynomial data). Edge moments and
-the edge terms of the forms and norms are all built from these tables; the
-forms read them as `edge_pairs` (every ordered pair of triangles sharing an
-edge) and `trace_products`, the 36 reference products of two traces.
+the edge terms of the forms and norms are all built from these tables. The
+forms need only each triangle's own trace on its three sides: its jump
+sign `side_sign[t, s]` and `side_products`, the three reference products
+of a side trace with itself; no pair of triangles is formed.
 """
 
 from __future__ import annotations
@@ -79,24 +81,6 @@ class DofMap:
         nT, nloc = self.cell_dofs.shape
         per_cell = (self.ndof - self.num_edge_dofs) // nT
         return self.cell_dofs[:, nloc - per_cell:]
-
-
-@dataclass
-class EdgePairs:
-    """Ordered pairs of triangles that share an edge, including (t, t).
-
-    On each edge, every adjacent triangle ti meets every adjacent triangle
-    tj, in edge.tris order. `sign` is the jump sign of ti on the edge, and
-    `ai`/`aj` index the trace of ti/tj in a reference table flattened to six
-    traces: 2 * local side + side_flip.
-    """
-
-    edge: np.ndarray
-    ti: np.ndarray
-    tj: np.ndarray
-    sign: np.ndarray
-    ai: np.ndarray
-    aj: np.ndarray
 
 
 @dataclass
@@ -193,21 +177,18 @@ class StaggeredSpaces:
         inc_edge = np.repeat(np.arange(len(rows)), self.edge_ntris)
         inc_side = np.argmax(mesh.tri_edges[inc_tri] == inc_edge[:, None], axis=1)
         self.side_trace = 2 * inc_side + self.side_flip[inc_tri, inc_side]
-        # Pair every incidence with each incidence of its edge, itself included.
-        reps = self.edge_ntris[inc_edge]
-        i = np.repeat(np.arange(len(inc_tri)), reps)
-        within = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
-        j = self.edge_start[inc_edge[i]] + within
-        self.edge_pairs = EdgePairs(inc_edge[i], inc_tri[i], inc_tri[j], inc_sign[i],
-                                    self.side_trace[i], self.side_trace[j])
+        # side_sign[t, s]: jump sign of triangle t on its local side s.
+        self.side_sign = np.zeros_like(mesh.tri_edges)
+        self.side_sign[inc_tri, inc_side] = inc_sign
 
         self.form_edge_quad = edge_quadrature(max(2 * self.k + 2, 2))
         self.form_traces = self._reference_traces(self.form_edge_quad)
         self.data_traces = self._reference_traces(self.data_edge_quad)
-        # trace_products[a, b] = int over a reference side of T_a T_b^T per unit
-        # half-length, for the six flattened traces of `form_traces`.
-        T = self.form_traces.reshape(6, self.nk, -1)
-        self.trace_products = (T * self.form_edge_quad.weights)[:, None] @ np.swapaxes(T, 1, 2)
+        # side_products[s] = int over reference side s of T T^T per unit
+        # half-length; the symmetric edge rule makes it the same in both
+        # directions, so the unflipped traces of `form_traces` suffice.
+        T = self.form_traces[:, 0]
+        self.side_products = (T * self.form_edge_quad.weights) @ np.swapaxes(T, 1, 2)
         # ref_moments[s, f, m, i] = int over reference side (s, f) of L_m * modal_i
         # per unit half-length; side_moments[t, s] scales it to side s of triangle t.
         leg = self.edge_basis.eval(self.form_edge_quad.points)

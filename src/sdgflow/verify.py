@@ -205,6 +205,8 @@ def norm_eval(spaces: StaggeredSpaces, f: DiscreteField, norm_id: str, exact=Non
         if exact is not None:
             raise NotImplementedError("gradient seminorm errors are handled by error_Z2")
         total += cell_sum((grads ** 2).sum(axis=(1, 3)))
+    if norm_id == "L2":  # the only norm without edge terms
+        return math.sqrt(total)
 
     for e, ws, sides in _edge_values(spaces, f, exact):
         he = e.length

@@ -87,6 +87,14 @@ def test_run_single_reports_errors_and_sizes():
     assert f"skeleton {report.skeleton}  lu_fill {report.lu_fill}  residuals" in text
 
 
+def test_run_single_times_each_phase():
+    # Assembly (blocks, load vectors, saddle matrix) is timed apart from the solve.
+    report = cli.run_single(RunConfig(k=1, levels=(4,)))
+    assert list(report.timings) == ["mesh", "spaces", "assemble", "solve", "errors"]
+    assert all(v >= 0.0 for v in report.timings.values())
+    assert "assemble=" in report.summary()
+
+
 def test_run_single_zero_case():
     # Zero data: solution norms vanish, error norms equal the exact norms.
     report = cli.run_single(RunConfig(k=1, levels=(4,), case="zero"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adjoint_oracle import assemble_B_star, assemble_D_star
-from sdgflow import forms, mesh as mm
+from sdgflow import cases, forms, mesh as mm, solver
 from sdgflow.polybasis import edge_quadrature
 from sdgflow.spaces import StaggeredSpaces
 
@@ -22,7 +22,7 @@ def mesh_name(request):
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_adjoint_pairs_are_transposes(name, k):
     # B and B*, D and D* are assembled from independent integration-by-parts
     # expressions; on the staggered spaces they must agree to roundoff.
@@ -195,3 +195,205 @@ def test_B_partial_integration_consistency(k):
         Gn = np.einsum("pab,b->pa", G_fn(pts), e.normal)
         bnd += float(np.sum(wq * (v_fn(pts) * Gn).sum(axis=1)) * e.length / 2.0)
     assert np.isclose(float(vh.coeffs @ B @ Gh.coeffs), vol - bnd, atol=1e-10)
+
+
+# -- pinned values --------------------------------------------------------
+#
+# Recorded pruned blocks of assemble_blocks (alpha=2.5, h=1/4): Frobenius
+# norm, number of stored entries, and three seeded (row, col, value)
+# entries. A change to how the forms are assembled must reproduce them to
+# roundoff.
+
+_PINNED_BLOCKS = {
+    ("distorted", 0): {
+        "M": (44.057149973230146, 864, (
+            (114, 110, -0.35154460641987106),
+            (95, 89, 0.6246334415842645),
+            (3, 9, -0.1245674492657648),
+        )),
+        "B": (190.263306787924, 448, (
+            (51, 115, -8.389197488714975),
+            (42, 100, 8.318525666693134),
+            (1, 3, 0.5878528014232098),
+        )),
+        "A": (42.8181131781945, 192, (
+            (51, 49, -0.09621099168985969),
+            (42, 42, 4.964024312373333),
+            (1, 1, 4.873884411348529),
+        )),
+        "D": (93.99692131147447, 128, (
+            (30, 60, 8.025223051454423),
+            (25, 41, 8.866177514546832),
+            (1, 0, -8.171030879300364),
+        )),
+    },
+    ("distorted", 1): {
+        "M": (1629.4650189709869, 8096, (
+            (411, 408, -24.914312013124256),
+            (320, 320, 38.340933220835986),
+            (11, 30, -0.3312384652234491),
+        )),
+        "B": (8347.85171999075, 4096, (
+            (183, 122, -101.1312947219831),
+            (133, 16, -56.739355372074236),
+            (4, 15, -3.6205136182590323),
+        )),
+        "A": (1542.09209637069, 1920, (
+            (193, 66, -4.708424457561133),
+            (150, 22, -8.948718293405001),
+            (4, 132, -3.7966581469238765),
+        )),
+        "D": (7181.9192112821565, 1120, (
+            (105, 179, 157.11910939899542),
+            (79, 127, 4.000000000000001),
+            (3, 4, 7.0763203165812145),
+        )),
+    },
+    ("distorted", 2): {
+        "M": (3196.779564104983, 32800, (
+            (922, 912, -21.666740470867744),
+            (732, 741, -17.426171856992333),
+            (22, 29, -0.1674273036847514),
+        )),
+        "B": (37876.20933490289, 16400, (
+            (424, 895, -205.24853991240934),
+            (322, 158, 33.899570529831344),
+            (8, 452, 61.410156767732055),
+        )),
+        "A": (2876.9024647293395, 8000, (
+            (438, 126, -4.180019514481169),
+            (343, 79, -0.18644219513440907),
+            (9, 207, -2.6058301193671407),
+        )),
+        "D": (26642.61885886081, 3936, (
+            (231, 414, -553.7692840361829),
+            (177, 53, -42.07433416527009),
+            (5, 202, 1.3177547498403523),
+        )),
+    },
+    ("distorted", 3): {
+        "M": (4994.217482586564, 92320, (
+            (1639, 1648, -15.69273303938179),
+            (1318, 1305, -5.643987107333671),
+            (36, 657, -1.6131136716873922),
+        )),
+        "B": (90165.487095085, 46304, (
+            (770, 1601, -139.00027640356532),
+            (599, 1260, -462.4175244012829),
+            (14, 625, -18.312548202548943),
+        )),
+        "A": (4318.305182045817, 22784, (
+            (785, 792, 17.9310040242812),
+            (621, 627, -12.325742424104044),
+            (15, 292, -0.10119541082674245),
+        )),
+        "D": (60667.51145641231, 10432, (
+            (412, 169, -35.56736698208003),
+            (324, 581, -394.7242073644693),
+            (9, 11, 4.8348387618438515),
+        )),
+    },
+    ("hanging", 0): {
+        "M": (63.62217893394347, 1724, (
+            (281, 281, 4.000000000000002),
+            (235, 235, 4.000000000000002),
+            (8, 22, 0.7071067811865478),
+        )),
+        "B": (543.8854781416153, 996, (
+            (131, 289, -22.627416997969522),
+            (110, 231, -16.000000000000004),
+            (3, 10, -16.000000000000004),
+        )),
+        "A": (66.7731815759724, 204, (
+            (133, 133, 5.000000000000002),
+            (114, 115, -0.05000000000000093),
+            (4, 4, 5.000000000000002),
+        )),
+        "D": (270.58455240460427, 328, (
+            (73, 126, 16.000000000000004),
+            (61, 106, 16.000000000000004),
+            (2, 3, 16.000000000000004),
+        )),
+    },
+    ("hanging", 1): {
+        "M": (7422.448902248187, 14472, (
+            (987, 322, 5.656854249492379),
+            (720, 28, 5.65685424949238),
+            (29, 26, 0.17677669529663673),
+        )),
+        "B": (72590.42158133266, 9192, (
+            (436, 254, 384.0000000000001),
+            (309, 1318, 110.85125168440815),
+            (10, 28, 11.313708498984756),
+        )),
+        "A": (7922.808020233355, 2304, (
+            (523, 190, -9.999999999999995),
+            (428, 428, 479.99999999999994),
+            (16, 347, 9.999999999999995),
+        )),
+        "D": (70513.00557687522, 2476, (
+            (255, 135, -221.7025033688161),
+            (188, 3, -221.70250336881608),
+            (7, 3, 8.0),
+        )),
+    },
+    ("hanging", 2): {
+        "M": (14332.277661609698, 53892, (
+            (2247, 2253, 52.255781179374466),
+            (1699, 376, -7.698003589195017),
+            (54, 1129, 2.5141574442188346),
+        )),
+        "B": (353294.17341809435, 35140, (
+            (1017, 2108, -7390.083445627206),
+            (701, 1465, 501.65549932199616),
+            (18, 1138, 261.2789058968723),
+        )),
+        "A": (14743.11676288817, 10588, (
+            (1163, 1158, -130.63945294843597),
+            (934, 223, 2.9462782549439495),
+            (30, 554, -4.714045207910327),
+        )),
+        "D": (260937.81595250298, 8116, (
+            (569, 290, -233.69495786887143),
+            (428, 144, 522.5578117937449),
+            (15, 13, -9.237604307034013),
+        )),
+    },
+    ("hanging", 3): {
+        "M": (22148.45313436373, 148048, (
+            (4063, 4055, -124.10748030101408),
+            (3151, 3151, 223.99999999999986),
+            (86, 1594, -2.213594362117859),
+        )),
+        "B": (849167.871222579, 93464, (
+            (1862, 3819, -5068.541407545172),
+            (1334, 471, 268.8000000000001),
+            (29, 1557, 47.030203061436815),
+        )),
+        "A": (22057.898042561992, 30912, (
+            (2046, 467, -0.06522943195923228),
+            (1604, 1604, 99.99999999999994),
+            (45, 794, -4.999999999999993),
+        )),
+        "D": (593394.430553319, 20772, (
+            (1032, 437, -380.14060556588777),
+            (805, 1515, -21503.999999999996),
+            (24, 26, 8.944271909999147),
+        )),
+    },
+}
+
+
+@pytest.mark.parametrize("family", ["distorted", "hanging"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_blocks_match_pinned_values(family, k):
+    spaces = StaggeredSpaces(cases.build_mesh(family, 4), k)
+    blocks = solver.assemble_blocks(spaces, 2.5)
+    for name, (frob, nnz, entries) in _PINNED_BLOCKS[family, k].items():
+        X = getattr(blocks, name)
+        assert X.nnz == nnz, name
+        assert abs(np.linalg.norm(X.data) - frob) <= 1e-13 * frob, name
+        # Entries are held relative to the largest entry of the block.
+        scale = np.abs(X.data).max()
+        for r, c, value in entries:
+            assert abs(X[r, c] - value) <= 1e-13 * scale, (name, r, c)

@@ -88,6 +88,22 @@ def test_l2_norm_matches_analytic_value(spaces):
                       atol=1e-12)
 
 
+def test_l2_norm_skips_edge_values(spaces, monkeypatch):
+    # L2 has no edge term, so it must not walk the edges at all.
+    def no_edges(*args):
+        raise AssertionError("L2 evaluated edge traces")
+
+    monkeypatch.setattr(verify, "_edge_values", no_edges)
+    case = verify.trig_case(1e-2)
+    rng = np.random.default_rng(2)
+    for tag, exact in (("W", case.L), ("U", case.u), ("P", case.p)):
+        f = DiscreteField(tag, rng.standard_normal(spaces.space(tag).ndof))
+        assert verify.norm_eval(spaces, f, "L2") > 0.0
+        assert verify.norm_eval(spaces, f, "L2", exact=exact) > 0.0
+    with pytest.raises(AssertionError, match="edge traces"):
+        verify.norm_eval(spaces, DiscreteField("U", np.ones(spaces.U.ndof)), "X1")
+
+
 def test_norms_scale_linearly(spaces):
     rng = np.random.default_rng(5)
     f = DiscreteField("U", rng.standard_normal(spaces.U.ndof))
