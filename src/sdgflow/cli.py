@@ -433,12 +433,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mesh":
             config.validate()
             for n in config.levels:
-                mesh = _build_mesh(config, n)
-                mesh.validate()
-                counts = {}
-                for e in mesh.edges:
-                    counts[e.kind] = counts.get(e.kind, 0) + 1
-                print(f"level 1/{n}: {len(mesh.primal.polygons)} polygons, "
+                mesh = _build_mesh(config, n)  # builds and validates
+                counts = dict(zip(meshmod.EDGE_KINDS,
+                                  np.bincount(mesh.edge_kind, minlength=3).tolist()))
+                where = "file" if config.mesh == "file" else f"level 1/{n}"
+                print(f"{where}: {mesh.primal.num_polygons} polygons, "
                       f"{mesh.num_triangles} triangles, "
                       f"edges {counts}, h={mesh.h:.4g}: OK")
             return 0

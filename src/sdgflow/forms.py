@@ -58,10 +58,11 @@ def _side_terms(spaces: StaggeredSpaces):
     """Per (triangle, side): the own-trace product S[t, s, m, n] = int m_m m_n ds,
     the triangle's jump sign, the edge's normal and tangent, and whether it
     is a primal edge."""
-    te = spaces.mesh.tri_edges
-    S = (spaces.edge_length[te] / 2.0)[:, :, None, None] * spaces.side_products
-    return (S, spaces.side_sign, spaces.edge_normal[te], spaces.edge_tangent[te],
-            spaces.edge_primal[te])
+    mesh = spaces.mesh
+    te = mesh.tri_edges
+    S = (mesh.edge_length[te] / 2.0)[:, :, None, None] * spaces.side_products
+    return (S, mesh.side_sign, mesh.edge_normal[te], mesh.edge_tangent[te],
+            mesh.edge_primal[te])
 
 
 def assemble_mass_W(spaces: StaggeredSpaces) -> sp.csr_matrix:
@@ -101,6 +102,14 @@ def assemble_D(spaces: StaggeredSpaces) -> sp.csr_matrix:
                      np.swapaxes(spaces.P.dual_coeffs, 1, 2) @ X @ spaces.U.dual_coeffs)
 
 
+def _load(space: _Space, local: np.ndarray) -> np.ndarray:
+    """Global load vector from the broken per-triangle loads local[t] (against
+    the modal functions): C^T local[t] summed through each triangle's cell_dofs."""
+    nT = len(local)
+    vals = np.einsum("tij,ti->tj", space.dual_coeffs, local.reshape(nT, -1))
+    return np.bincount(space.dofmap.cell_dofs.ravel(), vals.ravel(), minlength=space.ndof)
+
+
 def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]:
     """Load vectors (F, G) with F_i = int f . v_i and G_m = int g q_m."""
     X = spaces.data_points()
@@ -110,10 +119,10 @@ def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]
     Fb = spaces.detJ[:, None, None] * np.einsum("tqa,iq,q->tai", fv, spaces.data_vals, w)
     gv = np.asarray(g(X.reshape(-1, 2))).reshape(nT, nq)
     Gb = spaces.detJ[:, None] * np.einsum("tq,iq,q->ti", gv, spaces.data_vals, w)
-    return spaces.U.embedding.T @ Fb.ravel(), spaces.P.embedding.T @ Gb.ravel()
+    return _load(spaces.U, Fb), _load(spaces.P, Gb)
 
 
 def mean_vector(spaces: StaggeredSpaces) -> np.ndarray:
     """c with c_m = integral of global pressure basis function m."""
     cb = spaces.detJ[:, None] * (spaces.data_vals @ spaces.data_quad.weights)[None, :]
-    return spaces.P.embedding.T @ cb.ravel()
+    return _load(spaces.P, cb)

@@ -6,17 +6,22 @@ interior point to its vertices, producing one triangle per polygon side.
 Edges are classified as primal (original polygon sides) or dual (the new
 interior spokes), with a fixed unit normal and signed triangle adjacency
 used to define jumps.
+
+The submesh owns its edge table as arrays: edge e runs from vertex
+edge_v0[e] to edge_v1[e] (the lower id first), has kind edge_kind[e], and
+side s of triangle t is edge tri_edges[t, s] with jump sign side_sign[t, s].
+Edges are numbered in order of first appearance over the triangle sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-PRIMAL_INTERIOR = "primal-interior"
-PRIMAL_BOUNDARY = "primal-boundary"
-DUAL = "dual"
+PRIMAL_INTERIOR, PRIMAL_BOUNDARY, DUAL = 0, 1, 2
+EDGE_KINDS = ("primal-interior", "primal-boundary", "dual")  # names by kind
 
 
 class MeshError(ValueError):
@@ -35,9 +40,19 @@ def _cross2(a: np.ndarray, b: np.ndarray):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _polygon_area(coords: np.ndarray) -> float:
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _rot90(v: np.ndarray) -> np.ndarray:
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis, as stacked matmuls."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _length(d: np.ndarray) -> np.ndarray:
+    # Rounds like np.linalg.norm of each row; (d * d).sum(-1) differs from it
+    # in the last bit on some edges.
+    return np.sqrt(_dot(d, d))
 
 
 @dataclass
@@ -52,66 +67,76 @@ class PrimalMesh:
     def num_polygons(self) -> int:
         return len(self.polygons)
 
-    def polygon_coords(self, p: int) -> np.ndarray:
-        return self.vertices[self.polygons[p]]
+    def _cycles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Flattened polygon cycles: (sizes, ids, poly, nxt). Entry j is side
+        (ids[j], ids[nxt[j]]) of polygon poly[j]; each polygon's entries are
+        contiguous and in cycle order."""
+        sizes = np.fromiter(map(len, self.polygons), dtype=int, count=self.num_polygons)
+        ids = np.fromiter(itertools.chain.from_iterable(self.polygons), dtype=int,
+                          count=int(sizes.sum()))
+        poly = np.repeat(np.arange(len(sizes)), sizes)
+        start = (np.cumsum(sizes) - sizes)[poly]
+        nxt = start + (np.arange(len(ids)) - start + 1) % sizes[poly]
+        return sizes, ids, poly, nxt
+
+    def _signed_areas(self, ids, poly, nxt) -> np.ndarray:
+        a, b = self.vertices[ids], self.vertices[ids[nxt]]
+        return 0.5 * np.bincount(poly, _cross2(a, b), minlength=self.num_polygons)
 
     def area(self) -> float:
-        return sum(_polygon_area(self.polygon_coords(p)) for p in range(self.num_polygons))
+        _, ids, poly, nxt = self._cycles()
+        return float(self._signed_areas(ids, poly, nxt).sum())
 
     def validate(self, rho: float = 0.05) -> None:
-        """Check orientation, star-shapedness and edge-length regularity."""
-        for p, poly in enumerate(self.polygons):
-            if len(poly) < 3:
-                raise MeshError(f"polygon {p} has fewer than 3 vertices")
-            if len(set(poly)) != len(poly):
-                raise MeshError(f"polygon {p} repeats a vertex")
-            coords = self.polygon_coords(p)
-            area = _polygon_area(coords)
-            if area <= 0.0:
-                raise MeshError(f"polygon {p} is not counterclockwise (signed area {area:g})")
-            nu = self.interior_points[p]
-            h_s = _diameter(coords)
-            for i in range(len(poly)):
-                a = coords[i]
-                b = coords[(i + 1) % len(poly)]
-                tri_area = 0.5 * float(_cross2(b - a, nu - a))
-                if tri_area <= 0.0:
-                    raise MeshError(
-                        f"polygon {p} is not star-shaped w.r.t. its interior point "
-                        f"(side {i} subdivision triangle has area {tri_area:g})"
-                    )
-                h_e = float(np.linalg.norm(b - a))
-                if h_e < rho * h_s:
-                    raise MeshError(
-                        f"polygon {p} side {i} too short: h_e={h_e:g} < {rho}*h_S={rho * h_s:g}"
-                    )
+        """Check orientation, star-shapedness and edge-length regularity.
 
-
-def _diameter(coords: np.ndarray) -> float:
-    d = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt((d ** 2).sum(-1)).max())
-
-
-@dataclass
-class Edge:
-    """Oriented mesh edge with signed triangle adjacency."""
-
-    v0: int
-    v1: int
-    kind: str
-    normal: np.ndarray  # fixed unit normal
-    tangent: np.ndarray  # normal rotated by +90 degrees
-    length: float
-    tris: list[tuple[int, int]] = field(default_factory=list)  # (triangle id, sign)
-
-    @property
-    def is_primal(self) -> bool:
-        return self.kind != DUAL
+        Raises for the first failing polygon. Within it the checks run in
+        order: vertex count, repeated vertex, orientation, then side by side
+        star-shapedness and side length.
+        """
+        sizes, ids, poly, nxt = self._cycles()
+        P = self.num_polygons
+        order = np.lexsort((ids, poly))
+        ps, vs = poly[order], ids[order]
+        repeats = np.bincount(ps[1:][(ps[1:] == ps[:-1]) & (vs[1:] == vs[:-1])], minlength=P) > 0
+        area = self._signed_areas(ids, poly, nxt)
+        a, b = self.vertices[ids], self.vertices[ids[nxt]]
+        tri_area = 0.5 * _cross2(b - a, self.interior_points[poly] - a)
+        h_e = _length(b - a)
+        # Diameter: the largest distance over all vertex pairs of a polygon.
+        m = sizes[poly]
+        first = np.repeat(np.arange(len(ids)), m)
+        start = (np.cumsum(sizes) - sizes)[poly]
+        second = start[first] + np.arange(len(first)) - np.repeat(np.cumsum(m) - m, m)
+        d = self.vertices[ids[first]] - self.vertices[ids[second]]
+        h_s = np.zeros(P)
+        np.maximum.at(h_s, poly[first], np.sqrt((d ** 2).sum(-1)))
+        side_bad = (tri_area <= 0.0) | (h_e < rho * h_s[poly])
+        bad = (sizes < 3) | repeats | (area <= 0.0) | (np.bincount(poly, side_bad, minlength=P) > 0)
+        if not bad.any():
+            return
+        p = int(np.argmax(bad))
+        if sizes[p] < 3:
+            raise MeshError(f"polygon {p} has fewer than 3 vertices")
+        if repeats[p]:
+            raise MeshError(f"polygon {p} repeats a vertex")
+        if area[p] <= 0.0:
+            raise MeshError(f"polygon {p} is not counterclockwise (signed area {area[p]:g})")
+        j = int(np.argmax(side_bad & (poly == p)))
+        i = j - int(start[j])
+        if tri_area[j] <= 0.0:
+            raise MeshError(
+                f"polygon {p} is not star-shaped w.r.t. its interior point "
+                f"(side {i} subdivision triangle has area {tri_area[j]:g})"
+            )
+        raise MeshError(
+            f"polygon {p} side {i} too short: h_e={h_e[j]:g} < {rho}*h_S={rho * h_s[p]:g}"
+        )
 
 
 @dataclass
 class StaggeredMesh:
-    """Simplicial submesh with classified edges and dual patches."""
+    """Simplicial submesh with its classified, oriented edge table."""
 
     primal: PrimalMesh
     vertices: np.ndarray  # primal vertices followed by interior points
@@ -119,8 +144,14 @@ class StaggeredMesh:
     tri_poly: np.ndarray  # (nT,) parent polygon id
     tri_area: np.ndarray
     tri_diam: np.ndarray
-    edges: list[Edge]
     tri_edges: np.ndarray  # (nT, 3) edge ids: [primal side, dual side 1, dual side 2]
+    side_sign: np.ndarray  # (nT, 3) jump sign of each triangle side
+    edge_v0: np.ndarray  # (nE,) lower vertex id
+    edge_v1: np.ndarray  # (nE,) higher vertex id
+    edge_kind: np.ndarray  # (nE,) PRIMAL_INTERIOR, PRIMAL_BOUNDARY or DUAL
+    edge_normal: np.ndarray  # (nE, 2) fixed unit normal, outward on the boundary
+    edge_tangent: np.ndarray  # (nE, 2) normal rotated by +90 degrees
+    edge_length: np.ndarray  # (nE,)
     h: float
 
     @property
@@ -128,44 +159,75 @@ class StaggeredMesh:
         return len(self.triangles)
 
     @property
-    def primal_edge_ids(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.is_primal]
+    def edge_primal(self) -> np.ndarray:
+        return self.edge_kind != DUAL
 
     @property
-    def interior_primal_edge_ids(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.kind == PRIMAL_INTERIOR]
+    def primal_edge_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.edge_primal)
 
     @property
-    def dual_edge_ids(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.kind == DUAL]
-
-    def dual_patch(self, edge_id: int) -> list[int]:
-        """Triangles of D(e) for a primal edge e."""
-        e = self.edges[edge_id]
-        if not e.is_primal:
-            raise MeshError("dual patches are defined for primal edges only")
-        return [t for t, _ in e.tris]
-
-    def tri_coords(self, t: int) -> np.ndarray:
-        return self.vertices[self.triangles[t]]
+    def dual_edge_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.edge_kind == DUAL)
 
     def validate(self) -> None:
-        n_dual = len(self.dual_edge_ids)
-        n_int = len(self.interior_primal_edge_ids)
-        n_bnd = sum(1 for e in self.edges if e.kind == PRIMAL_BOUNDARY)
-        nT = self.num_triangles
+        nT, kind = self.num_triangles, self.edge_kind
+        n_int, n_bnd, n_dual = np.bincount(kind, minlength=3)
         if n_dual != nT:
             raise MeshError(f"|F_p|={n_dual} != |T_h|={nT}")
         if 2 * n_int + n_bnd != nT:
             raise MeshError(f"2|F_u0|+|F_u\\F_u0| = {2 * n_int + n_bnd} != |T_h|={nT}")
-        for e in self.edges:
-            expected = 1 if e.kind == PRIMAL_BOUNDARY else 2
-            if len(e.tris) != expected:
-                raise MeshError(f"edge ({e.v0},{e.v1}) kind {e.kind} has {len(e.tris)} triangles")
-            if len(e.tris) == 2 and e.tris[0][1] * e.tris[1][1] != -1:
-                raise MeshError(f"edge ({e.v0},{e.v1}) adjacency signs do not oppose")
+        ntris = np.bincount(self.tri_edges.ravel(), minlength=len(kind))
+        signs = np.bincount(self.tri_edges.ravel(), self.side_sign.ravel(), minlength=len(kind))
+        expected = np.where(kind == PRIMAL_BOUNDARY, 1, 2)
+        bad = (ntris != expected) | ((ntris == 2) & (signs != 0))
+        if bad.any():
+            e = int(np.argmax(bad))
+            edge = f"edge ({self.edge_v0[e]},{self.edge_v1[e]})"
+            if ntris[e] != expected[e]:
+                raise MeshError(f"{edge} kind {EDGE_KINDS[kind[e]]} has {ntris[e]} triangles")
+            raise MeshError(f"{edge} adjacency signs do not oppose")
         if abs(self.tri_area.sum() - self.primal.area()) > 1e-12 * max(1.0, self.primal.area()):
             raise MeshError("triangle areas do not sum to the domain area")
+        self._check_conforming()
+
+    def _check_conforming(self) -> None:
+        """Reject boundary primal edges that overlap along one line with
+        opposite outward normals: a polygon side that misses a vertex of its
+        neighbours, which would turn their interface into two boundaries."""
+        tol = 1e-9  # relative: far above roundoff, far below any regular side
+        bnd = np.flatnonzero(self.edge_kind == PRIMAL_BOUNDARY)
+        lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
+        scale = float((hi - lo).max())
+        x0 = self.vertices[self.edge_v0[bnd]] - 0.5 * (lo + hi)
+        x1 = self.vertices[self.edge_v1[bnd]] - 0.5 * (lo + hi)
+        # Group by supporting line: the normal rounded to tol and turned to one
+        # of its two signs, and the line's offset rounded to tol * scale.
+        q = np.round(self.edge_normal[bnd] / tol)
+        side = np.where((q[:, 0] < 0) | ((q[:, 0] == 0) & (q[:, 1] < 0)), -1, 1)
+        n = side[:, None] * self.edge_normal[bnd]
+        offset = np.round(_dot(n, x0) / (tol * scale))
+        _, line = np.unique(np.column_stack([side[:, None] * q, offset]), axis=0,
+                            return_inverse=True)
+        # Sweep each line's intervals, slightly shrunk so that touching ends do
+        # not count; the intervals of a line close before the next line starts.
+        t = _rot90(n)
+        s0, s1 = _dot(t, x0), _dot(t, x1)
+        shrink = tol * np.abs(s1 - s0)
+        pos = np.concatenate([np.minimum(s0, s1) + shrink, np.maximum(s0, s1) - shrink])
+        step = np.repeat([1, -1], len(bnd))
+        order = np.lexsort((step, pos, np.tile(line.ravel(), 2)))
+        sides = np.tile(side, 2)[order]
+        open_out = np.cumsum(np.where(sides > 0, step[order], 0))
+        open_in = np.cumsum(np.where(sides < 0, step[order], 0))
+        hit = (open_out > 0) & (open_in > 0)
+        if hit.any():
+            e = bnd[order[int(np.argmax(hit))] % len(bnd)]
+            raise MeshError(
+                f"boundary edge ({self.edge_v0[e]},{self.edge_v1[e]}) overlaps a boundary "
+                "edge with the opposite normal: the mesh is not conforming (a polygon "
+                "misses a vertex that lies on its side)"
+            )
 
 
 def build_square_grid(n: int) -> PrimalMesh:
@@ -183,9 +245,7 @@ def build_square_grid(n: int) -> PrimalMesh:
     for j in range(n):
         for i in range(n):
             polygons.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    mesh = PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
-    mesh.validate()
-    return mesh
+    return PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
 
 
 def _centroids(vertices: np.ndarray, polygons: list[list[int]]) -> np.ndarray:
@@ -237,9 +297,7 @@ def build_distorted_grid(n: int, delta: float = 0.25, seed: int = 42) -> PrimalM
                 break
         else:
             raise MeshError(f"no valid perturbation found for vertex {v}")
-    out = PrimalMesh(vertices, [list(p) for p in mesh.polygons], _centroids(vertices, mesh.polygons))
-    out.validate()
-    return out
+    return PrimalMesh(vertices, [list(p) for p in mesh.polygons], _centroids(vertices, mesh.polygons))
 
 
 def build_hanging_grid(n: int) -> PrimalMesh:
@@ -293,9 +351,7 @@ def build_hanging_grid(n: int) -> PrimalMesh:
                     ]
                 polygons.append(cycle)
     vertices = np.array(coords)
-    mesh = PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
-    mesh.validate()
-    return mesh
+    return PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
 
 
 def import_polygon_mesh(text: str) -> PrimalMesh:
@@ -344,75 +400,52 @@ def import_polygon_mesh(text: str) -> PrimalMesh:
         if any(i < 0 or i >= nv for i in cycle):
             raise MeshFormatError(f"polygon {p} references a vertex out of range", lineno)
         polygons.append(cycle)
-    mesh = PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
-    mesh.validate()
-    return mesh
-
-
-def _rot90(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
+    return PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
 
 
 def build_staggered(mesh: PrimalMesh) -> StaggeredMesh:
-    """Subdivide each polygon into triangles and classify/orient all edges."""
+    """Subdivide each polygon into triangles and classify/orient all edges.
+
+    Validates the primal mesh and the submesh; this is the one place a mesh
+    is validated.
+    """
     mesh.validate()
     nv = len(mesh.vertices)
     vertices = np.vstack([mesh.vertices, mesh.interior_points])
+    _, ids, tri_poly, nxt = mesh._cycles()
+    # Triangle [a, b, nu] per polygon side; its sides (a, b), (b, nu), (nu, a).
+    triangles = np.column_stack([ids, ids[nxt], nv + tri_poly])
+    nT = len(triangles)
+    ends = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1)
+    lo, hi = ends.min(axis=-1).ravel(), ends.max(axis=-1).ravel()
+    # Number the edges in order of first appearance over the triangle sides.
+    _, first, inverse = np.unique(lo * len(vertices) + hi, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    tri_edges = rank[inverse].reshape(nT, 3)
+    edge_v0, edge_v1 = lo[first[order]], hi[first[order]]
 
-    triangles = []
-    tri_poly = []
-    tri_sides = []  # per-triangle vertex pairs [(primal), (dual1), (dual2)]
-    for p, poly in enumerate(mesh.polygons):
-        nu_id = nv + p
-        m = len(poly)
-        for i in range(m):
-            a, b = poly[i], poly[(i + 1) % m]
-            triangles.append([a, b, nu_id])
-            tri_poly.append(p)
-            tri_sides.append([(a, b), (b, nu_id), (nu_id, a)])
-    triangles = np.array(triangles)
-    tri_poly = np.array(tri_poly)
-
-    edge_index: dict[tuple[int, int], int] = {}
-    edges: list[Edge] = []
-    tri_edges = np.empty((len(triangles), 3), dtype=int)
-
-    coords = vertices
-    centroids = coords[triangles].mean(axis=1)
-    for t, sides in enumerate(tri_sides):
-        for s, (a, b) in enumerate(sides):
-            key = (min(a, b), max(a, b))
-            if key not in edge_index:
-                lo, hi = key
-                direction = coords[hi] - coords[lo]
-                length = float(np.linalg.norm(direction))
-                normal = _rot90(direction / length)
-                kind = DUAL if (a >= nv or b >= nv) else PRIMAL_INTERIOR
-                edge_index[key] = len(edges)
-                edges.append(Edge(lo, hi, kind, normal, _rot90(normal), length))
-            eid = edge_index[key]
-            edge = edges[eid]
-            mid = 0.5 * (coords[edge.v0] + coords[edge.v1])
-            outward = mid - centroids[t]
-            sign = 1 if float(outward @ edge.normal) > 0.0 else -1
-            edge.tris.append((t, sign))
-            tri_edges[t, s] = eid
+    direction = vertices[edge_v1] - vertices[edge_v0]
+    edge_length = _length(direction)
+    edge_normal = _rot90(direction / edge_length[:, None])
+    centroids = vertices[triangles].mean(axis=1)
+    mid = 0.5 * (vertices[edge_v0] + vertices[edge_v1])
+    outward = _dot(mid[tri_edges] - centroids[:, None], edge_normal[tri_edges])
+    side_sign = np.where(outward > 0.0, 1, -1)
 
     # Classify boundary primal edges and make their normals point outward.
-    for edge in edges:
-        if edge.kind == DUAL:
-            continue
-        if len(edge.tris) == 1:
-            edge.kind = PRIMAL_BOUNDARY
-            t, sign = edge.tris[0]
-            if sign < 0:
-                edge.normal = -edge.normal
-                edge.tangent = _rot90(edge.normal)
-                edge.tris[0] = (t, 1)
+    ntris = np.bincount(tri_edges.ravel(), minlength=len(edge_v0))
+    edge_kind = np.where(edge_v1 >= nv, DUAL,
+                         np.where(ntris == 1, PRIMAL_BOUNDARY, PRIMAL_INTERIOR))
+    boundary = edge_kind[tri_edges] == PRIMAL_BOUNDARY
+    edge_normal[tri_edges[boundary & (side_sign < 0)]] *= -1.0
+    side_sign[boundary] = 1
 
-    v0 = coords[triangles[:, 0]]
-    v1 = coords[triangles[:, 1]]
-    v2 = coords[triangles[:, 2]]
+    v0 = vertices[triangles[:, 0]]
+    v1 = vertices[triangles[:, 1]]
+    v2 = vertices[triangles[:, 2]]
     tri_area = 0.5 * np.abs(_cross2(v1 - v0, v2 - v0))
     sides_len = np.stack(
         [
@@ -430,24 +463,15 @@ def build_staggered(mesh: PrimalMesh) -> StaggeredMesh:
         tri_poly=tri_poly,
         tri_area=tri_area,
         tri_diam=tri_diam,
-        edges=edges,
         tri_edges=tri_edges,
+        side_sign=side_sign,
+        edge_v0=edge_v0,
+        edge_v1=edge_v1,
+        edge_kind=edge_kind,
+        edge_normal=edge_normal,
+        edge_tangent=_rot90(edge_normal),
+        edge_length=edge_length,
         h=float(tri_diam.max()),
     )
     out.validate()
     return out
-
-
-def eval_jump(edge: Edge, trace1, trace2=None):
-    """Signed jump across an edge: delta1*phi1 + delta2*phi2.
-
-    Traces are given in the order of `edge.tris`; one-sided edges take a
-    single trace. Works on scalars or arrays of per-point trace values.
-    """
-    if trace2 is None:
-        if len(edge.tris) != 1:
-            raise ValueError("two traces required on a two-sided edge")
-        return edge.tris[0][1] * np.asarray(trace1)
-    if len(edge.tris) != 2:
-        raise ValueError("single trace required on a one-sided edge")
-    return edge.tris[0][1] * np.asarray(trace1) + edge.tris[1][1] * np.asarray(trace2)

@@ -167,33 +167,3 @@ def edge_quadrature(degree: int) -> QuadratureRule:
     n = max(1, (degree + 2) // 2)
     xi, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(xi, w, degree)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine map from the reference triangle onto a physical triangle."""
-
-    origin: np.ndarray  # physical image of (0, 0)
-    jac: np.ndarray  # (2, 2), columns are edge vectors
-    det: float
-    inv_jac: np.ndarray
-    inv_jac_t: np.ndarray
-
-    def to_physical(self, ref_points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
-        return pts @ self.jac.T + self.origin
-
-    def to_reference(self, phys_points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(phys_points, dtype=float))
-        return (pts - self.origin) @ self.inv_jac.T
-
-
-def affine_map(vertices: np.ndarray) -> AffineMap:
-    """Map with reference vertices (0,0), (1,0), (0,1) sent to `vertices`."""
-    v = np.asarray(vertices, dtype=float)
-    jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if det <= 0.0:
-        raise ValueError("triangle has non-positive orientation")
-    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-    return AffineMap(v[0].copy(), jac, det, inv, inv.T.copy())

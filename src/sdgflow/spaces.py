@@ -15,34 +15,32 @@ different trace component:
 Each space is represented by an integer DOF layout (a DofMap: edge
 moments first, at per-edge offsets, then the cell moments as one
 contiguous range) and, per triangle, a dual basis expressed in the
-orthonormal modal basis (`dual_coeffs`). The forms are assembled element
-by element from the dual bases; the sparse embedding matrix, which maps
-global coefficients to broken per-triangle modal coefficients, serves the
-load vectors and every evaluation.
+orthonormal modal basis (`dual_coeffs`). Everything else is built from
+these two per-triangle arrays: the forms and load vectors element by element,
+and the broken per-triangle modal coefficients of a field as the dual basis
+applied to its coefficients gathered through `cell_dofs`.
 
 Edge traces come from reference tables: the affine map of a submesh
 triangle [a, b, nu] sends its sides (a, b), (b, nu), (nu, a) onto the three
 reference edges, so its trace on side s, at edge-rule points running from
 the edge's v0 to v1, is entry [s, side_flip[t, s]] of `form_traces` (exact
 form integrals) or `data_traces` (non-polynomial data). Edge moments and
-the edge terms of the forms and norms are all built from these tables. The
-forms need only each triangle's own trace on its three sides: its jump
-sign `side_sign[t, s]` and `side_products`, the three reference products
-of a side trace with itself; no pair of triangles is formed.
+the edge terms of the forms and norms are all built from these tables and
+the mesh's edge arrays. The forms need only each triangle's own trace on
+its three sides: its jump sign `mesh.side_sign[t, s]` and `side_products`,
+the three reference products of a side trace with itself; no pair of
+triangles is formed.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import StaggeredMesh
 from .polybasis import (
-    affine_map,
     edge_basis,
     edge_quadrature,
     tri_basis,
@@ -90,10 +88,8 @@ class DiscreteField:
 
 
 class _Space:
-    def __init__(self, dofmap: DofMap, embedding: sp.csr_matrix, dual_coeffs: np.ndarray,
-                 conds: np.ndarray, ncomp: int):
+    def __init__(self, dofmap: DofMap, dual_coeffs: np.ndarray, conds: np.ndarray, ncomp: int):
         self.dofmap = dofmap
-        self.embedding = embedding  # (nT*ncomp*nk, ndof)
         self.dual_coeffs = dual_coeffs  # (nT, nloc, nloc)
         self.conds = conds
         self.ncomp = ncomp
@@ -130,18 +126,18 @@ class StaggeredSpaces:
     # -- geometry and quadrature tables ---------------------------------
 
     def _build_geometry(self) -> None:
-        mesh = self.mesh
-        nT = mesh.num_triangles
-        self.origin = np.empty((nT, 2))
-        self.jac = np.empty((nT, 2, 2))
-        self.detJ = np.empty(nT)
-        self.invJT = np.empty((nT, 2, 2))
-        for t in range(nT):
-            amap = affine_map(mesh.tri_coords(t))
-            self.origin[t] = amap.origin
-            self.jac[t] = amap.jac
-            self.detJ[t] = amap.det
-            self.invJT[t] = amap.inv_jac_t
+        # Affine maps sending the reference vertices (0,0), (1,0), (0,1) to the
+        # triangle's vertices; the Jacobian's columns are its edge vectors.
+        v = self.mesh.vertices[self.mesh.triangles]
+        self.origin = v[:, 0]
+        self.jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+        (a, b), (c, d) = self.jac[:, 0].T, self.jac[:, 1].T
+        self.detJ = a * d - b * c
+        if (self.detJ <= 0.0).any():
+            t = int(np.argmax(self.detJ <= 0.0))
+            raise ValueError(f"triangle {t} has non-positive orientation")
+        self.invJT = np.stack([np.stack([d, -c], axis=1), np.stack([-b, a], axis=1)],
+                              axis=1) / self.detJ[:, None, None]
 
         self.form_quad = tri_quadrature(max(2 * self.k + 2, 2))
         self.vol_vals = self.basis.eval(self.form_quad.points)  # (nk, nq)
@@ -159,27 +155,9 @@ class StaggeredSpaces:
 
     def _build_edge_tables(self) -> None:
         mesh = self.mesh
-        rows = [(e.v0, e.v1, e.is_primal, e.length, e.normal, e.tangent, e.tris)
-                for e in mesh.edges]
-        v0, v1, primal, length, normal, tangent, tris = zip(*rows)
-        self.edge_v0, self.edge_v1 = np.array(v0), np.array(v1)
-        self.edge_primal = np.array(primal)
-        self.edge_length = np.array(length)
-        self.edge_normal, self.edge_tangent = np.array(normal), np.array(tangent)
-        self.edge_ntris = np.fromiter(map(len, tris), dtype=int, count=len(tris))
-        self.edge_start = np.cumsum(self.edge_ntris) - self.edge_ntris
         # Local side s of triangle [a, b, nu] starts at its vertex s; the side
         # is flipped when that vertex is not the edge's v0.
-        self.side_flip = (mesh.triangles != self.edge_v0[mesh.tri_edges]).astype(int)
-
-        # One incidence per (edge, adjacent triangle), in edge.tris order.
-        inc_tri, inc_sign = np.array(list(itertools.chain.from_iterable(tris))).T
-        inc_edge = np.repeat(np.arange(len(rows)), self.edge_ntris)
-        inc_side = np.argmax(mesh.tri_edges[inc_tri] == inc_edge[:, None], axis=1)
-        self.side_trace = 2 * inc_side + self.side_flip[inc_tri, inc_side]
-        # side_sign[t, s]: jump sign of triangle t on its local side s.
-        self.side_sign = np.zeros_like(mesh.tri_edges)
-        self.side_sign[inc_tri, inc_side] = inc_sign
+        self.side_flip = (mesh.triangles != mesh.edge_v0[mesh.tri_edges]).astype(int)
 
         self.form_edge_quad = edge_quadrature(max(2 * self.k + 2, 2))
         self.form_traces = self._reference_traces(self.form_edge_quad)
@@ -193,7 +171,7 @@ class StaggeredSpaces:
         # per unit half-length; side_moments[t, s] scales it to side s of triangle t.
         leg = self.edge_basis.eval(self.form_edge_quad.points)
         ref_moments = (leg * self.form_edge_quad.weights) @ np.swapaxes(self.form_traces, -1, -2)
-        half = self.edge_length[mesh.tri_edges] / 2.0
+        half = mesh.edge_length[mesh.tri_edges] / 2.0
         self.side_moments = half[:, :, None, None] * ref_moments[np.arange(3), self.side_flip]
 
     def _reference_traces(self, rule) -> np.ndarray:
@@ -207,12 +185,6 @@ class StaggeredSpaces:
             table[s, 0] = self.basis.eval(start + np.outer(frac, end - start))
             table[s, 1] = self.basis.eval(end + np.outer(frac, start - end))
         return table
-
-    def side_traces(self, eid: int, table: np.ndarray) -> list[np.ndarray]:
-        """Traces (nk, nq) from `table` of the triangles of edge `eid`, in edge.tris order."""
-        lo = self.edge_start[eid]
-        flat = table.reshape(6, *table.shape[2:])
-        return list(flat[self.side_trace[lo:lo + self.edge_ntris[eid]]])
 
     def data_points(self) -> np.ndarray:
         """Data-quadrature points on all triangles, shape (nT, nq, 2)."""
@@ -232,7 +204,7 @@ class StaggeredSpaces:
         """
         mesh, nk, nk1 = self.mesh, self.nk, self.nk1
         nT = mesh.num_triangles
-        counts = np.where(self.edge_primal, per_primal, per_dual)
+        counts = np.where(mesh.edge_primal, per_primal, per_dual)
         offsets = np.where(counts > 0, np.cumsum(counts) - counts, -1)
         num_edge = int(counts.sum())
         per_cell = ncomp * nk1
@@ -264,19 +236,13 @@ class StaggeredSpaces:
                 f"space {tag}: worst local DOF condition number {worst:.3g}",
                 stacklevel=3,
             )
-        # Row t*nloc + i of the embedding holds row i of triangle t's dual basis.
-        rows = np.repeat(np.arange(nT)[:, None] * nloc + np.arange(nloc), nloc, axis=1)
-        E = sp.csr_matrix(
-            (dual.ravel(), (rows.ravel(), np.tile(cell_dofs, (1, nloc)).ravel())),
-            shape=(nT * nloc, ndof),
-        )
         dofmap = DofMap(tag, self.k, ndof, cell_dofs, offsets, num_edge)
-        return _Space(dofmap, E, dual, conds, ncomp)
+        return _Space(dofmap, dual, conds, ncomp)
 
     def _build_space_W(self) -> _Space:
-        k1, nT = self.k + 1, self.mesh.num_triangles
+        k1, nT, te = self.k + 1, self.mesh.num_triangles, self.mesh.tri_edges
         EM = self.side_moments
-        n, tg = self.edge_normal[self.mesh.tri_edges], self.edge_tangent[self.mesh.tri_edges]
+        n, tg = self.mesh.edge_normal[te], self.mesh.edge_tangent[te]
         # Primal side: both components c of G n, rows (m, c), cols (a, b, i).
         primal = np.einsum("ca,tb,tmi->tmcabi", np.eye(2), n[:, 0], EM[:, 0])
         # Dual sides: the tangential component t . G n, rows (side, m).
@@ -288,7 +254,7 @@ class StaggeredSpaces:
 
     def _build_space_U(self) -> _Space:
         k1, nT = self.k + 1, self.mesh.num_triangles
-        EM, n = self.side_moments, self.edge_normal[self.mesh.tri_edges]
+        EM, n = self.side_moments, self.mesh.edge_normal[self.mesh.tri_edges]
         # Dual sides: the normal component v . n, rows (side, m), cols (a, i).
         dual = n[:, 1:, None, :, None] * EM[:, 1:, :, None, :]
         return self._build_space("U", 2, 0, k1, dual.reshape(nT, 2 * k1, -1))
@@ -308,8 +274,8 @@ class StaggeredSpaces:
     def broken(self, field: DiscreteField) -> np.ndarray:
         """Per-triangle modal coefficients, shape (nT, ncomp, nk)."""
         s = self.space(field.tag)
-        flat = s.embedding @ np.asarray(field.coeffs, dtype=float)
-        return flat.reshape(self.mesh.num_triangles, s.ncomp, self.nk)
+        local = np.asarray(field.coeffs, dtype=float)[s.dofmap.cell_dofs]
+        return np.einsum("tij,tj->ti", s.dual_coeffs, local).reshape(-1, s.ncomp, self.nk)
 
     def eval_field(self, field: DiscreteField, tri: int, points, gradients: bool = False):
         """Evaluate a field at physical points inside triangle `tri`.
@@ -348,16 +314,16 @@ class StaggeredSpaces:
         shaped (npts,) for P, (npts, 2) for U, (npts, 2, 2) for W.
         """
         s = self.space(tag)
-        dm = s.dofmap
+        dm, mesh = s.dofmap, self.mesh
         k1 = self.k + 1
         coeffs = np.empty(s.ndof)
 
         # Edge moments against Legendre polynomials on every edge with DOFs.
         eids = np.flatnonzero(dm.edge_offsets >= 0)
-        off, n = dm.edge_offsets[eids], self.edge_normal[eids]
+        off, n = dm.edge_offsets[eids], mesh.edge_normal[eids]
         xi, wq = self.data_edge_quad.points, self.data_edge_quad.weights
-        lo = self.mesh.vertices[self.edge_v0[eids]]
-        hi = self.mesh.vertices[self.edge_v1[eids]]
+        lo = mesh.vertices[mesh.edge_v0[eids]]
+        hi = mesh.vertices[mesh.edge_v1[eids]]
         pts = lo[:, None] + ((xi + 1.0) / 2.0)[:, None] * (hi - lo)[:, None]
         vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(eids), len(xi), -1)
         if tag == "P":
@@ -367,13 +333,13 @@ class StaggeredSpaces:
         else:
             traces = np.einsum("eqab,eb->eqa", vals.reshape(len(eids), len(xi), 2, 2), n)
         leg = self.edge_basis.eval(xi) * wq
-        mom = (self.edge_length[eids] / 2.0)[:, None, None] * np.einsum("mq,eqr->emr", leg, traces)
+        mom = (mesh.edge_length[eids] / 2.0)[:, None, None] * np.einsum("mq,eqr->emr", leg, traces)
         if tag == "W":
             # Primal edges carry both components of G n, dual edges t . G n.
-            prim = self.edge_primal[eids]
+            prim = mesh.edge_primal[eids]
             coeffs[off[prim, None] + np.arange(2 * k1)] = mom[prim].reshape(-1, 2 * k1)
             coeffs[off[~prim, None] + np.arange(k1)] = np.einsum(
-                "emr,er->em", mom[~prim], self.edge_tangent[eids[~prim]])
+                "emr,er->em", mom[~prim], mesh.edge_tangent[eids[~prim]])
         else:
             coeffs[off[:, None] + np.arange(k1)] = mom[..., 0]
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import DUAL
 from .spaces import DiscreteField, StaggeredSpaces
 
 TWO_PI = 2.0 * math.pi
@@ -145,28 +144,46 @@ def _exact_tables(spaces: StaggeredSpaces, tag: str, exact):
     return vals.reshape(nT, nq, 2, 2).transpose(0, 2, 3, 1).reshape(nT, 4, nq)
 
 
-def _edge_values(spaces: StaggeredSpaces, f: DiscreteField, exact):
-    """Per edge: quadrature weights and per-side trace values of (field - exact)."""
-    broken = spaces.broken(f)
-    rule = spaces.data_edge_quad
+def _edge_jump_mean(spaces: StaggeredSpaces, f: DiscreteField, exact):
+    """Per edge: signed jump and mean of the traces of (field - exact) at the
+    data edge rule points, which run from v0 to v1; each (nE, ncomp, nq)."""
     mesh = spaces.mesh
-    out = []
-    for eid, e in enumerate(mesh.edges):
-        ev = 0.0
-        if exact is not None:
-            lo, hi = mesh.vertices[e.v0], mesh.vertices[e.v1]
-            pts = lo + np.outer((rule.points + 1.0) / 2.0, hi - lo)
-            ev = np.asarray(exact(pts))
-            if ev.ndim == 3:
-                ev = ev.reshape(len(pts), 4).T
-            elif ev.ndim == 2:
-                ev = ev.T
-            else:
-                ev = ev[None, :]
-        traces = spaces.side_traces(eid, spaces.data_traces)
-        sides = [(sign, broken[t] @ T - ev) for (t, sign), T in zip(e.tris, traces)]
-        out.append((e, rule.weights * (e.length / 2.0), sides))
-    return out
+    te, nE = mesh.tri_edges, len(mesh.edge_length)
+    T = spaces.data_traces[np.arange(3), spaces.side_flip]  # (nT, 3, nk, nq)
+    tr = np.einsum("tck,tskq->tscq", spaces.broken(f), T)
+    if exact is not None:
+        rule = spaces.data_edge_quad
+        lo, hi = mesh.vertices[mesh.edge_v0], mesh.vertices[mesh.edge_v1]
+        pts = lo[:, None] + ((rule.points + 1.0) / 2.0)[:, None] * (hi - lo)[:, None]
+        ev = np.asarray(exact(pts.reshape(-1, 2))).reshape(nE, len(rule.points), -1)
+        tr = tr - np.swapaxes(ev, 1, 2)[te]
+    per = tr[0, 0].size
+    idx = (te[..., None] * per + np.arange(per)).ravel()
+
+    def edge_sum(v):
+        return np.bincount(idx, v.ravel(), minlength=nE * per).reshape(nE, *tr.shape[2:])
+
+    ntris = np.bincount(te.ravel(), minlength=nE)
+    return edge_sum(mesh.side_sign[..., None, None] * tr), edge_sum(tr) / ntris[:, None, None]
+
+
+def _jump_sum(spaces: StaggeredSpaces, sq: np.ndarray, mask: np.ndarray) -> float:
+    """Sum over the masked edges of h_e^-1 int_e sq ds, sq (nE, nq)."""
+    return 0.5 * float((sq[mask] @ spaces.data_edge_quad.weights).sum())
+
+
+def _mean_sum(spaces: StaggeredSpaces, sq: np.ndarray, mask: np.ndarray) -> float:
+    """Sum over the masked edges of h_e int_e sq ds, sq (nE, nq)."""
+    he = spaces.mesh.edge_length[mask]
+    return 0.5 * float((he ** 2) @ (sq[mask] @ spaces.data_edge_quad.weights))
+
+
+def _z2_edges(spaces: StaggeredSpaces, jump: np.ndarray) -> float:
+    """Edge part of the Z2 norm from the jumps of a velocity field."""
+    mesh = spaces.mesh
+    tangential = np.einsum("ecq,ec->eq", jump, mesh.edge_tangent)
+    return (_jump_sum(spaces, (jump ** 2).sum(axis=1), mesh.edge_primal)
+            + _jump_sum(spaces, tangential ** 2, ~mesh.edge_primal))
 
 
 def norm_eval(spaces: StaggeredSpaces, f: DiscreteField, norm_id: str, exact=None) -> float:
@@ -208,40 +225,26 @@ def norm_eval(spaces: StaggeredSpaces, f: DiscreteField, norm_id: str, exact=Non
     if norm_id == "L2":  # the only norm without edge terms
         return math.sqrt(total)
 
-    for e, ws, sides in _edge_values(spaces, f, exact):
-        he = e.length
-        if norm_id == "X1" and e.kind == DUAL:
-            vn = sum(tr for _s, tr in sides) / len(sides)
-            vn = e.normal @ vn
-            total += he * float(np.sum(ws * vn ** 2))
-        elif norm_id == "Z1" and e.is_primal:
-            jump = sum(s * (e.normal @ tr) for s, tr in sides)
-            total += float(np.sum(ws * jump ** 2)) / he
-        elif norm_id == "Z2":
-            if e.is_primal:
-                jump = sum(s * tr for s, tr in sides)
-                total += float(np.sum(ws * (jump ** 2).sum(axis=0))) / he
-            else:
-                jump = sum(s * (e.tangent @ tr) for s, tr in sides)
-                total += float(np.sum(ws * jump ** 2)) / he
-        elif norm_id == "Xprime":
-            mean = sum(tr for _s, tr in sides) / len(sides)
-            gn = mean.reshape(2, 2, -1).transpose(0, 2, 1) @ e.normal  # (2, nq)
-            if e.is_primal:
-                total += he * float(np.sum(ws * (gn ** 2).sum(axis=0)))
-            else:
-                total += he * float(np.sum(ws * (e.tangent @ gn) ** 2))
-        elif norm_id == "Zprime" and not e.is_primal:
-            jump = sum(
-                s * (tr.reshape(2, 2, -1).transpose(0, 2, 1) @ e.normal) for s, tr in sides
-            )
-            total += float(np.sum(ws * (jump ** 2).sum(axis=0))) / he
-        elif norm_id == "P0h" and e.is_primal:
-            mean = sum(tr for _s, tr in sides)[0] / len(sides)
-            total += he * float(np.sum(ws * mean ** 2))
-        elif norm_id == "P1h" and not e.is_primal:
-            jump = sum(s * tr[0] for s, tr in sides)
-            total += float(np.sum(ws * jump ** 2)) / he
+    jump, mean = _edge_jump_mean(spaces, f, exact)
+    mesh = spaces.mesh
+    n, tg, primal = mesh.edge_normal, mesh.edge_tangent, mesh.edge_primal
+    if norm_id == "X1":
+        total += _mean_sum(spaces, np.einsum("ecq,ec->eq", mean, n) ** 2, ~primal)
+    elif norm_id == "Z1":
+        total += _jump_sum(spaces, np.einsum("ecq,ec->eq", jump, n) ** 2, primal)
+    elif norm_id == "Z2":
+        total += _z2_edges(spaces, jump)
+    elif norm_id == "Xprime":
+        gn = np.einsum("eabq,eb->eaq", mean.reshape(len(n), 2, 2, -1), n)
+        total += _mean_sum(spaces, (gn ** 2).sum(axis=1), primal)
+        total += _mean_sum(spaces, np.einsum("eaq,ea->eq", gn, tg) ** 2, ~primal)
+    elif norm_id == "Zprime":
+        gn = np.einsum("eabq,eb->eaq", jump.reshape(len(n), 2, 2, -1), n)
+        total += _jump_sum(spaces, (gn ** 2).sum(axis=1), ~primal)
+    elif norm_id == "P0h":
+        total += _mean_sum(spaces, mean[:, 0] ** 2, primal)
+    elif norm_id == "P1h":
+        total += _jump_sum(spaces, jump[:, 0] ** 2, ~primal)
     return math.sqrt(total)
 
 
@@ -260,15 +263,8 @@ def error_Z2(spaces: StaggeredSpaces, u_h: DiscreteField, case: ManufacturedCase
     gx = case.grad_u(X.reshape(-1, 2)).reshape(nT, nq, 2, 2).transpose(0, 2, 1, 3)
     diff = grads - gx
     total = float(np.einsum("tcqa,tcqa,q,t->", diff, diff, w, spaces.detJ))
-    for e, ws, sides in _edge_values(spaces, u_h, case.u):
-        he = e.length
-        if e.is_primal:
-            jump = sum(s * tr for s, tr in sides)
-            total += float(np.sum(ws * (jump ** 2).sum(axis=0))) / he
-        else:
-            jump = sum(s * (e.tangent @ tr) for s, tr in sides)
-            total += float(np.sum(ws * jump ** 2)) / he
-    return math.sqrt(total)
+    jump, _ = _edge_jump_mean(spaces, u_h, case.u)
+    return math.sqrt(total + _z2_edges(spaces, jump))
 
 
 def lagrange_nodes(k: int) -> np.ndarray:

@@ -1,16 +1,32 @@
 """Independent loop assemblies of the adjoint forms B* and D*.
 
 They integrate the volume terms by parts the other way and put the jumps
-on the other edge kind, triangle by triangle and edge by edge. On the
-staggered spaces they must equal the library's assemble_B and assemble_D to
-roundoff, so they serve as the test oracle for the batched assembly.
+on the other edge kind, triangle by triangle and edge by edge, over every
+pair of triangles on an edge, and map the broken forms to the global spaces
+with a sparse embedding. On the staggered spaces they must equal the
+library's assemble_B and assemble_D to roundoff, so they serve as the test
+oracle for the batched assembly.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from sdgflow.forms import _volume_derivative_blocks
-from sdgflow.spaces import StaggeredSpaces
+from sdgflow.spaces import StaggeredSpaces, _Space
+
+
+def embedding(space: _Space) -> sp.csr_matrix:
+    """(nT*nloc, ndof) map from global coefficients to broken per-triangle modal
+    coefficients: row t*nloc + i holds row i of triangle t's dual basis."""
+    C, dofs = space.dual_coeffs, space.dofmap.cell_dofs
+    nT, nloc = dofs.shape
+    rows, cols = np.broadcast_arrays(np.arange(nT * nloc).reshape(nT, nloc, 1), dofs[:, None, :])
+    return sp.csr_matrix((C.ravel(), (rows.ravel(), cols.ravel())), shape=(nT * nloc, space.ndof))
+
+
+def _edge_sides(mesh, eid: int):
+    """(triangle, local side) pairs of edge eid, in triangle order."""
+    return np.argwhere(mesh.tri_edges == eid)
 
 
 def _triplets_from_block(rows0: int, cols0: int, block: np.ndarray, acc) -> None:
@@ -36,14 +52,16 @@ def _finish(acc, shape) -> sp.csr_matrix:
 
 
 def _edge_pair_matrices(spaces: StaggeredSpaces, eid: int):
-    """Yield (ti, si, tj, sj, S) with S[m, n] = int_e m_m^(i) m_n^(j) ds."""
-    e = spaces.mesh.edges[eid]
-    ws = spaces.form_edge_quad.weights * (e.length / 2.0)
-    traces = spaces.side_traces(eid, spaces.form_traces)
-    for (ti, si), Ti in zip(e.tris, traces):
+    """Yield (ti, si, tj, sj, S) with si, sj the jump signs of triangles ti, tj
+    and S[m, n] = int_e m_m^(i) m_n^(j) ds."""
+    mesh = spaces.mesh
+    ws = spaces.form_edge_quad.weights * (mesh.edge_length[eid] / 2.0)
+    sides = _edge_sides(mesh, eid)
+    traces = [spaces.form_traces[s, spaces.side_flip[t, s]] for t, s in sides]
+    for (ti, s), Ti in zip(sides, traces):
         Tw = Ti * ws
-        for (tj, sj), Tj in zip(e.tris, traces):
-            yield ti, si, tj, sj, Tw @ Tj.T
+        for (tj, r), Tj in zip(sides, traces):
+            yield ti, mesh.side_sign[ti, s], tj, mesh.side_sign[tj, r], Tw @ Tj.T
 
 
 def assemble_B_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
@@ -59,11 +77,9 @@ def assemble_B_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
                 # -int v_a d_c G_{ac}: rows (a, m), cols (a, c, n).
                 blk[a * nk:(a + 1) * nk, (2 * a + c) * nk:(2 * a + c + 1) * nk] = -D[t, c]
         _triplets_from_block(t * 2 * nk, t * 4 * nk, blk, acc)
-    for eid, e in enumerate(spaces.mesh.edges):
-        if e.is_primal:
-            continue
-        N = len(e.tris)
-        n = e.normal
+    for eid in spaces.mesh.dual_edge_ids:
+        N = len(_edge_sides(spaces.mesh, eid))
+        n = spaces.mesh.edge_normal[eid]
         for ti, si, tj, sj, S in _edge_pair_matrices(spaces, eid):
             # +{v . n} n . [G n] over dual edges.
             blk = np.zeros((2 * nk, 4 * nk))
@@ -77,7 +93,7 @@ def assemble_B_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
                             )
             _triplets_from_block(ti * 2 * nk, tj * 4 * nk, blk, acc)
     Bb = _finish(acc, (nT * 2 * nk, nT * 4 * nk))
-    return (spaces.U.embedding.T @ Bb @ spaces.W.embedding).tocsr()
+    return (embedding(spaces.U).T @ Bb @ embedding(spaces.W)).tocsr()
 
 
 def assemble_D_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
@@ -92,11 +108,9 @@ def assemble_D_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
             # -int q d_a v_a.
             blk[:, a * nk:(a + 1) * nk] = -Dv[t, a]
         _triplets_from_block(t * nk, t * 2 * nk, blk, acc)
-    for eid, e in enumerate(spaces.mesh.edges):
-        if not e.is_primal:
-            continue
-        N = len(e.tris)
-        n = e.normal
+    for eid in spaces.mesh.primal_edge_ids:
+        N = len(_edge_sides(spaces.mesh, eid))
+        n = spaces.mesh.edge_normal[eid]
         for tq, _sq, tu, su, S in _edge_pair_matrices(spaces, eid):
             # +{q} [v . n] over primal edges (one-sided on the boundary).
             blk = np.zeros((nk, 2 * nk))
@@ -104,4 +118,4 @@ def assemble_D_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
                 blk[:, a * nk:(a + 1) * nk] = su * (n[a] / N) * S
             _triplets_from_block(tq * nk, tu * 2 * nk, blk, acc)
     Db = _finish(acc, (nT * nk, nT * 2 * nk))
-    return (spaces.P.embedding.T @ Db @ spaces.U.embedding).tocsr()
+    return (embedding(spaces.P).T @ Db @ embedding(spaces.U)).tocsr()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sdgflow import cli
+from sdgflow import mesh as mm
 from sdgflow.cli import ConfigError, RunConfig
 from sdgflow.verify import ConvergenceRow, ConvergenceTable
 
@@ -210,6 +211,35 @@ def test_main_mesh_check_and_file_import(tmp_path, capsys):
     code = cli.main(["solve", "--k", "1", "--mesh", "file",
                      "--mesh-file", str(mesh_path)])
     assert code == 0
+
+
+def test_mesh_check_on_a_file_mesh(tmp_path, capsys, monkeypatch):
+    # A file mesh has no level: the check names the file and its own h, and
+    # validates the submesh once, inside the build.
+    mesh_path = tmp_path / "two.txt"
+    mesh_path.write_text(MESH_FILE)
+    calls = []
+    validate = mm.StaggeredMesh.validate
+    monkeypatch.setattr(mm.StaggeredMesh, "validate",
+                        lambda self: calls.append(1) or validate(self))
+    assert cli.main(["mesh", "check", "--mesh", "file", "--mesh-file", str(mesh_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == ("file: 2 polygons, 8 triangles, edges {'primal-interior': 1, "
+                   "'primal-boundary': 6, 'dual': 8}, h=1: OK\n")
+    assert len(calls) == 1
+
+
+def test_main_rejects_nonconforming_mesh_file(tmp_path, capsys):
+    # The coarse right polygon misses the hanging node 6 of its neighbours.
+    text = ("8 3\n0 0\n0.5 0\n1 0\n1 1\n0.5 1\n0 1\n0.5 0.5\n0 0.5\n"
+            "4 0 1 6 7\n4 7 6 4 5\n4 1 2 3 4\n")
+    mesh_path = tmp_path / "hanging.txt"
+    mesh_path.write_text(text)
+    args = ["solve", "--k", "1", "--epsilon", "1", "--mesh", "file", "--mesh-file", str(mesh_path)]
+    assert cli.main(args) == 3
+    assert "not conforming" in capsys.readouterr().err
+    mesh_path.write_text(text.replace("4 1 2 3 4\n", "5 1 2 3 4 6\n"))
+    assert cli.main(args) == 0
 
 
 def test_file_mesh_reports_its_own_h(tmp_path, capsys):

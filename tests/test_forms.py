@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adjoint_oracle import assemble_B_star, assemble_D_star
+from adjoint_oracle import assemble_B_star, assemble_D_star, embedding
 from sdgflow import cases, forms, mesh as mm, solver
 from sdgflow.polybasis import edge_quadrature
 from sdgflow.spaces import StaggeredSpaces
@@ -62,13 +62,14 @@ def test_mass_W_gives_l2_norm():
     M = forms.assemble_mass_W(spaces)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(spaces.W.ndof)
-    broken = (spaces.W.embedding @ x).reshape(-1, 4 * spaces.nk)
+    broken = (embedding(spaces.W) @ x).reshape(-1, 4 * spaces.nk)
     norm_sq = float((spaces.detJ[:, None] * broken**2).sum())
     assert np.isclose(float(x @ M @ x), norm_sq, rtol=1e-12)
 
 
 def boundary_normal_moments(spaces, fn_normal):
-    """c_m = boundary integral of fn_normal times global pressure basis m.
+    """c_m = boundary integral of fn_normal(points, outward normal) times global
+    pressure basis m.
 
     The pressure basis is evaluated directly at physical boundary points
     mapped back to the reference triangle, independently of the spaces'
@@ -77,16 +78,16 @@ def boundary_normal_moments(spaces, fn_normal):
     sm = spaces.mesh
     nk = spaces.nk
     rule = edge_quadrature(2 * spaces.k + 2)
+    E = embedding(spaces.P)
     corr = np.zeros(spaces.P.ndof)
-    for e in sm.edges:
-        if e.kind != mm.PRIMAL_BOUNDARY:
-            continue
-        t = e.tris[0][0]
-        lo, hi = sm.vertices[e.v0], sm.vertices[e.v1]
+    # A boundary edge is the primal side of its one triangle.
+    for t in np.flatnonzero(sm.edge_kind[sm.tri_edges[:, 0]] == mm.PRIMAL_BOUNDARY):
+        e = sm.tri_edges[t, 0]
+        lo, hi = sm.vertices[sm.edge_v0[e]], sm.vertices[sm.edge_v1[e]]
         pts = lo + np.outer((rule.points + 1.0) / 2.0, hi - lo)
         T = spaces.basis.eval((pts - spaces.origin[t]) @ spaces.invJT[t])
-        w_eff = rule.weights * (e.length / 2.0) * fn_normal(pts, e)
-        corr += spaces.P.embedding[t * nk:(t + 1) * nk, :].T @ (T @ w_eff)
+        w_eff = rule.weights * (sm.edge_length[e] / 2.0) * fn_normal(pts, sm.edge_normal[e])
+        corr += E[t * nk:(t + 1) * nk, :].T @ (T @ w_eff)
     return corr
 
 
@@ -120,7 +121,7 @@ def test_divergence_identity_for_polynomials(k, mesh_name):
     D = forms.assemble_D(spaces)
     uh = spaces.interpolate("U", u)
     _, G = forms.assemble_rhs(spaces, u, div_u)
-    corr = boundary_normal_moments(spaces, lambda pts, e: u(pts) @ e.normal)
+    corr = boundary_normal_moments(spaces, lambda pts, n: u(pts) @ n)
     resid = D @ uh.coeffs + G - corr
     assert np.abs(resid).max() < 1e-10
 
@@ -187,13 +188,11 @@ def test_B_partial_integration_consistency(k):
     sm = spaces.mesh
     xi, wq = spaces.data_edge_quad.points, spaces.data_edge_quad.weights
     bnd = 0.0
-    for e in sm.edges:
-        if e.kind != mm.PRIMAL_BOUNDARY:
-            continue
-        lo, hi = sm.vertices[e.v0], sm.vertices[e.v1]
+    for e in np.flatnonzero(sm.edge_kind == mm.PRIMAL_BOUNDARY):
+        lo, hi = sm.vertices[sm.edge_v0[e]], sm.vertices[sm.edge_v1[e]]
         pts = lo + np.outer((xi + 1.0) / 2.0, hi - lo)
-        Gn = np.einsum("pab,b->pa", G_fn(pts), e.normal)
-        bnd += float(np.sum(wq * (v_fn(pts) * Gn).sum(axis=1)) * e.length / 2.0)
+        Gn = np.einsum("pab,b->pa", G_fn(pts), sm.edge_normal[e])
+        bnd += float(np.sum(wq * (v_fn(pts) * Gn).sum(axis=1)) * sm.edge_length[e] / 2.0)
     assert np.isclose(float(vh.coeffs @ B @ Gh.coeffs), vol - bnd, atol=1e-10)
 
 

@@ -1,5 +1,8 @@
 """Tests for primal mesh builders, the staggered subdivision, and mesh I/O."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,16 +144,13 @@ def test_staggered_invariants(primal):
     assert len(sm.dual_edge_ids) == sm.num_triangles
     assert np.isclose(sm.tri_area.sum(), primal.area())
     # Every triangle's first listed edge is primal, the other two dual.
-    for t in range(sm.num_triangles):
-        e0, e1, e2 = sm.tri_edges[t]
-        assert sm.edges[e0].is_primal
-        assert sm.edges[e1].kind == DUAL
-        assert sm.edges[e2].kind == DUAL
+    assert sm.edge_primal[sm.tri_edges[:, 0]].all()
+    assert (sm.edge_kind[sm.tri_edges[:, 1:]] == DUAL).all()
 
 
 def test_staggered_edge_classification_square():
     sm = mm.build_staggered(mm.build_square_grid(2))
-    kinds = {k: sum(1 for e in sm.edges if e.kind == k) for k in
+    kinds = {k: int(np.sum(sm.edge_kind == k)) for k in
              (PRIMAL_BOUNDARY, PRIMAL_INTERIOR, DUAL)}
     # 2x2 grid: 8 boundary sides, 4 interior sides, 4 spokes per cell.
     assert kinds[PRIMAL_BOUNDARY] == 8
@@ -160,42 +160,70 @@ def test_staggered_edge_classification_square():
 
 def test_boundary_normals_point_outward():
     sm = mm.build_staggered(mm.build_square_grid(2))
-    for e in sm.edges:
-        if e.kind != PRIMAL_BOUNDARY:
-            continue
-        mid = 0.5 * (sm.vertices[e.v0] + sm.vertices[e.v1])
-        out = mid + 1e-3 * e.normal
-        assert not (0.0 < out[0] < 1.0 and 0.0 < out[1] < 1.0)
+    bnd = sm.edge_kind == PRIMAL_BOUNDARY
+    mid = 0.5 * (sm.vertices[sm.edge_v0[bnd]] + sm.vertices[sm.edge_v1[bnd]])
+    out = mid + 1e-3 * sm.edge_normal[bnd]
+    assert not ((0.0 < out) & (out < 1.0)).all(axis=1).any()
 
 
 def test_interior_edges_have_opposing_signs():
     sm = mm.build_staggered(mm.build_square_grid(3))
-    for e in sm.edges:
-        if len(e.tris) == 2:
-            assert e.tris[0][1] * e.tris[1][1] == -1
+    ntris = np.bincount(sm.tri_edges.ravel())
+    signs = np.bincount(sm.tri_edges.ravel(), sm.side_sign.ravel())
+    assert (signs[ntris == 2] == 0).all()
+    assert set(np.unique(sm.side_sign)) == {-1, 1}
 
 
 def test_dual_patch_contents():
+    # The dual patch D(e) of an interior primal edge e: two triangles, from
+    # different polygons, each with e as its primal side.
     sm = mm.build_staggered(mm.build_square_grid(2))
-    for eid in sm.interior_primal_edge_ids:
-        patch = sm.dual_patch(eid)
-        assert len(patch) == 2
-        # The two triangles share the primal edge but come from different polygons.
-        assert sm.tri_poly[patch[0]] != sm.tri_poly[patch[1]]
-    with pytest.raises(MeshError):
-        sm.dual_patch(sm.dual_edge_ids[0])
+    interior = np.flatnonzero(sm.edge_kind == PRIMAL_INTERIOR)
+    assert len(interior) == 4
+    t, s = np.nonzero(np.isin(sm.tri_edges, interior))
+    assert (s == 0).all()
+    patch = t[np.argsort(sm.tri_edges[t, 0], kind="stable")].reshape(-1, 2)
+    assert (sm.tri_edges[patch, 0] == interior[:, None]).all()
+    assert (sm.tri_poly[patch[:, 0]] != sm.tri_poly[patch[:, 1]]).all()
 
 
 def test_eval_jump_conventions():
+    # A jump sums sign * trace over an edge's triangles: a trace continuous
+    # across a two-sided edge has zero jump, and a one-sided (boundary) edge
+    # takes its single trace with sign +1.
     sm = mm.build_staggered(mm.build_square_grid(2))
-    two_sided = next(e for e in sm.edges if len(e.tris) == 2)
-    one_sided = next(e for e in sm.edges if len(e.tris) == 1)
-    assert mm.eval_jump(two_sided, 3.0, 3.0) == 0.0
-    assert mm.eval_jump(one_sided, 2.0) == 2.0 * one_sided.tris[0][1]
-    with pytest.raises(ValueError):
-        mm.eval_jump(two_sided, 1.0)
-    with pytest.raises(ValueError):
-        mm.eval_jump(one_sided, 1.0, 2.0)
+    ntris = np.bincount(sm.tri_edges.ravel())
+    assert set(ntris) == {1, 2}
+    jump_of_one = np.bincount(sm.tri_edges.ravel(), sm.side_sign.ravel())
+    assert (jump_of_one[ntris == 2] == 0).all()
+    assert (jump_of_one[ntris == 1] == 1).all()
+    assert (sm.edge_kind[ntris == 1] == PRIMAL_BOUNDARY).all()
+    assert (sm.side_sign[sm.edge_kind[sm.tri_edges] == PRIMAL_BOUNDARY] == 1).all()
+
+
+_PINNED_EDGES = json.loads((Path(__file__).parent / "edge_tables.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_EDGES))
+def test_edge_table_matches_pinned(name):
+    # Recorded from the edge-by-edge dictionary construction this table
+    # replaced: ids, orientation, kind, normal, tangent, length and the jump
+    # sign of every triangle side must be reproduced exactly.
+    primal = {
+        "square3": lambda: mm.build_square_grid(3),
+        "distorted3": lambda: mm.build_distorted_grid(3, 0.25, 42),
+        "hanging4": lambda: mm.build_hanging_grid(4),
+        "two-rect": lambda: mm.import_polygon_mesh(SQUARE_FILE),
+    }[name]()
+    sm = mm.build_staggered(primal)
+    ref = _PINNED_EDGES[name]
+    got = {
+        "tri_edges": sm.tri_edges, "v0": sm.edge_v0, "v1": sm.edge_v1,
+        "kind": np.array(mm.EDGE_KINDS)[sm.edge_kind], "normal": sm.edge_normal,
+        "tangent": sm.edge_tangent, "length": sm.edge_length, "side_sign": sm.side_sign,
+    }
+    for key, value in got.items():
+        assert np.array_equal(value, np.array(ref[key])), key
 
 
 # -- polygon file format -------------------------------------------------
@@ -221,6 +249,77 @@ def test_import_polygon_mesh_round_trip():
     assert np.isclose(m.area(), 1.0)
     sm = mm.build_staggered(m)
     sm.validate()
+
+
+# The coarse right polygon misses the hanging node (6) of its left
+# neighbours, so their shared interface reads as two domain boundaries.
+NONCONFORMING_FILE = """\
+8 3
+0 0
+0.5 0
+1 0
+1 1
+0.5 1
+0 1
+0.5 0.5
+0 0.5
+4 0 1 6 7
+4 7 6 4 5
+4 1 2 3 4
+"""
+CONFORMING_FILE = NONCONFORMING_FILE.replace("4 1 2 3 4\n", "5 1 2 3 4 6\n")
+
+
+def test_nonconforming_mesh_is_rejected():
+    with pytest.raises(MeshError, match="not conforming"):
+        mm.build_staggered(mm.import_polygon_mesh(NONCONFORMING_FILE))
+    sm = mm.build_staggered(mm.import_polygon_mesh(CONFORMING_FILE))
+    assert np.sum(sm.edge_kind == PRIMAL_INTERIOR) == 3
+
+
+# Two squares that touch at one vertex: their bottom and top sides lie on one
+# line with opposite normals, but only meet at a point, which is conforming.
+TOUCHING_FILE = """\
+7 2
+0 0
+1 0
+1 1
+0 1
+1 -1
+2 -1
+2 0
+4 0 1 2 3
+4 4 5 6 1
+"""
+
+
+def test_nonconforming_check_on_a_slanted_interface():
+    # The same defect along a line that no coordinate axis follows, where the
+    # normals of the collinear edges agree only to roundoff.
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    cases = ((NONCONFORMING_FILE, False), (CONFORMING_FILE, True), (TOUCHING_FILE, True))
+    for text, ok in cases:
+        primal = mm.import_polygon_mesh(text)
+        primal.vertices = 3.7 * primal.vertices @ rot.T + 0.25
+        primal.interior_points = 3.7 * primal.interior_points @ rot.T + 0.25
+        if ok:
+            mm.build_staggered(primal)
+        else:
+            with pytest.raises(MeshError, match="not conforming"):
+                mm.build_staggered(primal)
+
+
+def test_validate_reports_first_failing_polygon():
+    # Polygon 0 is fine, polygon 1 repeats a vertex, polygon 2 is clockwise:
+    # the message names polygon 1.
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
+    polys = [[0, 1, 2, 3], [1, 4, 4, 2], [1, 2, 4]]
+    m = mm.PrimalMesh(verts, polys, np.array([[0.5, 0.5], [1.4, 0.3], [1.4, 0.3]]))
+    with pytest.raises(MeshError, match="polygon 1 repeats a vertex"):
+        m.validate()
+    m.polygons = [[0, 1, 2, 3], [1, 2, 4]]
+    with pytest.raises(MeshError, match="polygon 1 is not counterclockwise"):
+        m.validate()
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
 """Tests for the modal bases, quadrature rules, and affine maps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdgflow import mesh as mm
 from sdgflow import polybasis as pb
+from sdgflow.spaces import StaggeredSpaces
 
 
 def test_tri_dim_formula():
@@ -83,21 +87,34 @@ def test_unsupported_orders_rejected():
         pb.tri_basis(-1)
 
 
+def _affine_spaces(vertices):
+    # One polygon with a single triangle [a, b, nu] per side.
+    primal = mm.PrimalMesh(np.asarray(vertices, dtype=float), [[0, 1, 2]],
+                           np.mean(vertices, axis=0, keepdims=True))
+    return StaggeredSpaces(mm.build_staggered(primal), 1)
+
+
 def test_affine_map_round_trip():
-    verts = np.array([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]])
-    amap = pb.affine_map(verts)
+    # The batched maps of StaggeredSpaces send the reference vertices to each
+    # triangle's vertices, and invJT maps physical points back.
+    spaces = _affine_spaces([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]])
+    sm = spaces.mesh
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1 / 3, 1 / 3]])
-    phys = amap.to_physical(ref)
-    assert np.allclose(phys[:3], verts)
-    assert np.allclose(amap.to_reference(phys), ref)
-    e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
-    assert np.isclose(amap.det, abs(e1[0] * e2[1] - e1[1] * e2[0]))
+    for t in range(sm.num_triangles):
+        phys = ref @ spaces.jac[t].T + spaces.origin[t]
+        assert np.allclose(phys[:3], sm.vertices[sm.triangles[t]])
+        assert np.allclose((phys - spaces.origin[t]) @ spaces.invJT[t], ref)
+        assert np.allclose(spaces.invJT[t].T @ spaces.jac[t], np.eye(2))
+    assert np.allclose(spaces.detJ, 2.0 * sm.tri_area)
 
 
 def test_affine_map_rejects_degenerate():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        pb.affine_map(verts)
+    # A triangle of non-positive orientation, which mesh validation would
+    # have rejected, is refused when the maps are built.
+    sm = _affine_spaces([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]]).mesh
+    flipped = replace(sm, triangles=sm.triangles[:, [1, 0, 2]])
+    with pytest.raises(ValueError, match="triangle 0 has non-positive orientation"):
+        StaggeredSpaces(flipped, 1)
 
 
 @settings(max_examples=25, deadline=None)

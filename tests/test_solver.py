@@ -142,7 +142,7 @@ def test_interior_groups_layout(family, k):
     for p in range(mesh.primal.num_polygons):
         tris = np.flatnonzero(mesh.tri_poly == p)
         duals = np.unique(mesh.tri_edges[tris, 1:])
-        assert not any(mesh.edges[e].is_primal for e in duals)
+        assert not mesh.edge_primal[duals].any()
         expected = np.concatenate(
             [W.edge_offsets[duals, None] + np.arange(k1),
              nW + U.edge_offsets[duals, None] + np.arange(k1)], axis=None)
@@ -151,7 +151,7 @@ def test_interior_groups_layout(family, k):
 
     # Skeleton: 2(k+1) W and k+1 P moments per primal edge, plus the multiplier.
     skeleton = np.flatnonzero((groups.triangle < 0) & (groups.polygon < 0))
-    assert len(skeleton) == 3 * k1 * int(spaces.edge_primal.sum()) + 1
+    assert len(skeleton) == 3 * k1 * len(mesh.primal_edge_ids) + 1
     assert skeleton[-1] == n - 1
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from sdgflow import mesh as mm
 from sdgflow import spaces as spaces_mod
-from sdgflow.mesh import DUAL, PRIMAL_INTERIOR
+from sdgflow.mesh import PRIMAL_BOUNDARY, PRIMAL_INTERIOR
 from sdgflow.polybasis import tri_dim
 from sdgflow.spaces import DiscreteField, SpaceError, StaggeredSpaces
 
@@ -85,14 +85,13 @@ def test_trace_tables_match_basis_at_edge_points(name, k):
     rules = ((spaces.form_edge_quad, spaces.form_traces),
              (spaces.data_edge_quad, spaces.data_traces))
     for rule, table in rules:
-        for eid, e in enumerate(sm.edges):
-            lo, hi = sm.vertices[e.v0], sm.vertices[e.v1]
+        for t, s in np.ndindex(*sm.tri_edges.shape):
+            e = sm.tri_edges[t, s]
+            lo, hi = sm.vertices[sm.edge_v0[e]], sm.vertices[sm.edge_v1[e]]
             pts = lo + np.outer((rule.points + 1.0) / 2.0, hi - lo)
-            traces = spaces.side_traces(eid, table)
-            assert len(traces) == len(e.tris)
-            for (t, _s), T in zip(e.tris, traces):
-                ref = (pts - spaces.origin[t]) @ spaces.invJT[t]
-                assert np.abs(T - spaces.basis.eval(ref)).max() < 1e-12
+            T = table[s, spaces.side_flip[t, s]]
+            ref = (pts - spaces.origin[t]) @ spaces.invJT[t]
+            assert np.abs(T - spaces.basis.eval(ref)).max() < 1e-12
 
 
 def test_local_dual_basis_inverts_dof_matrix():
@@ -188,9 +187,13 @@ def test_eval_field_gradients_match_finite_differences():
 
 
 def edge_points(sm, e, n=7):
-    lo, hi = sm.vertices[e.v0], sm.vertices[e.v1]
+    lo, hi = sm.vertices[sm.edge_v0[e]], sm.vertices[sm.edge_v1[e]]
     xi = np.linspace(0.05, 0.95, n)[:, None]
     return lo + xi * (hi - lo)
+
+
+def edge_tris(sm, e):
+    return np.flatnonzero((sm.tri_edges == e).any(axis=1))
 
 
 def random_field(spaces, tag, seed=0):
@@ -203,10 +206,9 @@ def test_U_normal_trace_continuous_on_dual_edges(k):
     sm = MESHES["distorted"]
     spaces = StaggeredSpaces(sm, k)
     f = random_field(spaces, "U")
-    for eid in sm.dual_edge_ids:
-        e = sm.edges[eid]
+    for e in sm.dual_edge_ids:
         pts = edge_points(sm, e)
-        traces = [spaces.eval_field(f, t, pts) @ e.normal for t, _s in e.tris]
+        traces = [spaces.eval_field(f, t, pts) @ sm.edge_normal[e] for t in edge_tris(sm, e)]
         assert np.abs(traces[0] - traces[1]).max() < 1e-9
 
 
@@ -215,10 +217,9 @@ def test_P_trace_continuous_on_interior_primal_edges(k):
     sm = MESHES["distorted"]
     spaces = StaggeredSpaces(sm, k)
     f = random_field(spaces, "P")
-    for eid in sm.interior_primal_edge_ids:
-        e = sm.edges[eid]
+    for e in np.flatnonzero(sm.edge_kind == PRIMAL_INTERIOR):
         pts = edge_points(sm, e)
-        traces = [spaces.eval_field(f, t, pts) for t, _s in e.tris]
+        traces = [spaces.eval_field(f, t, pts) for t in edge_tris(sm, e)]
         assert np.abs(traces[0] - traces[1]).max() < 1e-9
 
 
@@ -227,21 +228,19 @@ def test_W_trace_continuity(k):
     sm = MESHES["distorted"]
     spaces = StaggeredSpaces(sm, k)
     f = random_field(spaces, "W")
-    for eid, e in enumerate(sm.edges):
-        if len(e.tris) != 2:
-            continue
+    for e in np.flatnonzero(sm.edge_kind != PRIMAL_BOUNDARY):
         pts = edge_points(sm, e)
         gn = [
-            np.einsum("pab,b->pa", spaces.eval_field(f, t, pts), e.normal)
-            for t, _s in e.tris
+            np.einsum("pab,b->pa", spaces.eval_field(f, t, pts), sm.edge_normal[e])
+            for t in edge_tris(sm, e)
         ]
-        if e.kind == PRIMAL_INTERIOR:
+        if sm.edge_kind[e] == PRIMAL_INTERIOR:
             # Full normal trace G n continuous across interior primal edges.
             assert np.abs(gn[0] - gn[1]).max() < 1e-9
-        elif e.kind == DUAL:
+        else:
             # Only the tangential part of G n is continuous across dual edges.
-            t0 = gn[0] @ e.tangent
-            t1 = gn[1] @ e.tangent
+            t0 = gn[0] @ sm.edge_tangent[e]
+            t1 = gn[1] @ sm.edge_tangent[e]
             assert np.abs(t0 - t1).max() < 1e-9
 
 

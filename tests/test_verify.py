@@ -93,7 +93,7 @@ def test_l2_norm_skips_edge_values(spaces, monkeypatch):
     def no_edges(*args):
         raise AssertionError("L2 evaluated edge traces")
 
-    monkeypatch.setattr(verify, "_edge_values", no_edges)
+    monkeypatch.setattr(verify, "_edge_jump_mean", no_edges)
     case = verify.trig_case(1e-2)
     rng = np.random.default_rng(2)
     for tag, exact in (("W", case.L), ("U", case.u), ("P", case.p)):
