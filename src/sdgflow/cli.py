@@ -105,6 +105,7 @@ class RunReport:
     errors: dict[str, float]
     norms: dict[str, float]
     timings: dict[str, float] = field(default_factory=dict)
+    solve_timings: dict[str, float] = field(default_factory=dict)  # sub-phases of "solve"
 
     def summary(self) -> str:
         nW, nU, nP = self.dims
@@ -114,7 +115,8 @@ class RunReport:
             f"  epsilon={self.config.epsilon:g}  alpha={self.config.alpha:g}",
             f"unknowns {self.ndof} (gradient {nW}, velocity {nU}, pressure {nP})",
             f"skeleton {self.skeleton}  lu_fill {self.lu_fill}  residuals "
-            + " ".join(f"{r:.2e}" for r in self.residuals),
+            + " ".join(f"{r:.2e}" for r in self.residuals) + "  "
+            + " ".join(f"{k}={v:.3f}s" for k, v in self.solve_timings.items()),
         ]
         for key in ERROR_KEYS:
             lines.append(f"err_{key:<10s} {self.errors[key]:.3e}")
@@ -191,6 +193,7 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
         skeleton=solution.skeleton,
         lu_fill=solution.lu_fill,
         residuals=solution.residuals,
+        solve_timings=solution.timings,
         errors=errors,
         norms=norms,
         timings=timings,

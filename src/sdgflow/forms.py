@@ -5,7 +5,9 @@ basis functions are the local dual basis (`dual_coeffs`, C below) in
 orthonormal modal coefficients, so every form is a sum of small dense
 per-triangle blocks C_test^T X C_trial, where X is the form on the broken
 modal space of that triangle. The blocks of all triangles come from one
-batched product and are scattered once through `cell_dofs`.
+batched product (`element_matrices` returns them) and are scattered once
+through `cell_dofs`; the solver condenses the same blocks triangle by
+triangle.
 
 X is a volume term plus edge terms on the triangle's own three sides. The
 edge terms of the forms are averages {G n}, {(G n) . t} and {v . n} of a
@@ -25,6 +27,8 @@ other independently as the oracle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -38,7 +42,7 @@ def _volume_derivative_blocks(spaces: StaggeredSpaces) -> np.ndarray:
     return spaces.detJ[:, None, None, None] * np.einsum("tab,bij->taij", inv, ref)
 
 
-def _scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
+def scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
     """Sum the element matrices local[t] (test x trial local DOFs) into the
     global matrix at the rows and columns of each triangle's cell_dofs."""
     rows = np.broadcast_to(test.dofmap.cell_dofs[:, :, None], local.shape)
@@ -47,11 +51,10 @@ def _scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
                          shape=(test.ndof, trial.ndof))
 
 
-def _mass(spaces: StaggeredSpaces, space: _Space, scale: float) -> sp.csr_matrix:
+def _mass(spaces: StaggeredSpaces, space: _Space, scale: float) -> np.ndarray:
     # The modal basis is orthonormal on the reference triangle.
     C = space.dual_coeffs
-    local = (scale * spaces.detJ)[:, None, None] * (np.swapaxes(C, 1, 2) @ C)
-    return _scatter(space, space, local)
+    return (scale * spaces.detJ)[:, None, None] * (np.swapaxes(C, 1, 2) @ C)
 
 
 def _side_terms(spaces: StaggeredSpaces):
@@ -65,17 +68,13 @@ def _side_terms(spaces: StaggeredSpaces):
             mesh.edge_primal[te])
 
 
-def assemble_mass_W(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    return _mass(spaces, spaces.W, 1.0)
-
-
-def assemble_mass_U(spaces: StaggeredSpaces, alpha: float) -> sp.csr_matrix:
+def _reaction(spaces: StaggeredSpaces, alpha: float) -> np.ndarray:
     if alpha <= 0.0:
         raise ValueError("reaction coefficient must be positive")
     return _mass(spaces, spaces.U, alpha)
 
 
-def assemble_B(spaces: StaggeredSpaces) -> sp.csr_matrix:
+def _coupling_B(spaces: StaggeredSpaces) -> np.ndarray:
     nk, nT = spaces.nk, spaces.mesh.num_triangles
     D = _volume_derivative_blocks(spaces)  # (nT, 2, nk, nk)
     S, sign, n, tg, primal = _side_terms(spaces)
@@ -86,11 +85,10 @@ def assemble_B(spaces: StaggeredSpaces) -> sp.csr_matrix:
     # Plus the volume term int G_{ac} d_c v_a: rows (a, m), cols (a, c, n).
     X = (np.einsum("ar,tcnm->tamrcn", np.eye(2), D)
          + np.einsum("tsarc,tsmn->tamrcn", coef, S)).reshape(nT, 2 * nk, 4 * nk)
-    return _scatter(spaces.U, spaces.W,
-                     np.swapaxes(spaces.U.dual_coeffs, 1, 2) @ X @ spaces.W.dual_coeffs)
+    return np.swapaxes(spaces.U.dual_coeffs, 1, 2) @ X @ spaces.W.dual_coeffs
 
 
-def assemble_D(spaces: StaggeredSpaces) -> sp.csr_matrix:
+def _divergence_D(spaces: StaggeredSpaces) -> np.ndarray:
     nk, nT = spaces.nk, spaces.mesh.num_triangles
     Dv = _volume_derivative_blocks(spaces)
     S, sign, n, _tg, primal = _side_terms(spaces)
@@ -98,16 +96,54 @@ def assemble_D(spaces: StaggeredSpaces) -> sp.csr_matrix:
     coef = np.where(primal, 0.0, -sign)[:, :, None] * n
     X = (np.einsum("tamq->tqam", Dv)
          + np.einsum("tsa,tsqm->tqam", coef, S)).reshape(nT, nk, 2 * nk)
-    return _scatter(spaces.P, spaces.U,
-                     np.swapaxes(spaces.P.dual_coeffs, 1, 2) @ X @ spaces.U.dual_coeffs)
+    return np.swapaxes(spaces.P.dual_coeffs, 1, 2) @ X @ spaces.U.dual_coeffs
+
+
+@dataclass
+class ElementMatrices:
+    """Per-triangle element stacks C_test^T X C_trial of the four forms, in the
+    local DOF order of cell_dofs and laid out like the global blocks, and each
+    triangle's share of the pressure means."""
+
+    M: np.ndarray  # (nT, nW_loc, nW_loc)
+    B: np.ndarray  # (nT, nU_loc, nW_loc)
+    A: np.ndarray  # (nT, nU_loc, nU_loc)
+    D: np.ndarray  # (nT, nP_loc, nU_loc)
+    c: np.ndarray  # (nT, nP_loc)
+
+
+def element_matrices(spaces: StaggeredSpaces, alpha: float) -> ElementMatrices:
+    return ElementMatrices(_mass(spaces, spaces.W, 1.0), _coupling_B(spaces),
+                           _reaction(spaces, alpha), _divergence_D(spaces),
+                           _element_load(spaces.P, _mean_loads(spaces)))
+
+
+def assemble_mass_W(spaces: StaggeredSpaces) -> sp.csr_matrix:
+    return scatter(spaces.W, spaces.W, _mass(spaces, spaces.W, 1.0))
+
+
+def assemble_mass_U(spaces: StaggeredSpaces, alpha: float) -> sp.csr_matrix:
+    return scatter(spaces.U, spaces.U, _reaction(spaces, alpha))
+
+
+def assemble_B(spaces: StaggeredSpaces) -> sp.csr_matrix:
+    return scatter(spaces.U, spaces.W, _coupling_B(spaces))
+
+
+def assemble_D(spaces: StaggeredSpaces) -> sp.csr_matrix:
+    return scatter(spaces.P, spaces.U, _divergence_D(spaces))
+
+
+def _element_load(space: _Space, local: np.ndarray) -> np.ndarray:
+    """C^T local[t] per triangle, from the broken loads local[t] against the
+    modal functions."""
+    return np.einsum("tij,ti->tj", space.dual_coeffs, local.reshape(len(local), -1))
 
 
 def _load(space: _Space, local: np.ndarray) -> np.ndarray:
-    """Global load vector from the broken per-triangle loads local[t] (against
-    the modal functions): C^T local[t] summed through each triangle's cell_dofs."""
-    nT = len(local)
-    vals = np.einsum("tij,ti->tj", space.dual_coeffs, local.reshape(nT, -1))
-    return np.bincount(space.dofmap.cell_dofs.ravel(), vals.ravel(), minlength=space.ndof)
+    """Global load vector: C^T local[t] summed through each triangle's cell_dofs."""
+    return np.bincount(space.dofmap.cell_dofs.ravel(), _element_load(space, local).ravel(),
+                       minlength=space.ndof)
 
 
 def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +158,10 @@ def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]
     return _load(spaces.U, Fb), _load(spaces.P, Gb)
 
 
+def _mean_loads(spaces: StaggeredSpaces) -> np.ndarray:
+    return spaces.detJ[:, None] * (spaces.data_vals @ spaces.data_quad.weights)[None, :]
+
+
 def mean_vector(spaces: StaggeredSpaces) -> np.ndarray:
     """c with c_m = integral of global pressure basis function m."""
-    cb = spaces.detJ[:, None] * (spaces.data_vals @ spaces.data_quad.weights)[None, :]
-    return _load(spaces.P, cb)
+    return _load(spaces.P, _mean_loads(spaces))

@@ -80,7 +80,10 @@ class PrimalMesh:
         return sizes, ids, poly, nxt
 
     def _signed_areas(self, ids, poly, nxt) -> np.ndarray:
-        a, b = self.vertices[ids], self.vertices[ids[nxt]]
+        # Shoelace relative to each polygon's first vertex: on coordinates far
+        # from the origin the absolute terms would cancel.
+        origin = self.vertices[ids[np.searchsorted(poly, poly)]]
+        a, b = self.vertices[ids] - origin, self.vertices[ids[nxt]] - origin
         return 0.5 * np.bincount(poly, _cross2(a, b), minlength=self.num_polygons)
 
     def area(self) -> float:

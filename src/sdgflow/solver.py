@@ -6,14 +6,29 @@ divergence rows the global matrix is symmetric indefinite; a scalar
 Lagrange multiplier enforces the zero-mean pressure condition without
 breaking symmetry.
 
-The solve eliminates the cell W/U unknowns of each triangle (stage 1), then
-the dual-edge W/U and cell P unknowns of each polygon (stage 2), and
-factorizes what remains: the primal-edge W and P moments and the multiplier.
+The solve condenses element by element. Each triangle's local saddle matrix
+is formed from the element stacks of the forms (`forms.element_matrices`),
+with B scaled by sqrt(eps), and its cell W/U moments are eliminated in one
+batched dense solve over all triangles (stage 1). The remainders are summed
+per polygon, and each polygon's dual-edge W/U moments and cell P moments are
+eliminated in one batched solve per polygon size (stage 2). The local Schur
+complements sum into the primal-edge skeleton: the W and P moments of every
+primal edge and the multiplier, which SuperLU factorizes.
+
+What depends only on the mesh and k is computed once per assembly, in a
+CondensationPlan: the gathers from triangle-local to polygon-local positions,
+the skeleton's sparsity pattern with the data slot of every local Schur
+entry, and a fill-reducing order of the skeleton taken from the mesh
+(minimum degree on the graph of primal edges that share a polygon), with the
+multiplier last. A new viscosity redoes only the dense eliminations and the
+sparse LU. The assembled global matrix is the operator of the iterative
+refinement.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,17 +44,150 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class InteriorGroups:
-    """Owner of each saddle unknown: its triangle in stage 1, its polygon in
-    stage 2, -1 where the stage keeps it. Kept by both: the skeleton."""
+class _SizeClass:
+    """The polygons with one number of triangles; their local matrices have
+    one size, the interior unknowns first, then the skeleton unknowns."""
 
-    triangle: np.ndarray
-    polygon: np.ndarray
+    start: int  # offset of their local matrices in the flat stage-2 buffer
+    interior: np.ndarray  # (count, n2) stage-2 unknowns of each polygon
+    kept: np.ndarray  # (count, nk) its skeleton unknowns, the multiplier last
+
+
+@dataclass
+class CondensationPlan:
+    """Layout of the two-stage condensation; depends only on mesh and k.
+
+    `triangle` and `polygon` give the owner of each saddle unknown in stage 1
+    and stage 2, -1 where that stage keeps it; the skeleton is what both keep.
+    Each triangle's local unknowns are its W, U and P cell_dofs and the
+    multiplier; `order` puts the num_inner stage-1 positions first.
+    """
+
+    triangle: np.ndarray  # (n,)
+    polygon: np.ndarray  # (n,)
+    order: np.ndarray  # local positions: stage 1, then the rest
+    num_inner: int
+    local: np.ndarray  # (nT, nloc) saddle unknowns of each triangle, in `order`
+    assembly: np.ndarray  # (nT, nr, nr) flat stage-2 buffer index of each outer pair
+    classes: list[_SizeClass]
+    skeleton: np.ndarray  # (ns,) saddle unknowns in factorization order
+    slots: np.ndarray  # data slot of every local Schur entry, classes in turn
+    indices: np.ndarray  # CSC pattern of the skeleton matrix
+    indptr: np.ndarray
 
     @property
     def size(self) -> int:
         """Number of eliminated unknowns."""
-        return int(np.count_nonzero(self.triangle >= 0) + np.count_nonzero(self.polygon >= 0))
+        return len(self.triangle) - len(self.skeleton)
+
+
+def _owners(n: int, dofs: np.ndarray, owner: np.ndarray, what: str) -> np.ndarray:
+    """Owner of every unknown that row i of dofs lists (owner[i]), -1 where
+    none lists it. A polygon-local elimination is exact only if no unknown is
+    listed by two owners."""
+    out = np.full(n, -1)
+    out[dofs] = owner[:, None]
+    if np.any(out[dofs] != owner[:, None]):
+        raise SolverError(f"interior unknowns couple across {what}s")
+    return out
+
+
+def _edge_order(mesh) -> np.ndarray:
+    """Primal edges in a fill-reducing elimination order: SuperLU's minimum
+    degree on the graph in which two primal edges are adjacent when they
+    bound a common polygon (each node stands for the 3(k+1) skeleton moments
+    of one edge), read from a diagonally dominant matrix with that graph."""
+    prim = mesh.primal_edge_ids
+    node = np.full(len(mesh.edge_kind), -1)
+    node[prim] = np.arange(len(prim))
+    inc = sp.csr_matrix((np.ones(mesh.num_triangles), (mesh.tri_poly, node[mesh.tri_edges[:, 0]])),
+                        shape=(mesh.primal.num_polygons, len(prim)))
+    graph = inc.T @ inc
+    graph = (graph + sp.diags(np.asarray(graph.sum(axis=0)).ravel())).tocsc()
+    rank = spla.splu(graph, permc_spec="MMD_AT_PLUS_A").perm_c
+    return prim[np.argsort(rank)]
+
+
+def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
+    mesh, k1, nk = spaces.mesh, spaces.k + 1, spaces.nk
+    W, U, P = spaces.W.dofmap, spaces.U.dofmap, spaces.P.dofmap
+    nW, nU, nT = W.ndof, U.ndof, mesh.num_triangles
+    n = nW + nU + P.ndof + 1  # the multiplier is last
+    tri_poly = mesh.tri_poly
+    local = np.hstack([W.cell_dofs, nW + U.cell_dofs, nW + nU + P.cell_dofs,
+                       np.full((nT, 1), n - 1)])
+    # Local DOF order of each space: primal side, the two dual sides, cell.
+    uo, po = 4 * nk, 6 * nk
+    inner = np.concatenate([np.arange(4 * k1, 4 * nk), uo + np.arange(2 * k1, 2 * nk)])
+    stage2 = np.concatenate([np.arange(2 * k1, 4 * k1), uo + np.arange(2 * k1),
+                             po + np.arange(k1, nk)])
+    triangle = _owners(n, local[:, inner], np.arange(nT), "triangle")
+    polygon = _owners(n, local[:, stage2], tri_poly, "polygon")
+    order = np.concatenate([inner, np.setdiff1d(np.arange(local.shape[1]), inner)])
+    local = local[:, order]
+    outer = local[:, len(inner):]
+
+    # Polygon-local numbering: per polygon its stage-2 unknowns, then its
+    # skeleton unknowns, each in increasing saddle order.
+    kept = polygon[outer] < 0
+    key = (tri_poly[:, None] * 2 + kept) * n + outer
+    uniq, pos = np.unique(key, return_inverse=True)
+    pos = pos.reshape(outer.shape)
+    upoly, ukept, udof = uniq // (2 * n), (uniq // n) % 2, uniq % n
+    first = np.searchsorted(upoly, np.arange(mesh.primal.num_polygons))
+    pos -= first[tri_poly][:, None]
+
+    # Skeleton order: the W then P moments of each primal edge, edges in the
+    # mesh-derived order, the multiplier last.
+    edges = _edge_order(mesh)
+    skeleton = np.concatenate([
+        np.hstack([W.edge_offsets[edges, None] + np.arange(2 * k1),
+                   nW + nU + P.edge_offsets[edges, None] + np.arange(k1)]).ravel(), [n - 1]])
+    ns = len(skeleton)
+    where = np.full(n, -1)
+    where[skeleton] = np.arange(ns)
+
+    # One local layout per polygon size.
+    sizes, total, interior = np.bincount(tri_poly), np.bincount(upoly), np.bincount(upoly, 1 - ukept)
+    cls_start, cls_row, cls_size = (np.zeros(len(sizes), dtype=np.int64) for _ in range(3))
+    classes, keys, start = [], [], 0
+    for m in np.unique(sizes):
+        polys = np.flatnonzero(sizes == m)
+        N, n2 = int(total[polys[0]]), int(interior[polys[0]])
+        if np.any(total[polys] != N) or np.any(interior[polys] != n2):
+            raise SolverError(f"{m}-gon polygons have different local layouts")
+        dofs = udof[first[polys, None] + np.arange(N)]
+        cls = _SizeClass(start, dofs[:, :n2], dofs[:, n2:])
+        classes.append(cls)
+        cls_start[polys], cls_row[polys], cls_size[polys] = start, np.arange(len(polys)), N
+        start += len(polys) * N * N
+        rows = where[cls.kept]
+        keys.append((rows[:, None, :] * ns + rows[:, :, None]).ravel())
+    N = cls_size[tri_poly][:, None]
+    base = (cls_start + cls_row * cls_size * cls_size)[tri_poly][:, None]
+    assembly = ((base + pos * N)[:, :, None] + pos[:, None, :]).astype(np.int32)
+
+    # CSC pattern of the skeleton: entry (i, j) of a local Schur complement
+    # lands in column where[kept[j]], row where[kept[i]].
+    cols_rows, slots = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols_rows // ns, minlength=ns))])
+    return CondensationPlan(triangle, polygon, order, len(inner), local, assembly, classes,
+                            skeleton, slots.astype(np.int32), (cols_rows % ns).astype(np.int32),
+                            indptr.astype(np.int32))
+
+
+def _prune(matrix: sp.csr_matrix, rel_tol: float = 1e-13) -> sp.csr_matrix:
+    """Drop stored entries that are roundoff relative to the block's scale.
+
+    The dual-basis products generate many analytically-zero integrals whose
+    floating-point residue would otherwise dominate the sparsity pattern.
+    """
+    matrix = matrix.tocsr()
+    scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
+    if scale > 0.0:
+        matrix.data[np.abs(matrix.data) < rel_tol * scale] = 0.0
+        matrix.eliminate_zeros()
+    return matrix
 
 
 @dataclass
@@ -49,7 +197,22 @@ class SystemBlocks:
     A: sp.csr_matrix  # nU x nU reaction mass
     D: sp.csr_matrix  # nP x nU divergence coupling
     c: np.ndarray  # (nP,) pressure means
-    interior: InteriorGroups = field(repr=False)
+    elements: forms.ElementMatrices = field(repr=False)  # the per-triangle stacks of the above
+    interior: CondensationPlan = field(repr=False)
+
+
+def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
+    el = forms.element_matrices(spaces, alpha)
+    W, U, P = spaces.W, spaces.U, spaces.P
+    return SystemBlocks(
+        M=_prune(forms.scatter(W, W, el.M)),
+        B=_prune(forms.scatter(U, W, el.B)),
+        A=_prune(forms.scatter(U, U, el.A)),
+        D=_prune(forms.scatter(P, U, el.D)),
+        c=forms.mean_vector(spaces),
+        elements=el,
+        interior=_condensation_plan(spaces),
+    )
 
 
 @dataclass
@@ -85,47 +248,7 @@ class DiscreteSolution:
     skeleton: int  # size of the factorized matrix
     lu_fill: int  # nonzeros of its L and U factors
     residuals: list[float]  # relative residual after each refinement step
-
-
-def _interior_groups(spaces: StaggeredSpaces) -> InteriorGroups:
-    """Stage-1 triangle and stage-2 polygon owners of every saddle unknown."""
-    W, U, P = spaces.W.dofmap, spaces.U.dofmap, spaces.P.dofmap
-    k1, nW, nU = spaces.k + 1, W.ndof, U.ndof
-    triangle = np.full(nW + nU + P.ndof + 1, -1)  # the multiplier is last
-    polygon = triangle.copy()
-    tri = np.arange(spaces.mesh.num_triangles)[:, None]
-    poly = spaces.mesh.tri_poly[:, None]
-    triangle[W.cell_entries] = triangle[nW + U.cell_entries] = tri
-    # Local DOF order: primal side, the two dual sides, cell. Both triangles
-    # of a dual edge lie in one polygon.
-    polygon[W.cell_dofs[:, 2 * k1:4 * k1]] = polygon[nW + U.cell_dofs[:, :2 * k1]] = poly
-    polygon[nW + nU + P.cell_entries] = poly
-    return InteriorGroups(triangle, polygon)
-
-
-def _prune(matrix: sp.csr_matrix, rel_tol: float = 1e-13) -> sp.csr_matrix:
-    """Drop stored entries that are roundoff relative to the block's scale.
-
-    The dual-basis products generate many analytically-zero integrals whose
-    floating-point residue would otherwise dominate the sparsity pattern.
-    """
-    matrix = matrix.tocsr()
-    scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
-    if scale > 0.0:
-        matrix.data[np.abs(matrix.data) < rel_tol * scale] = 0.0
-        matrix.eliminate_zeros()
-    return matrix
-
-
-def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
-    return SystemBlocks(
-        M=_prune(forms.assemble_mass_W(spaces)),
-        B=_prune(forms.assemble_B(spaces)),
-        A=_prune(forms.assemble_mass_U(spaces, alpha)),
-        D=_prune(forms.assemble_D(spaces)),
-        c=forms.mean_vector(spaces),
-        interior=_interior_groups(spaces),
-    )
+    timings: dict[str, float]  # seconds: condense, factorize, refine
 
 
 def build_system(blocks: SystemBlocks, eps: float, alpha: float,
@@ -140,16 +263,17 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
     if len(rhs_F) != nU or len(rhs_G) != nP:
         raise ValueError("right-hand side dimensions are inconsistent")
     se = math.sqrt(eps)
-    ccol = sp.csr_matrix(blocks.c.reshape(-1, 1))
-    K = sp.bmat(
-        [
-            [-blocks.M, se * blocks.B.T, None, None],
-            [se * blocks.B, blocks.A, blocks.D.T, None],
-            [None, blocks.D, None, -ccol],
-            [None, None, -ccol.T, None],
-        ],
-        format="csc",
-    )
+    M, B, A, D = blocks.M, blocks.B, blocks.A, blocks.D  # CSR: their transposes are CSC
+    c = sp.csc_matrix(blocks.c.reshape(-1, 1))
+    zero = lambda rows, cols: sp.csc_matrix((rows, cols))
+    # One block column at a time: CSC blocks stack without a pass through COO,
+    # which halves the peak memory of sp.bmat.
+    K = sp.hstack([
+        sp.vstack([-M.tocsc(), se * B.tocsc(), zero(nP + 1, nW)], format="csc"),
+        sp.vstack([se * B.T, A.tocsc(), D.tocsc(), zero(1, nU)], format="csc"),
+        sp.vstack([zero(nW, nP), D.T, zero(nP, nP), -c.T.tocsc()], format="csc"),
+        sp.vstack([zero(nW + nU, 1), -c, zero(1, 1)], format="csc"),
+    ], format="csc")
     rhs = np.concatenate([np.zeros(nW), rhs_F, -rhs_G, [0.0]])
     return SaddleSystem(blocks, eps, alpha, rhs_F, rhs_G, K, rhs)
 
@@ -161,85 +285,99 @@ REFINE_STEPS = 5
 REFINE_TARGET = 1e-12
 
 
-def _eliminate(K: sp.spmatrix, group: np.ndarray, owner: str):
-    """Schur complement of K onto the unknowns whose group is -1.
+def _runs(at: np.ndarray, lo: int, hi: int) -> list[tuple[slice, slice]]:
+    """(target, source) slice pairs that move local positions lo..hi-1 of the
+    natural order to their places at[...] in the plan's order."""
+    idx = np.arange(lo, hi)
+    return [(slice(at[r[0]], at[r[-1]] + 1), slice(r[0] - lo, r[-1] - lo + 1))
+            for r in np.split(idx, np.flatnonzero(np.diff(at[idx]) != 1) + 1) if len(r)]
 
-    The other unknowns must not couple across groups, so their block of K is
-    block diagonal with one dense block per group; blocks of equal size are
-    inverted in one batch. Returns the Schur complement and `lift`, which
-    turns a solver of the Schur complement into a solver of K.
-    """
-    elim = np.flatnonzero(group >= 0)
-    if not elim.size:
-        return K, lambda inner: inner
-    keep = np.flatnonzero(group < 0)
-    _, gid, sizes = np.unique(group[elim], return_inverse=True, return_counts=True)
-    # Order by block size, then by group: each size class is one run of
-    # equal consecutive blocks.
-    order = np.lexsort((gid, sizes[gid]))
-    elim, gid = elim[order], gid[order]
-    nr = len(keep)
-    perm = np.concatenate([keep, elim])
-    Kp = K.tocsr()[perm].tocsc()[:, perm].tocsr()
-    Krr, Krc, Kcr = Kp[:nr, :nr], Kp[:nr, nr:], Kp[nr:, :nr]
-    Kcc = Kp[nr:, nr:].tocoo()
-    del Kp
-    cross = gid[Kcc.row] != gid[Kcc.col]
-    # Cross-group entries are roundoff from traces that vanish analytically;
-    # anything larger means the elimination is invalid.
-    if np.abs(Kcc.data[cross]).max(initial=0.0) > 1e-10 * np.abs(Kcc.data).max(initial=0.0):
-        raise SolverError(f"interior unknowns couple across {owner}s")
 
-    batches, start = [], 0
-    for m, count in zip(*np.unique(sizes, return_counts=True)):
-        end = start + m * count
-        sel = ~cross & (Kcc.row >= start) & (Kcc.row < end)
-        r, c = Kcc.row[sel] - start, Kcc.col[sel] - start
-        dense = np.zeros((count, m, m))
-        dense[r // m, r % m, c % m] = Kcc.data[sel]
-        try:
-            inv = np.linalg.inv(dense)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular {owner} block: {exc}") from exc
-        batches.append(sp.bsr_matrix((inv, np.arange(count), np.arange(count + 1)),
-                                     shape=(end - start, end - start)))
-        start = end
-    Kcc_inv = sp.block_diag(batches, format="csr")
-    T = Krc @ Kcc_inv
-    S = _prune(Krr - T @ Kcr)
+def _local_matrices(el: forms.ElementMatrices, se: float, order: np.ndarray) -> np.ndarray:
+    """Each triangle's saddle matrix over its W, U, P cell_dofs and the
+    multiplier, rows and columns in the plan's local order."""
+    nw, nu, nl = el.M.shape[1], el.A.shape[1], len(order)
+    at = np.empty(nl, dtype=int)
+    at[order] = np.arange(nl)
+    w, u, p = _runs(at, 0, nw), _runs(at, nw, nw + nu), _runs(at, nw + nu, nl - 1)
+    K = np.zeros((len(el.M), nl, nl))
+    # Copy the blocks by contiguous runs; fancy indexing is several times slower.
+    for rows, cols, X in ((w, w, -el.M), (u, w, se * el.B), (w, u, se * np.swapaxes(el.B, 1, 2)),
+                          (u, u, el.A), (p, u, el.D), (u, p, np.swapaxes(el.D, 1, 2))):
+        for rt, rs in rows:
+            for ct, cs in cols:
+                K[:, rt, ct] = X[:, rs, cs]
+    for rt, rs in p:
+        K[:, rt, at[-1]] = K[:, at[-1], rt] = -el.c[:, rs]
+    return K
 
-    def lift(inner):
-        def apply(b: np.ndarray) -> np.ndarray:
-            bc = b[elim]
-            xr = inner(b[keep] - T @ bc)
-            x = np.empty(len(b))
-            x[keep] = xr
-            x[elim] = Kcc_inv @ (bc - Kcr @ xr)
-            return x
-        return apply
 
-    return S, lift
+def _condense(K: np.ndarray, ni: int, owner: str):
+    """Batched Schur complements of the dense local matrices K onto their
+    trailing unknowns. Returns the complements, Kii^{-1} Kio and Kii^{-1}."""
+    Kio = K[:, :ni, ni:]
+    try:
+        inv = np.linalg.inv(K[:, :ni, :ni])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular {owner} block: {exc}") from exc
+    T = inv @ Kio
+    # K is symmetric, so Koi Kii^{-1} = T^T.
+    return K[:, ni:, ni:] - np.swapaxes(Kio, 1, 2) @ T, T, inv
 
 
 def solve(system: SaddleSystem) -> DiscreteSolution:
-    """Direct solve of the saddle system by two-stage static condensation,
-    followed by iterative refinement against the full matrix."""
-    groups = system.blocks.interior
+    """Direct solve of the saddle system by two-stage static condensation of
+    the element matrices, then iterative refinement against the full matrix."""
+    plan, n = system.blocks.interior, system.num_unknowns
+    t0 = time.perf_counter()
+    K = _local_matrices(system.blocks.elements, math.sqrt(system.eps), plan.order)
+    S1, T1, inv1 = _condense(K, plan.num_inner, "triangle")
+    del K
+    # Every polygon's last entry (multiplier, multiplier) is listed, so the
+    # sums fill the whole stage-2 buffer.
+    flat = np.bincount(plan.assembly.ravel(), S1.ravel())
+    del S1
+    stage2, schur = [], []
+    for cls in plan.classes:
+        count, n2 = cls.interior.shape
+        N = n2 + cls.kept.shape[1]
+        Kp = flat[cls.start:cls.start + count * N * N].reshape(count, N, N)
+        S2, T2, inv2 = _condense(Kp, n2, "polygon")
+        stage2.append((T2, inv2))
+        schur.append(S2.ravel())
+    ns = len(plan.skeleton)
+    data = np.bincount(plan.slots, np.concatenate(schur), minlength=len(plan.indices))
+    S = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(ns, ns))
+    t1 = time.perf_counter()
+    # The skeleton is pre-ordered from the mesh; diagonal pivots where they are
+    # at least 0.01 of the column maximum (0.1 multiplies the fill at small
+    # viscosity).
     try:
-        S1, lift1 = _eliminate(system.matrix, groups.triangle, "triangle")
-        S, lift2 = _eliminate(S1, groups.polygon[groups.triangle < 0], "polygon")
-        del S1
-        # The skeleton Schur complement is symmetric: minimum-degree ordering
-        # of A^T + A and diagonal pivots where they are at least 0.01 of the
-        # column maximum (0.1 multiplies the fill at small viscosity).
-        lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+        lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01,
                        options=dict(SymmetricMode=True))
-        apply = lift1(lift2(lu.solve))
-        x = apply(system.rhs)
     except RuntimeError as exc:
-        if isinstance(exc, SolverError):
-            raise
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    t2 = time.perf_counter()
+
+    g1, gr = plan.local[:, :plan.num_inner], plan.local[:, plan.num_inner:]
+
+    def apply(b: np.ndarray) -> np.ndarray:
+        b1 = b[g1]
+        r = b - np.bincount(gr.ravel(), np.einsum("tio,ti->to", T1, b1).ravel(), minlength=n)
+        y2 = []
+        for cls, (T2, inv2) in zip(plan.classes, stage2):
+            b2 = r[cls.interior]
+            y2.append(np.einsum("pij,pj->pi", inv2, b2))
+            r -= np.bincount(cls.kept.ravel(), np.einsum("pik,pi->pk", T2, b2).ravel(),
+                             minlength=n)
+        x = np.empty(n)
+        x[plan.skeleton] = lu.solve(r[plan.skeleton])
+        for cls, (T2, _), y in zip(plan.classes, stage2, y2):
+            x[cls.interior] = y - np.einsum("pik,pk->pi", T2, x[cls.kept])
+        x[g1] = np.einsum("tij,tj->ti", inv1, b1) - np.einsum("tio,to->ti", T1, x[gr])
+        return x
+
+    x = apply(system.rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite values")
     bnorm = max(float(np.linalg.norm(system.rhs)), 1.0)
@@ -262,9 +400,11 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         p=DiscreteField("P", best[nW + nU:nW + nU + nP].copy()),
         multiplier=float(best[-1]),
         residual=best_res,
-        skeleton=S.shape[0],
+        skeleton=ns,
         lu_fill=lu.L.nnz + lu.U.nnz,
         residuals=residuals,
+        timings={"condense": t1 - t0, "factorize": t2 - t1,
+                 "refine": time.perf_counter() - t2},
     )
 
 

@@ -96,6 +96,15 @@ def test_run_single_times_each_phase():
     assert "assemble=" in report.summary()
 
 
+def test_run_single_times_the_solve_phases():
+    report = cli.run_single(RunConfig(k=1, levels=(4,)))
+    assert set(report.solve_timings) == {"condense", "factorize", "refine"}
+    assert all(v >= 0.0 for v in report.solve_timings.values())
+    skeleton_line = next(line for line in report.summary().splitlines()
+                         if line.startswith("skeleton"))
+    assert all(f"{key}=" in skeleton_line for key in report.solve_timings)
+
+
 def test_run_single_zero_case():
     # Zero data: solution norms vanish, error norms equal the exact norms.
     report = cli.run_single(RunConfig(k=1, levels=(4,), case="zero"))

@@ -309,6 +309,19 @@ def test_nonconforming_check_on_a_slanted_interface():
                 mm.build_staggered(primal)
 
 
+@pytest.mark.parametrize("shift", [100.0, 1000.0])
+def test_mesh_far_from_the_origin_keeps_its_area(shift):
+    # The shoelace sums of a polygon cancel on absolute coordinates far from
+    # the origin; a rotated unit-square mesh moved away must still build.
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    primal = mm.build_distorted_grid(8)
+    primal.vertices = primal.vertices @ rot.T + shift
+    primal.interior_points = primal.interior_points @ rot.T + shift
+    sm = mm.build_staggered(primal)
+    assert abs(primal.area() - 1.0) <= 1e-12
+    assert abs(sm.tri_area.sum() - 1.0) <= 1e-12
+
+
 def test_validate_reports_first_failing_polygon():
     # Polygon 0 is fine, polygon 1 repeats a vertex, polygon 2 is clockwise:
     # the message names polygon 1.

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from direct_oracle import direct_solve
 
 from sdgflow import forms, mesh as mm, verify
@@ -156,18 +155,32 @@ def test_interior_groups_layout(family, k):
 
 
 def test_invalid_eliminations_raise_solver_error():
-    _spaces, _case, system = make_system(k=1, n=3, family="distorted")
-    poly = system.blocks.interior.polygon
-    i, j = np.flatnonzero(poly == 0)[0], np.flatnonzero(poly == 1)[0]
-    n = system.num_unknowns
-    # An entry that couples the interiors of polygons 0 and 1.
-    scale = np.abs(system.matrix.data).max()
-    coupling = sp.csc_matrix(([scale, scale], ([i, j], [j, i])), shape=(n, n))
-    coupled = replace(system, matrix=(system.matrix + coupling).tocsc())
+    # A triangle of polygon 1 that lists a dual-edge unknown of polygon 0: the
+    # polygon-by-polygon elimination would split one unknown in two.
+    spaces = make_spaces(k=1, n=3, family="distorted")
+    U, tri_poly = spaces.U.dofmap, spaces.mesh.tri_poly
+    t0, t1 = np.flatnonzero(tri_poly == 0)[0], np.flatnonzero(tri_poly == 1)[0]
+    cell_dofs = U.cell_dofs.copy()
+    cell_dofs[t1, 0] = cell_dofs[t0, 0]
+    spaces.U.dofmap = replace(U, cell_dofs=cell_dofs)
     with pytest.raises(SolverError, match="couple across polygons"):
-        solve(coupled)
-    # Polygon 0's rows and columns zeroed: its stage-2 block is singular.
-    keep = sp.diags((poly != 0).astype(float))
-    singular = replace(system, matrix=(keep @ system.matrix @ keep).tocsc())
+        assemble_blocks(spaces, 1.0)
+    # Polygon 0's divergence element blocks zeroed: its cell P rows vanish
+    # from its stage-2 block, which is then singular.
+    spaces, _case, system = make_system(k=1, n=3, family="distorted")
+    system.blocks.elements.D[spaces.mesh.tri_poly == 0] = 0.0
     with pytest.raises(SolverError, match="singular polygon block"):
-        solve(singular)
+        solve(system)
+
+
+@pytest.mark.parametrize("family", ["distorted", "hanging"])
+def test_plan_depends_only_on_mesh_and_k(family):
+    mesh = make_spaces(2, 4, family).mesh
+    first = assemble_blocks(StaggeredSpaces(mesh, 2), 1.0).interior
+    blocks = assemble_blocks(StaggeredSpaces(mesh, 2), 0.5)
+    assert np.array_equal(first.skeleton, blocks.interior.skeleton)
+    assert np.array_equal(first.indptr, blocks.interior.indptr)
+    assert np.array_equal(first.indices, blocks.interior.indices)
+    F, G = np.zeros(blocks.A.shape[0]), np.zeros(blocks.D.shape[0])
+    stokes, darcy = (build_system(blocks, eps, 0.5, F, G) for eps in (1.0, 1e-8))
+    assert stokes.blocks.interior is darcy.blocks.interior
