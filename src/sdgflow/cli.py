@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -148,10 +147,6 @@ def _get_case(config: RunConfig):
 def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     """Solve one resolution and report errors, norms, sizes and timings."""
     config.validate()
-    # Quadrature degree: the config's, else SDG_QUAD_DEGREE, else the default.
-    quad_degree = config.quad_degree
-    if quad_degree is None and os.environ.get("SDG_QUAD_DEGREE"):
-        quad_degree = int(os.environ["SDG_QUAD_DEGREE"])
     level = None if config.mesh == "file" else (config.levels[0] if n is None else n)
     case = _get_case(config)
     timings = {}
@@ -159,7 +154,7 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     mesh = _build_mesh(config, level)
     timings["mesh"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    spaces = StaggeredSpaces(mesh, config.k, quad_degree=quad_degree)
+    spaces = StaggeredSpaces(mesh, config.k, quad_degree=config.quad_degree)
     timings["spaces"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     blocks = assemble_blocks(spaces, config.alpha)

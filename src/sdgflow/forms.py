@@ -5,9 +5,9 @@ basis functions are the local dual basis (`dual_coeffs`, C below) in
 orthonormal modal coefficients, so every form is a sum of small dense
 per-triangle blocks C_test^T X C_trial, where X is the form on the broken
 modal space of that triangle. The blocks of all triangles come from one
-batched product (`element_matrices` returns them) and are scattered once
-through `cell_dofs`; the solver condenses the same blocks triangle by
-triangle.
+batched product (`element_matrices` returns them); the solver condenses and
+applies them triangle by triangle, and `scatter` sums them into a global
+matrix through `cell_dofs` where one is wanted.
 
 X is a volume term plus edge terms on the triangle's own three sides. The
 edge terms of the forms are averages {G n}, {(G n) . t} and {v . n} of a
@@ -116,14 +116,6 @@ def element_matrices(spaces: StaggeredSpaces, alpha: float) -> ElementMatrices:
     return ElementMatrices(_mass(spaces, spaces.W, 1.0), _coupling_B(spaces),
                            _reaction(spaces, alpha), _divergence_D(spaces),
                            _element_load(spaces.P, _mean_loads(spaces)))
-
-
-def assemble_mass_W(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    return scatter(spaces.W, spaces.W, _mass(spaces, spaces.W, 1.0))
-
-
-def assemble_mass_U(spaces: StaggeredSpaces, alpha: float) -> sp.csr_matrix:
-    return scatter(spaces.U, spaces.U, _reaction(spaces, alpha))
 
 
 def assemble_B(spaces: StaggeredSpaces) -> sp.csr_matrix:

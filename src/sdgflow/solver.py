@@ -21,8 +21,8 @@ the skeleton's sparsity pattern with the data slot of every local Schur
 entry, and a fill-reducing order of the skeleton taken from the mesh
 (minimum degree on the graph of primal edges that share a polygon), with the
 multiplier last. A new viscosity redoes only the dense eliminations and the
-sparse LU. The assembled global matrix is the operator of the iterative
-refinement.
+sparse LU. Iterative refinement applies the saddle operator element by
+element from the same stacks, so no global saddle matrix is formed.
 """
 
 from __future__ import annotations
@@ -176,43 +176,37 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
                             indptr.astype(np.int32))
 
 
-def _prune(matrix: sp.csr_matrix, rel_tol: float = 1e-13) -> sp.csr_matrix:
-    """Drop stored entries that are roundoff relative to the block's scale.
-
-    The dual-basis products generate many analytically-zero integrals whose
-    floating-point residue would otherwise dominate the sparsity pattern.
-    """
-    matrix = matrix.tocsr()
-    scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
-    if scale > 0.0:
-        matrix.data[np.abs(matrix.data) < rel_tol * scale] = 0.0
-        matrix.eliminate_zeros()
-    return matrix
+def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
+    def get(blocks: SystemBlocks) -> sp.csr_matrix:
+        s = blocks.spaces
+        X = forms.scatter(s.space(test), s.space(trial), getattr(blocks.elements, stack))
+        # The dual-basis products leave roundoff residue of analytically zero
+        # integrals, which would otherwise dominate the sparsity pattern.
+        X.data[np.abs(X.data) < 1e-13 * np.abs(X.data).max(initial=0.0)] = 0.0
+        X.eliminate_zeros()
+        return X
+    return property(get, doc=f"{doc}, scattered from the element stack and pruned on each access.")
 
 
 @dataclass
 class SystemBlocks:
-    M: sp.csr_matrix  # nW x nW gradient mass
-    B: sp.csr_matrix  # nU x nW coupling
-    A: sp.csr_matrix  # nU x nU reaction mass
-    D: sp.csr_matrix  # nP x nU divergence coupling
+    """Element stacks of the forms, pressure means and condensation plan. The
+    global M, B, A and D are built on access, for inspection only."""
+
+    spaces: StaggeredSpaces = field(repr=False)
+    elements: forms.ElementMatrices = field(repr=False)
     c: np.ndarray  # (nP,) pressure means
-    elements: forms.ElementMatrices = field(repr=False)  # the per-triangle stacks of the above
     interior: CondensationPlan = field(repr=False)
+
+    M = _global_block("W", "W", "M", "nW x nW gradient mass")
+    B = _global_block("U", "W", "B", "nU x nW coupling")
+    A = _global_block("U", "U", "A", "nU x nU reaction mass")
+    D = _global_block("P", "U", "D", "nP x nU divergence coupling")
 
 
 def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
-    el = forms.element_matrices(spaces, alpha)
-    W, U, P = spaces.W, spaces.U, spaces.P
-    return SystemBlocks(
-        M=_prune(forms.scatter(W, W, el.M)),
-        B=_prune(forms.scatter(U, W, el.B)),
-        A=_prune(forms.scatter(U, U, el.A)),
-        D=_prune(forms.scatter(P, U, el.D)),
-        c=forms.mean_vector(spaces),
-        elements=el,
-        interior=_condensation_plan(spaces),
-    )
+    return SystemBlocks(spaces, forms.element_matrices(spaces, alpha),
+                        forms.mean_vector(spaces), _condensation_plan(spaces))
 
 
 @dataclass
@@ -222,20 +216,16 @@ class SaddleSystem:
     alpha: float
     rhs_F: np.ndarray
     rhs_G: np.ndarray
-    matrix: sp.csc_matrix
     rhs: np.ndarray
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return (
-            self.blocks.M.shape[0],
-            self.blocks.A.shape[0],
-            self.blocks.D.shape[0],
-        )
+        s = self.blocks.spaces
+        return s.W.ndof, s.U.ndof, s.P.ndof
 
     @property
     def num_unknowns(self) -> int:
-        return self.matrix.shape[0]
+        return sum(self.dims) + 1
 
 
 @dataclass
@@ -253,29 +243,18 @@ class DiscreteSolution:
 
 def build_system(blocks: SystemBlocks, eps: float, alpha: float,
                  rhs_F: np.ndarray, rhs_G: np.ndarray) -> SaddleSystem:
-    """Assemble the symmetric saddle-point matrix and right-hand side."""
+    """Check the inputs and stack the right-hand side of the saddle system."""
     if eps <= 0.0:
         raise ValueError("viscosity must be positive")
-    nW = blocks.M.shape[0]
-    nU, nP = blocks.A.shape[0], blocks.D.shape[0]
-    if blocks.B.shape != (nU, nW) or blocks.D.shape[1] != nU or len(blocks.c) != nP:
+    s, el = blocks.spaces, blocks.elements
+    W, U, P = (x.dofmap.cell_dofs.shape for x in (s.W, s.U, s.P))
+    shapes = (el.M.shape, el.B.shape, el.A.shape, el.D.shape, el.c.shape, blocks.c.shape)
+    if shapes != (W + W[1:], U + W[1:], U + U[1:], P + U[1:], P, (s.P.ndof,)):
         raise ValueError("block dimensions are inconsistent")
-    if len(rhs_F) != nU or len(rhs_G) != nP:
+    if len(rhs_F) != s.U.ndof or len(rhs_G) != s.P.ndof:
         raise ValueError("right-hand side dimensions are inconsistent")
-    se = math.sqrt(eps)
-    M, B, A, D = blocks.M, blocks.B, blocks.A, blocks.D  # CSR: their transposes are CSC
-    c = sp.csc_matrix(blocks.c.reshape(-1, 1))
-    zero = lambda rows, cols: sp.csc_matrix((rows, cols))
-    # One block column at a time: CSC blocks stack without a pass through COO,
-    # which halves the peak memory of sp.bmat.
-    K = sp.hstack([
-        sp.vstack([-M.tocsc(), se * B.tocsc(), zero(nP + 1, nW)], format="csc"),
-        sp.vstack([se * B.T, A.tocsc(), D.tocsc(), zero(1, nU)], format="csc"),
-        sp.vstack([zero(nW, nP), D.T, zero(nP, nP), -c.T.tocsc()], format="csc"),
-        sp.vstack([zero(nW + nU, 1), -c, zero(1, 1)], format="csc"),
-    ], format="csc")
-    rhs = np.concatenate([np.zeros(nW), rhs_F, -rhs_G, [0.0]])
-    return SaddleSystem(blocks, eps, alpha, rhs_F, rhs_G, K, rhs)
+    rhs = np.concatenate([np.zeros(s.W.ndof), rhs_F, -rhs_G, [0.0]])
+    return SaddleSystem(blocks, eps, alpha, rhs_F, rhs_G, rhs)
 
 
 # Iterative refinement: cheap re-solves with the existing factorization that
@@ -325,9 +304,31 @@ def _condense(K: np.ndarray, ni: int, owner: str):
     return K[:, ni:, ni:] - np.swapaxes(Kio, 1, 2) @ T, T, inv
 
 
+def _operator(system: SaddleSystem):
+    """x -> K x, with K the saddle matrix summed element by element from the
+    stacks that the condensation factorizes."""
+    el, se, plan = system.blocks.elements, math.sqrt(system.eps), system.blocks.interior
+    dofs = plan.local[:, np.argsort(plan.order)][:, :-1]  # the W, U, P cell_dofs in turn
+    nw, nu = el.M.shape[1], el.A.shape[1]
+    mv = lambda X, v: (X @ v[:, :, None])[:, :, 0]  # X[t] v[t] for every t
+    mtv = lambda X, v: (v[:, None, :] @ X)[:, 0]  # X[t]^T v[t]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        local = x[dofs]
+        w, u, p = local[:, :nw], local[:, nw:nw + nu], local[:, nw + nu:]
+        y = np.bincount(dofs.ravel(), np.hstack([
+            se * mtv(el.B, u) - mv(el.M, w),
+            se * mv(el.B, w) + mv(el.A, u) + mtv(el.D, p),
+            mv(el.D, u) - x[-1] * el.c]).ravel(), minlength=len(x))
+        y[-1] = -np.sum(el.c * p)
+        return y
+
+    return apply
+
+
 def solve(system: SaddleSystem) -> DiscreteSolution:
     """Direct solve of the saddle system by two-stage static condensation of
-    the element matrices, then iterative refinement against the full matrix."""
+    the element matrices, then iterative refinement against the same ones."""
     plan, n = system.blocks.interior, system.num_unknowns
     t0 = time.perf_counter()
     K = _local_matrices(system.blocks.elements, math.sqrt(system.eps), plan.order)
@@ -380,19 +381,21 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     x = apply(system.rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite values")
+    K = _operator(system)
     bnorm = max(float(np.linalg.norm(system.rhs)), 1.0)
-    best = x
-    best_res = float(np.linalg.norm(system.matrix @ x - system.rhs)) / bnorm
+    best, best_r = x, system.rhs - K(x)
+    best_res = float(np.linalg.norm(best_r)) / bnorm
     residuals = [best_res]
     for _ in range(REFINE_STEPS):
         if best_res <= REFINE_TARGET:
             break
-        x = best + apply(system.rhs - system.matrix @ best)
-        res = float(np.linalg.norm(system.matrix @ x - system.rhs)) / bnorm
+        x = best + apply(best_r)
+        r = system.rhs - K(x)
+        res = float(np.linalg.norm(r)) / bnorm
         residuals.append(res)
         if not np.isfinite(res) or res >= best_res:
             break
-        best, best_res = x, res
+        best, best_r, best_res = x, r, res
     nW, nU, nP = system.dims
     return DiscreteSolution(
         L=DiscreteField("W", best[:nW].copy()),

@@ -221,7 +221,12 @@ class StaggeredSpaces:
         j, c = np.divmod(np.arange(per_cell), ncomp)
         vmats[:, nedge + np.arange(per_cell), c * nk + j] = self.detJ[:, None]
 
-        conds = np.linalg.cond(vmats)
+        # 1-norm condition numbers, within a factor nloc of the 2-norm ones.
+        try:
+            dual = np.linalg.inv(vmats)
+            conds = np.linalg.norm(vmats, 1, axis=(1, 2)) * np.linalg.norm(dual, 1, axis=(1, 2))
+        except np.linalg.LinAlgError:
+            conds = np.linalg.cond(vmats, 1)  # infinite where a matrix is singular
         bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
         if bad.any():
             t = int(np.argmax(bad))
@@ -229,7 +234,6 @@ class StaggeredSpaces:
                 f"space {tag}: local DOF system on triangle {t} is singular or "
                 f"badly conditioned (cond={conds[t]:.3g})"
             )
-        dual = np.linalg.inv(vmats)
         worst = float(conds.max())
         if worst > COND_WARN:
             warnings.warn(

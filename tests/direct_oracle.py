@@ -1,20 +1,46 @@
 """Plain sparse LU of the whole saddle matrix, the oracle of solver.solve.
 
-It factorizes the full system with SuperLU's default column ordering and no
+It assembles the global saddle matrix from the element stacks with
+forms.scatter, factorizes it with SuperLU's default column ordering and no
 elimination, then refines against the same matrix, so it shares nothing with
-the two-stage condensation but the assembled system.
+the two-stage condensation but the element stacks.
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from sdgflow import forms
 
 REFINE_STEPS = 5
 REFINE_TARGET = 1e-12
 
 
+def saddle_matrix(system) -> sp.csc_matrix:
+    """The symmetric saddle matrix of a solver.SaddleSystem, unknowns stacked
+    as (L, u, p, multiplier), with the gradient and divergence rows negated."""
+    s, el = system.blocks.spaces, system.blocks.elements
+    M, B = forms.scatter(s.W, s.W, el.M), forms.scatter(s.U, s.W, el.B)
+    A, D = forms.scatter(s.U, s.U, el.A), forms.scatter(s.P, s.U, el.D)
+    c = sp.csr_matrix(system.blocks.c.reshape(-1, 1))
+    se = math.sqrt(system.eps)
+    return sp.bmat([[-M, se * B.T, None, None],
+                    [se * B, A, D.T, None],
+                    [None, D, None, -c],
+                    [None, None, -c.T, None]], format="csc")
+
+
+def residual(system, x) -> float:
+    """Relative residual ||K x - b|| / max(||b||, 1), the measure solve reports."""
+    K, b = saddle_matrix(system), system.rhs
+    return float(np.linalg.norm(K @ x - b)) / max(float(np.linalg.norm(b)), 1.0)
+
+
 def direct_solve(system) -> np.ndarray:
     """Stacked solution (L, u, p, multiplier) of a solver.SaddleSystem."""
-    K, b = system.matrix, system.rhs
+    K, b = saddle_matrix(system), system.rhs
     lu = spla.splu(K)
     x = lu.solve(b)
     bnorm = max(float(np.linalg.norm(b)), 1.0)

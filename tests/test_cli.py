@@ -130,6 +130,14 @@ def test_run_single_quad_degree_does_not_leak():
     assert again.errors == first.errors
 
 
+def test_run_single_ignores_quad_degree_environment(monkeypatch):
+    # The quadrature degree comes from the config only, never the environment.
+    config = RunConfig(k=1, levels=(4,))
+    plain = cli.run_single(config)
+    monkeypatch.setenv("SDG_QUAD_DEGREE", "3")
+    assert cli.run_single(config).errors == plain.errors
+
+
 def test_run_convergence_orders():
     table = cli.run_convergence(RunConfig(k=1, levels=(4, 8, 16)))
     assert len(table.rows) == 3

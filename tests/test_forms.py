@@ -40,7 +40,8 @@ def test_adjoint_pairs_are_transposes(name, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_mass_matrices_are_spd(k):
     spaces = StaggeredSpaces(MESHES["distorted"], k)
-    for M in (forms.assemble_mass_W(spaces), forms.assemble_mass_U(spaces, 2.5)):
+    blocks = solver.assemble_blocks(spaces, 2.5)
+    for M in (blocks.M, blocks.A):
         Md = M.toarray()
         assert np.abs(Md - Md.T).max() < 1e-12
         assert np.linalg.eigvalsh(Md).min() > 0.0
@@ -48,18 +49,18 @@ def test_mass_matrices_are_spd(k):
 
 def test_mass_U_scales_with_alpha():
     spaces = StaggeredSpaces(MESHES["square"], 1)
-    A1 = forms.assemble_mass_U(spaces, 1.0)
-    A3 = forms.assemble_mass_U(spaces, 3.0)
+    A1 = solver.assemble_blocks(spaces, 1.0).A
+    A3 = solver.assemble_blocks(spaces, 3.0).A
     assert np.abs((3.0 * A1 - A3).toarray()).max() < 1e-12
     with pytest.raises(ValueError):
-        forms.assemble_mass_U(spaces, 0.0)
+        solver.assemble_blocks(spaces, 0.0)
 
 
 def test_mass_W_gives_l2_norm():
     # detJ-weighted identity on the broken modal side: x^T M x equals the
     # squared L2 norm of the represented field.
     spaces = StaggeredSpaces(MESHES["distorted"], 1)
-    M = forms.assemble_mass_W(spaces)
+    M = solver.assemble_blocks(spaces, 1.0).M
     rng = np.random.default_rng(3)
     x = rng.standard_normal(spaces.W.ndof)
     broken = (embedding(spaces.W) @ x).reshape(-1, 4 * spaces.nk)

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from direct_oracle import direct_solve
+import scipy.sparse as sp
+from direct_oracle import direct_solve, residual, saddle_matrix
 
 from sdgflow import forms, mesh as mm, verify
 from sdgflow.solver import (
     SolverError,
+    _operator,
     assemble_blocks,
     build_system,
     solve,
@@ -40,8 +42,34 @@ def test_system_shape_and_symmetry():
     nW, nU, nP = system.dims
     assert (nW, nU, nP) == (spaces.W.ndof, spaces.U.ndof, spaces.P.ndof)
     assert system.num_unknowns == nW + nU + nP + 1
-    K = system.matrix
+    K = saddle_matrix(system)
+    assert K.shape == (system.num_unknowns, system.num_unknowns)
     assert np.abs((K - K.T).toarray()).max() < 1e-12
+
+
+def test_blocks_hold_no_global_matrix():
+    # The solve reads the element stacks only; the global blocks are built on
+    # access for inspection and never stored.
+    blocks = assemble_blocks(make_spaces(k=1), 1.0)
+    assert not any(sp.issparse(v) for v in vars(blocks).values())
+    assert sp.issparse(blocks.M)
+
+
+@pytest.mark.parametrize("family,k,eps", [("distorted", 2, 1e-8), ("hanging", 3, 1e-4)])
+def test_refinement_operator_is_the_assembled_matrix(family, k, eps):
+    _spaces, _case, system = make_system(k=k, n=4, eps=eps, family=family)
+    K, b = saddle_matrix(system), system.rhs
+    y = np.random.default_rng(5).standard_normal(len(b))
+    Ky = _operator(system)(y)
+    assert np.abs(Ky - K @ y).max() < 1e-14 * np.abs(abs(K) @ abs(y)).max()
+    # The reported residual is the assembled matrix's, up to the roundoff of
+    # forming K x - b in another order: one ulp of |K||x| + |b|, about 100
+    # times the differences seen and well below the residual itself.
+    sol = solve(system)
+    x = np.concatenate([sol.L.coeffs, sol.u.coeffs, sol.p.coeffs, [sol.multiplier]])
+    bnorm = max(float(np.linalg.norm(b)), 1.0)
+    ulp = np.finfo(float).eps * np.linalg.norm(abs(K) @ abs(x) + abs(b)) / bnorm
+    assert abs(sol.residual - residual(system, x)) < ulp
 
 
 def test_build_system_validates_inputs():
@@ -52,6 +80,10 @@ def test_build_system_validates_inputs():
         build_system(system.blocks, 1.0, 1.0, system.rhs_F[:-1], system.rhs_G)
     bad = assemble_blocks(spaces, 1.0)
     bad.c = bad.c[:-1]
+    with pytest.raises(ValueError, match="block dimensions"):
+        build_system(bad, 1.0, 1.0, system.rhs_F, system.rhs_G)
+    bad = assemble_blocks(spaces, 1.0)
+    bad.elements.D = bad.elements.D[:, :, :-1]
     with pytest.raises(ValueError, match="block dimensions"):
         build_system(bad, 1.0, 1.0, system.rhs_F, system.rhs_G)
 

@@ -75,6 +75,16 @@ def test_local_condition_limits(monkeypatch):
         StaggeredSpaces(sm, 2)
 
 
+def test_singular_local_system_names_its_triangle():
+    # An exactly singular local DOF matrix fails the batched inverse; the
+    # error still names the first such triangle.
+    spaces = StaggeredSpaces(MESHES["distorted"], 1)
+    rows = spaces.side_moments[:, 0].copy()
+    rows[[2, 5]] = 0.0
+    with pytest.raises(SpaceError, match="space P: .* triangle 2 is singular .*cond=inf"):
+        spaces._build_space("P", 1, 2, 0, rows)
+
+
 @pytest.mark.parametrize("name", ["square3", "distorted", "hanging"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_trace_tables_match_basis_at_edge_points(name, k):
