@@ -227,25 +227,6 @@ def table_to_csv(table: ConvergenceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> list[dict]:
-    """Parse a convergence CSV back into row dictionaries."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    out = []
-    for ln in lines[1:]:
-        vals = ln.split(",")
-        row = {}
-        for name, val in zip(header, vals):
-            if val == "N/A":
-                row[name] = None
-            elif name == "level" or name == "n_dof":
-                row[name] = int(val)
-            else:
-                row[name] = float(val)
-        out.append(row)
-    return out
-
-
 def table_to_svg(table: ConvergenceTable, width: int = 640, height: int = 480) -> str:
     """Self-contained log-log error plot with reference slope guide lines."""
     series = [("u", "#1f77b4"), ("L", "#d62728"), ("p", "#2ca02c")]

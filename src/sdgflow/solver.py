@@ -194,6 +194,7 @@ class SystemBlocks:
     global M, B, A and D are built on access, for inspection only."""
 
     spaces: StaggeredSpaces = field(repr=False)
+    alpha: float  # reaction coefficient of the A stack
     elements: forms.ElementMatrices = field(repr=False)
     c: np.ndarray  # (nP,) pressure means
     interior: CondensationPlan = field(repr=False)
@@ -205,7 +206,7 @@ class SystemBlocks:
 
 
 def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
-    return SystemBlocks(spaces, forms.element_matrices(spaces, alpha),
+    return SystemBlocks(spaces, alpha, forms.element_matrices(spaces, alpha),
                         forms.mean_vector(spaces), _condensation_plan(spaces))
 
 
@@ -213,9 +214,6 @@ def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
 class SaddleSystem:
     blocks: SystemBlocks
     eps: float
-    alpha: float
-    rhs_F: np.ndarray
-    rhs_G: np.ndarray
     rhs: np.ndarray
 
     @property
@@ -243,9 +241,14 @@ class DiscreteSolution:
 
 def build_system(blocks: SystemBlocks, eps: float, alpha: float,
                  rhs_F: np.ndarray, rhs_G: np.ndarray) -> SaddleSystem:
-    """Check the inputs and stack the right-hand side of the saddle system."""
+    """Check the inputs and stack the right-hand side of the saddle system.
+
+    `alpha` must be the one the blocks were assembled with.
+    """
     if eps <= 0.0:
         raise ValueError("viscosity must be positive")
+    if alpha != blocks.alpha:
+        raise ValueError(f"alpha {alpha:g} differs from the blocks' alpha {blocks.alpha:g}")
     s, el = blocks.spaces, blocks.elements
     W, U, P = (x.dofmap.cell_dofs.shape for x in (s.W, s.U, s.P))
     shapes = (el.M.shape, el.B.shape, el.A.shape, el.D.shape, el.c.shape, blocks.c.shape)
@@ -254,7 +257,7 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
     if len(rhs_F) != s.U.ndof or len(rhs_G) != s.P.ndof:
         raise ValueError("right-hand side dimensions are inconsistent")
     rhs = np.concatenate([np.zeros(s.W.ndof), rhs_F, -rhs_G, [0.0]])
-    return SaddleSystem(blocks, eps, alpha, rhs_F, rhs_G, rhs)
+    return SaddleSystem(blocks, eps, rhs)
 
 
 # Iterative refinement: cheap re-solves with the existing factorization that

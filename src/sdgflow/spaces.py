@@ -73,13 +73,6 @@ class DofMap:
     edge_offsets: np.ndarray  # (nE,) first DOF of each edge, -1 where none
     num_edge_dofs: int
 
-    @property
-    def cell_entries(self) -> np.ndarray:
-        """(nT, per_cell) cell DOFs of each triangle."""
-        nT, nloc = self.cell_dofs.shape
-        per_cell = (self.ndof - self.num_edge_dofs) // nT
-        return self.cell_dofs[:, nloc - per_cell:]
-
 
 @dataclass
 class DiscreteField:

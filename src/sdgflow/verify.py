@@ -1,4 +1,4 @@
-"""Manufactured solutions, projections, discrete norms and error tables."""
+"""Manufactured solutions, the reported error measures and convergence tables."""
 
 from __future__ import annotations
 
@@ -76,195 +76,64 @@ def trig_case(eps: float, alpha: float = 1.0) -> ManufacturedCase:
     return ManufacturedCase(eps, alpha, u, p, grad_u, f, g)
 
 
-def forcing_residual(case: ManufacturedCase, points: np.ndarray, step: float = 1e-5) -> float:
-    """Max mismatch between case.f and a finite-difference evaluation of the PDE."""
-    pts = np.atleast_2d(points)
-    ex = np.array([step, 0.0])
-    ey = np.array([0.0, step])
-    lap = (
-        case.u(pts + ex) + case.u(pts - ex) + case.u(pts + ey) + case.u(pts - ey)
-        - 4.0 * case.u(pts)
-    ) / step ** 2
-    grad_p = np.stack(
-        [
-            (case.p(pts + ex) - case.p(pts - ex)) / (2 * step),
-            (case.p(pts + ey) - case.p(pts - ey)) / (2 * step),
-        ],
-        axis=1,
-    )
-    fd = -case.eps * lap + case.alpha * case.u(pts) + grad_p
-    return float(np.abs(fd - case.f(pts)).max())
+def norm_eval(spaces: StaggeredSpaces, f: DiscreteField, norm_id: str, exact=None) -> float:
+    """L2 norm of a field, or of (field - exact) when `exact` is given.
+
+    `norm_id` must be "L2". The norm reads only the field's values at the
+    data quadrature points: no gradient table and no edge trace.
+    """
+    if norm_id != "L2":
+        raise ValueError(f"unknown norm {norm_id!r}")
+    vals = np.einsum("tck,kq->tcq", spaces.broken(f), spaces.data_vals)
+    if exact is not None:
+        X = spaces.data_points()
+        nT, nq, _ = X.shape
+        ex = np.asarray(exact(X.reshape(-1, 2))).reshape(nT, nq, -1)
+        vals = vals - np.moveaxis(ex, 2, 1)
+    sq = (vals ** 2).sum(axis=1)
+    return math.sqrt(float(np.einsum("tq,q,t->", sq, spaces.data_quad.weights, spaces.detJ)))
 
 
-def project_Ih(case: ManufacturedCase, spaces: StaggeredSpaces) -> DiscreteField:
-    """Pressure projection defined by primal-edge and interior moments."""
-    return spaces.interpolate("P", case.p)
-
-
-def project_Jh(case: ManufacturedCase, spaces: StaggeredSpaces) -> DiscreteField:
-    """Velocity projection defined by dual-edge normal and interior moments."""
-    return spaces.interpolate("U", case.u)
-
-
-def interpolate_gradient(case: ManufacturedCase, spaces: StaggeredSpaces) -> DiscreteField:
-    """Natural DOF interpolant of the scaled gradient into the W space."""
-    return spaces.interpolate("W", case.L)
-
-
-# -- norm evaluation ----------------------------------------------------
-
-_NORM_SPACES = {
-    "L2": ("W", "U", "P"),
-    "X1": ("U",),
-    "Z1": ("U",),
-    "Z2": ("U",),
-    "Xprime": ("W",),
-    "Zprime": ("W",),
-    "P0h": ("P",),
-    "P1h": ("P",),
-}
-
-
-def _broken_tables(spaces: StaggeredSpaces, f: DiscreteField):
-    """Values and gradients of the field at data quadrature points."""
-    broken = spaces.broken(f)  # (nT, ncomp, nk)
-    vals = np.einsum("tck,kq->tcq", broken, spaces.data_vals)
-    grads = np.einsum("tck,kqb,tab->tcqa", broken, spaces.data_grads, spaces.invJT)
-    return broken, vals, grads
-
-
-def _exact_tables(spaces: StaggeredSpaces, tag: str, exact):
-    X = spaces.data_points()
-    nT, nq, _ = X.shape
-    vals = np.asarray(exact(X.reshape(-1, 2)))
-    if tag == "P":
-        return vals.reshape(nT, 1, nq)
-    if tag == "U":
-        return np.moveaxis(vals.reshape(nT, nq, 2), 2, 1)
-    return vals.reshape(nT, nq, 2, 2).transpose(0, 2, 3, 1).reshape(nT, 4, nq)
-
-
-def _edge_jump_mean(spaces: StaggeredSpaces, f: DiscreteField, exact):
-    """Per edge: signed jump and mean of the traces of (field - exact) at the
-    data edge rule points, which run from v0 to v1; each (nE, ncomp, nq)."""
+def _edge_jumps(spaces: StaggeredSpaces, broken: np.ndarray, exact) -> np.ndarray:
+    """Per edge: signed jump of the traces of (field - exact) at the data edge
+    rule points, which run from v0 to v1; (nE, ncomp, nq). `broken` holds the
+    field's per-triangle modal coefficients."""
     mesh = spaces.mesh
     te, nE = mesh.tri_edges, len(mesh.edge_length)
     T = spaces.data_traces[np.arange(3), spaces.side_flip]  # (nT, 3, nk, nq)
-    tr = np.einsum("tck,tskq->tscq", spaces.broken(f), T)
-    if exact is not None:
-        rule = spaces.data_edge_quad
-        lo, hi = mesh.vertices[mesh.edge_v0], mesh.vertices[mesh.edge_v1]
-        pts = lo[:, None] + ((rule.points + 1.0) / 2.0)[:, None] * (hi - lo)[:, None]
-        ev = np.asarray(exact(pts.reshape(-1, 2))).reshape(nE, len(rule.points), -1)
-        tr = tr - np.swapaxes(ev, 1, 2)[te]
+    tr = np.einsum("tck,tskq->tscq", broken, T)
+    rule = spaces.data_edge_quad
+    lo, hi = mesh.vertices[mesh.edge_v0], mesh.vertices[mesh.edge_v1]
+    pts = lo[:, None] + ((rule.points + 1.0) / 2.0)[:, None] * (hi - lo)[:, None]
+    ev = np.asarray(exact(pts.reshape(-1, 2))).reshape(nE, len(rule.points), -1)
+    tr = mesh.side_sign[..., None, None] * (tr - np.swapaxes(ev, 1, 2)[te])
     per = tr[0, 0].size
     idx = (te[..., None] * per + np.arange(per)).ravel()
-
-    def edge_sum(v):
-        return np.bincount(idx, v.ravel(), minlength=nE * per).reshape(nE, *tr.shape[2:])
-
-    ntris = np.bincount(te.ravel(), minlength=nE)
-    return edge_sum(mesh.side_sign[..., None, None] * tr), edge_sum(tr) / ntris[:, None, None]
-
-
-def _jump_sum(spaces: StaggeredSpaces, sq: np.ndarray, mask: np.ndarray) -> float:
-    """Sum over the masked edges of h_e^-1 int_e sq ds, sq (nE, nq)."""
-    return 0.5 * float((sq[mask] @ spaces.data_edge_quad.weights).sum())
-
-
-def _mean_sum(spaces: StaggeredSpaces, sq: np.ndarray, mask: np.ndarray) -> float:
-    """Sum over the masked edges of h_e int_e sq ds, sq (nE, nq)."""
-    he = spaces.mesh.edge_length[mask]
-    return 0.5 * float((he ** 2) @ (sq[mask] @ spaces.data_edge_quad.weights))
-
-
-def _z2_edges(spaces: StaggeredSpaces, jump: np.ndarray) -> float:
-    """Edge part of the Z2 norm from the jumps of a velocity field."""
-    mesh = spaces.mesh
-    tangential = np.einsum("ecq,ec->eq", jump, mesh.edge_tangent)
-    return (_jump_sum(spaces, (jump ** 2).sum(axis=1), mesh.edge_primal)
-            + _jump_sum(spaces, tangential ** 2, ~mesh.edge_primal))
-
-
-def norm_eval(spaces: StaggeredSpaces, f: DiscreteField, norm_id: str, exact=None) -> float:
-    """Discrete norm of a field, or of (field - exact) when `exact` is given.
-
-    Edge jump terms use signed trace differences; trace averages stand in
-    for the single-valued components the spaces guarantee.
-    """
-    if norm_id not in _NORM_SPACES:
-        raise ValueError(f"unknown norm {norm_id!r}")
-    if f.tag not in _NORM_SPACES[norm_id]:
-        raise ValueError(f"norm {norm_id!r} is not defined on space {f.tag}")
-    w = spaces.data_quad.weights
-    _, vals, grads = _broken_tables(spaces, f)
-    if exact is not None:
-        vals = vals - _exact_tables(spaces, f.tag, exact)
-    total = 0.0
-
-    def cell_sum(sq):  # sq: (nT, nq) squared integrand
-        return float(np.einsum("tq,q,t->", sq, w, spaces.detJ))
-
-    if norm_id in ("L2", "X1", "Xprime", "P0h"):
-        total += cell_sum((vals ** 2).sum(axis=1))
-    if norm_id in ("Z1", "Zprime"):
-        if exact is not None:
-            raise ValueError("divergence seminorms of an error need a discrete difference")
-        if f.tag == "U":
-            div = grads[:, 0, :, 0] + grads[:, 1, :, 1]
-            total += cell_sum(div ** 2)
-        else:
-            div = np.stack(
-                [grads[:, 0, :, 0] + grads[:, 1, :, 1], grads[:, 2, :, 0] + grads[:, 3, :, 1]]
-            )
-            total += cell_sum((div ** 2).sum(axis=0))
-    if norm_id in ("Z2", "P1h"):
-        if exact is not None:
-            raise NotImplementedError("gradient seminorm errors are handled by error_Z2")
-        total += cell_sum((grads ** 2).sum(axis=(1, 3)))
-    if norm_id == "L2":  # the only norm without edge terms
-        return math.sqrt(total)
-
-    jump, mean = _edge_jump_mean(spaces, f, exact)
-    mesh = spaces.mesh
-    n, tg, primal = mesh.edge_normal, mesh.edge_tangent, mesh.edge_primal
-    if norm_id == "X1":
-        total += _mean_sum(spaces, np.einsum("ecq,ec->eq", mean, n) ** 2, ~primal)
-    elif norm_id == "Z1":
-        total += _jump_sum(spaces, np.einsum("ecq,ec->eq", jump, n) ** 2, primal)
-    elif norm_id == "Z2":
-        total += _z2_edges(spaces, jump)
-    elif norm_id == "Xprime":
-        gn = np.einsum("eabq,eb->eaq", mean.reshape(len(n), 2, 2, -1), n)
-        total += _mean_sum(spaces, (gn ** 2).sum(axis=1), primal)
-        total += _mean_sum(spaces, np.einsum("eaq,ea->eq", gn, tg) ** 2, ~primal)
-    elif norm_id == "Zprime":
-        gn = np.einsum("eabq,eb->eaq", jump.reshape(len(n), 2, 2, -1), n)
-        total += _jump_sum(spaces, (gn ** 2).sum(axis=1), ~primal)
-    elif norm_id == "P0h":
-        total += _mean_sum(spaces, mean[:, 0] ** 2, primal)
-    elif norm_id == "P1h":
-        total += _jump_sum(spaces, jump[:, 0] ** 2, ~primal)
-    return math.sqrt(total)
-
-
-def error_L2(spaces: StaggeredSpaces, f: DiscreteField, exact) -> float:
-    """L2 distance between a discrete field and an exact callable."""
-    return norm_eval(spaces, f, "L2", exact=exact)
+    return np.bincount(idx, tr.ravel(), minlength=nE * per).reshape(nE, *tr.shape[2:])
 
 
 def error_Z2(spaces: StaggeredSpaces, u_h: DiscreteField, case: ManufacturedCase) -> float:
-    """Z2 norm of the velocity error, including the exact gradient volume term."""
-    w = spaces.data_quad.weights
-    _, _vals, grads = _broken_tables(spaces, u_h)
+    """Z2 norm of the velocity error: the broken gradient error plus, per edge,
+    h_e^-1 times the squared jump of the error, all of it on primal edges and
+    its tangential component on dual edges."""
+    mesh, w = spaces.mesh, spaces.data_quad.weights
+    broken = spaces.broken(u_h)
+    grads = np.einsum("tck,kqb,tab->tcqa", broken, spaces.data_grads, spaces.invJT)
     X = spaces.data_points()
     nT, nq, _ = X.shape
     # Exact gradient rearranged to (nT, component, quad point, derivative).
     gx = case.grad_u(X.reshape(-1, 2)).reshape(nT, nq, 2, 2).transpose(0, 2, 1, 3)
     diff = grads - gx
     total = float(np.einsum("tcqa,tcqa,q,t->", diff, diff, w, spaces.detJ))
-    jump, _ = _edge_jump_mean(spaces, u_h, case.u)
-    return math.sqrt(total + _z2_edges(spaces, jump))
+    jump = _edge_jumps(spaces, broken, case.u)
+    tangential = np.einsum("ecq,ec->eq", jump, mesh.edge_tangent)
+
+    def edge_sum(sq, mask):  # sum over the masked edges of h_e^-1 int_e sq ds
+        return 0.5 * float((sq[mask] @ spaces.data_edge_quad.weights).sum())
+
+    edges = (edge_sum((jump ** 2).sum(axis=1), mesh.edge_primal)
+             + edge_sum(tangential ** 2, ~mesh.edge_primal))
+    return math.sqrt(total + edges)
 
 
 def lagrange_nodes(k: int) -> np.ndarray:
@@ -286,11 +155,8 @@ def error_vs_interpolant(spaces: StaggeredSpaces, f: DiscreteField, exact) -> fl
     the true L2 error; convergence tables report it because the interpolation
     step is a cheap, quadrature-free way to discretize the reference solution.
     """
-    from . import polybasis as pb
-
-    k = spaces.k
-    P = lagrange_nodes(k)
-    V = pb.tri_basis(k).eval(P)  # (nk, n_nodes), square for uniform nodes
+    P = lagrange_nodes(spaces.k)
+    V = spaces.basis.eval(P)  # (nk, n_nodes), square for uniform nodes
     to_modal = np.linalg.inv(V.T)  # nodal values -> modal coefficients
     X = np.einsum("na,tba->tnb", P, spaces.jac) + spaces.origin[:, None, :]
     nT, nn, _ = X.shape
@@ -303,7 +169,7 @@ def error_vs_interpolant(spaces: StaggeredSpaces, f: DiscreteField, exact) -> fl
 def superconvergence_error(spaces: StaggeredSpaces, u_h: DiscreteField,
                            case: ManufacturedCase) -> float:
     """L2 norm of (J_h u - u_h)."""
-    jh = project_Jh(case, spaces)
+    jh = spaces.interpolate("U", case.u)
     return norm_eval(spaces, DiscreteField("U", jh.coeffs - u_h.coeffs), "L2")
 
 

@@ -15,6 +15,25 @@ from sdgflow.verify import ConvergenceRow, ConvergenceTable
 MESH_FILE = "6 2\n0 0\n1 0\n1 1\n0 1\n0 0.5\n1 0.5\n4 0 1 5 4\n4 4 5 2 3\n"
 
 
+def parse_csv(text: str) -> list[dict]:
+    """Parse a convergence CSV back into row dictionaries."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    header = lines[0].split(",")
+    out = []
+    for ln in lines[1:]:
+        vals = ln.split(",")
+        row = {}
+        for name, val in zip(header, vals):
+            if val == "N/A":
+                row[name] = None
+            elif name == "level" or name == "n_dof":
+                row[name] = int(val)
+            else:
+                row[name] = float(val)
+        out.append(row)
+    return out
+
+
 # -- config handling ------------------------------------------------------
 
 
@@ -162,7 +181,7 @@ def test_csv_round_trip():
     table = _demo_table()
     text = cli.table_to_csv(table)
     assert text.splitlines()[0] == cli.CSV_COLUMNS
-    rows = cli.parse_csv(text)
+    rows = parse_csv(text)
     assert len(rows) == 2
     assert rows[0]["ord_u"] is None
     assert rows[1]["level"] == 8
@@ -275,7 +294,7 @@ def test_file_mesh_reports_its_own_h(tmp_path, capsys):
     # A file mesh has no level, so the CSV row says N/A and reads back as None.
     text = csv_path.read_text()
     assert text.splitlines()[1].startswith("N/A,1,")
-    assert cli.parse_csv(text)[0]["level"] is None
+    assert parse_csv(text)[0]["level"] is None
 
 
 def test_main_rejects_several_levels_on_a_mesh_file(tmp_path, capsys):

@@ -29,6 +29,14 @@ def make_spaces(k=1, n=3, family="square"):
     return StaggeredSpaces(mm.build_staggered(primal), k)
 
 
+def cell_entries(dm):
+    """(nT, per_cell) cell DOFs of each triangle of a DofMap: the last
+    per_cell entries of each row of its cell_dofs."""
+    nT, nloc = dm.cell_dofs.shape
+    per_cell = (dm.ndof - dm.num_edge_dofs) // nT
+    return dm.cell_dofs[:, nloc - per_cell:]
+
+
 def make_system(k=1, n=3, eps=1.0, alpha=1.0, family="square"):
     spaces = make_spaces(k, n, family)
     case = verify.trig_case(eps, alpha)
@@ -74,18 +82,29 @@ def test_refinement_operator_is_the_assembled_matrix(family, k, eps):
 
 def test_build_system_validates_inputs():
     spaces, case, system = make_system()
+    F, G = forms.assemble_rhs(spaces, case.f, case.g)
     with pytest.raises(ValueError, match="viscosity"):
-        build_system(system.blocks, 0.0, 1.0, system.rhs_F, system.rhs_G)
+        build_system(system.blocks, 0.0, 1.0, F, G)
     with pytest.raises(ValueError, match="right-hand side"):
-        build_system(system.blocks, 1.0, 1.0, system.rhs_F[:-1], system.rhs_G)
+        build_system(system.blocks, 1.0, 1.0, F[:-1], G)
     bad = assemble_blocks(spaces, 1.0)
     bad.c = bad.c[:-1]
     with pytest.raises(ValueError, match="block dimensions"):
-        build_system(bad, 1.0, 1.0, system.rhs_F, system.rhs_G)
+        build_system(bad, 1.0, 1.0, F, G)
     bad = assemble_blocks(spaces, 1.0)
     bad.elements.D = bad.elements.D[:, :, :-1]
     with pytest.raises(ValueError, match="block dimensions"):
-        build_system(bad, 1.0, 1.0, system.rhs_F, system.rhs_G)
+        build_system(bad, 1.0, 1.0, F, G)
+
+
+def test_build_system_rejects_another_alpha():
+    # The reaction block is assembled with alpha, so a system built for
+    # another alpha would solve a problem that was never posed.
+    spaces, case, system = make_system(alpha=2.0)
+    assert system.blocks.alpha == 2.0
+    F, G = forms.assemble_rhs(spaces, case.f, case.g)
+    with pytest.raises(ValueError, match="alpha"):
+        build_system(system.blocks, 1.0, 1.0, F, G)
 
 
 def test_solve_residual_and_mean():
@@ -130,7 +149,7 @@ def test_solutions_robust_across_eps(eps):
     spaces, case, system = make_system(k=1, n=4, eps=eps)
     sol = solve(system)
     assert sol.residual < 1e-9
-    err = verify.error_L2(spaces, sol.u, case.u)
+    err = verify.norm_eval(spaces, sol.u, "L2", exact=case.u)
     assert err < 0.1
 
 
@@ -161,7 +180,7 @@ def test_interior_groups_layout(family, k):
 
     # Stage 1: triangle t owns its cell W entries and its cell U entries, and
     # the groups cover each of the two cell ranges once.
-    cells = np.hstack([W.cell_entries, nW + U.cell_entries])
+    cells = np.hstack([cell_entries(W), nW + cell_entries(U)])
     for t in range(mesh.num_triangles):
         assert np.array_equal(np.flatnonzero(groups.triangle == t), np.sort(cells[t]))
     cell_ranges = np.concatenate([np.arange(W.num_edge_dofs, nW),
@@ -177,7 +196,7 @@ def test_interior_groups_layout(family, k):
         expected = np.concatenate(
             [W.edge_offsets[duals, None] + np.arange(k1),
              nW + U.edge_offsets[duals, None] + np.arange(k1)], axis=None)
-        expected = np.concatenate([expected, nW + nU + P.cell_entries[tris].ravel()])
+        expected = np.concatenate([expected, nW + nU + cell_entries(P)[tris].ravel()])
         assert np.array_equal(np.flatnonzero(groups.polygon == p), np.sort(expected))
 
     # Skeleton: 2(k+1) W and k+1 P moments per primal edge, plus the multiplier.

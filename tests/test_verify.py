@@ -7,12 +7,32 @@ import pytest
 
 from sdgflow import cases, verify
 from sdgflow.spaces import DiscreteField, StaggeredSpaces
-from sdgflow.verify import ConvergenceRow, ConvergenceTable
+from sdgflow.verify import ConvergenceRow, ConvergenceTable, ManufacturedCase
 
 
 @pytest.fixture(scope="module")
 def spaces():
     return StaggeredSpaces(cases.build_mesh("distorted", 3), 2)
+
+
+def forcing_residual(case: ManufacturedCase, points: np.ndarray, step: float = 1e-5) -> float:
+    """Max mismatch between case.f and a finite-difference evaluation of the PDE."""
+    pts = np.atleast_2d(points)
+    ex = np.array([step, 0.0])
+    ey = np.array([0.0, step])
+    lap = (
+        case.u(pts + ex) + case.u(pts - ex) + case.u(pts + ey) + case.u(pts - ey)
+        - 4.0 * case.u(pts)
+    ) / step ** 2
+    grad_p = np.stack(
+        [
+            (case.p(pts + ex) - case.p(pts - ex)) / (2 * step),
+            (case.p(pts + ey) - case.p(pts - ey)) / (2 * step),
+        ],
+        axis=1,
+    )
+    fd = -case.eps * lap + case.alpha * case.u(pts) + grad_p
+    return float(np.abs(fd - case.f(pts)).max())
 
 
 def test_trig_case_satisfies_pde():
@@ -22,7 +42,7 @@ def test_trig_case_satisfies_pde():
     pts = 0.2 + 0.6 * rng.random((20, 2))
     for eps, alpha in [(1.0, 1.0), (1e-4, 2.0), (1e-8, 1.0)]:
         case = verify.trig_case(eps, alpha)
-        assert verify.forcing_residual(case, pts) < 1e-5
+        assert forcing_residual(case, pts) < 1e-5
 
 
 def test_trig_case_divergence_and_boundary():
@@ -76,7 +96,7 @@ def test_norm_eval_validates_ids(spaces):
     f = DiscreteField("U", np.zeros(spaces.U.ndof))
     with pytest.raises(ValueError, match="unknown norm"):
         verify.norm_eval(spaces, f, "H7")
-    with pytest.raises(ValueError, match="not defined"):
+    with pytest.raises(ValueError, match="unknown norm"):
         verify.norm_eval(spaces, f, "P0h")
 
 
@@ -93,50 +113,44 @@ def test_l2_norm_skips_edge_values(spaces, monkeypatch):
     def no_edges(*args):
         raise AssertionError("L2 evaluated edge traces")
 
-    monkeypatch.setattr(verify, "_edge_jump_mean", no_edges)
+    monkeypatch.setattr(verify, "_edge_jumps", no_edges)
     case = verify.trig_case(1e-2)
     rng = np.random.default_rng(2)
     for tag, exact in (("W", case.L), ("U", case.u), ("P", case.p)):
         f = DiscreteField(tag, rng.standard_normal(spaces.space(tag).ndof))
         assert verify.norm_eval(spaces, f, "L2") > 0.0
         assert verify.norm_eval(spaces, f, "L2", exact=exact) > 0.0
+    # The patched helper is the one the edge terms go through.
     with pytest.raises(AssertionError, match="edge traces"):
-        verify.norm_eval(spaces, DiscreteField("U", np.ones(spaces.U.ndof)), "X1")
+        verify.error_Z2(spaces, DiscreteField("U", np.ones(spaces.U.ndof)), case)
+
+
+def test_l2_norm_reads_no_gradient_table(spaces, monkeypatch):
+    case = verify.trig_case(1e-2)
+    uh = spaces.interpolate("U", case.u)
+    norms = [verify.norm_eval(spaces, uh, "L2", exact=e) for e in (None, case.u)]
+    monkeypatch.setattr(spaces, "data_grads", None)
+    assert [verify.norm_eval(spaces, uh, "L2", exact=e) for e in (None, case.u)] == norms
 
 
 def test_norms_scale_linearly(spaces):
     rng = np.random.default_rng(5)
     f = DiscreteField("U", rng.standard_normal(spaces.U.ndof))
     g = DiscreteField("U", 3.0 * f.coeffs)
-    for norm_id in ("L2", "X1", "Z1", "Z2"):
-        a = verify.norm_eval(spaces, f, norm_id)
-        b = verify.norm_eval(spaces, g, norm_id)
-        assert np.isclose(b, 3.0 * a, rtol=1e-12)
-        assert a > 0.0
-
-
-def test_jump_seminorms_vanish_on_smooth_interpolants(spaces):
-    # A globally polynomial velocity with vanishing boundary normal trace has
-    # no interior or one-sided jumps, so the Z1 seminorm reduces to the L2
-    # norm of the divergence: here ||2 - 2x - 2y||_0 = sqrt(2/3).
-    uh = spaces.interpolate(
-        "U",
-        lambda pts: np.stack(
-            [pts[:, 0] * (1.0 - pts[:, 0]), pts[:, 1] * (1.0 - pts[:, 1])], axis=1
-        ),
-    )
-    z1 = verify.norm_eval(spaces, uh, "Z1")
-    assert np.isclose(z1, math.sqrt(2.0 / 3.0), atol=1e-10)
+    a = verify.norm_eval(spaces, f, "L2")
+    b = verify.norm_eval(spaces, g, "L2")
+    assert np.isclose(b, 3.0 * a, rtol=1e-12)
+    assert a > 0.0
 
 
 def test_error_l2_zero_for_exactly_represented_function(spaces):
     fn = lambda pts: 1.0 + 2.0 * pts[:, 0] - pts[:, 1] ** 2
     ph = spaces.interpolate("P", fn)
-    assert verify.error_L2(spaces, ph, fn) < 1e-11
+    assert verify.norm_eval(spaces, ph, "L2", exact=fn) < 1e-11
     # A non-polynomial reference leaves a small but nonzero residual.
     sin_fn = lambda pts: np.sin(pts[:, 0])
     sh = spaces.interpolate("P", sin_fn)
-    assert 0.0 < verify.error_L2(spaces, sh, sin_fn) < 1e-3
+    assert 0.0 < verify.norm_eval(spaces, sh, "L2", exact=sin_fn) < 1e-3
 
 
 def test_error_vs_interpolant_is_zero_on_nodal_interpolant(spaces):
@@ -150,23 +164,44 @@ def test_error_vs_interpolant_is_zero_on_nodal_interpolant(spaces):
 def test_error_vs_interpolant_tracks_l2(spaces):
     # For a non-polynomial reference the two measures agree to higher order.
     case = verify.trig_case(1.0)
-    ph = verify.project_Ih(case, spaces)
-    a = verify.error_L2(spaces, ph, case.p)
+    ph = spaces.interpolate("P", case.p)
+    a = verify.norm_eval(spaces, ph, "L2", exact=case.p)
     b = verify.error_vs_interpolant(spaces, ph, case.p)
     assert abs(a - b) < 0.5 * max(a, b) + 1e-12
 
 
 def test_superconvergence_error_of_projection_is_zero(spaces):
     case = verify.trig_case(1.0)
-    jh = verify.project_Jh(case, spaces)
+    jh = spaces.interpolate("U", case.u)
     assert verify.superconvergence_error(spaces, jh, case) < 1e-12
 
 
 def test_error_z2_positive_and_finite(spaces):
     case = verify.trig_case(1.0)
-    jh = verify.project_Jh(case, spaces)
+    jh = spaces.interpolate("U", case.u)
     val = verify.error_Z2(spaces, jh, case)
     assert np.isfinite(val) and val > 0.0
+
+
+@pytest.mark.parametrize("family", ["distorted", "hanging"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_error_z2_vanishes_on_interpolant_of_quadratic(family, k):
+    # A degree-2 velocity is reproduced by the degree-k interpolant for k >= 2,
+    # so its gradient error and every edge jump of the error vanish.
+    def u(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.stack([x * x - 2.0 * x * y + 0.5, y * y + 3.0 * x * y - x], axis=1)
+
+    def grad_u(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        out = np.empty((len(pts), 2, 2))
+        out[:, 0, 0], out[:, 0, 1] = 2.0 * x - 2.0 * y, -2.0 * x
+        out[:, 1, 0], out[:, 1, 1] = 3.0 * y - 1.0, 2.0 * y + 3.0 * x
+        return out
+
+    spaces = StaggeredSpaces(cases.build_mesh(family, 4), k)
+    case = ManufacturedCase(1.0, 1.0, u, None, grad_u, None, None)
+    assert verify.error_Z2(spaces, spaces.interpolate("U", u), case) < 1e-11
 
 
 def test_lagrange_nodes_counts():
@@ -208,57 +243,28 @@ def test_convergence_table_skips_non_doubling_levels():
 _PINNED_NORMS = {
     "distorted": {
         ("W", "L2", False): 238.37481807473034,
-        ("W", "Xprime", False): 239.9508540541407,
-        ("W", "Zprime", False): 6457.265140187016,
         ("W", "L2", True): 238.38367152439838,
-        ("W", "Xprime", True): 239.94393239654178,
         ("U", "L2", False): 152.48416869997638,
-        ("U", "X1", False): 153.88676410728837,
-        ("U", "Z1", False): 4890.93492677856,
-        ("U", "Z2", False): 7539.037293468783,
         ("U", "L2", True): 152.45931258737102,
-        ("U", "X1", True): 153.85821215151066,
         ("P", "L2", False): 94.83304251501625,
-        ("P", "P0h", False): 96.09063625892631,
-        ("P", "P1h", False): 4321.501317141098,
         ("P", "L2", True): 94.81851044756706,
-        ("P", "P0h", True): 96.07934466396445,
         "error_Z2": 6302.516486100105,
         "interp_probe": -0.25590051649875645,
         "interp_L2": 0.014845881029685214,
-        "interp_Xprime": 0.018098024275130287,
     },
     "hanging": {
         ("W", "L2", False): 700.2498249950511,
-        ("W", "Xprime", False): 701.6101028433487,
-        ("W", "Zprime", False): 35532.136374226946,
         ("W", "L2", True): 700.2397791713761,
-        ("W", "Xprime", True): 701.5985638516222,
         ("U", "L2", False): 398.6749709807765,
-        ("U", "X1", False): 399.8454913219219,
-        ("U", "Z1", False): 23560.04175171419,
-        ("U", "Z2", False): 33592.14746303487,
         ("U", "L2", True): 398.6762908950031,
-        ("U", "X1", True): 399.8473418923116,
         ("P", "L2", False): 287.74368886227404,
-        ("P", "P0h", False): 288.8269875478348,
-        ("P", "P1h", False): 25483.800061333124,
         ("P", "L2", True): 287.75813450556035,
-        ("P", "P0h", True): 288.8418593374358,
         "error_Z2": 35474.98705096986,
         "interp_probe": 0.022417244885474197,
         "interp_L2": 0.00801862538401697,
-        "interp_Xprime": 0.00998370022932134,
     },
 }
 
-_NORMS_BY_SPACE = {
-    "W": ("L2", "Xprime", "Zprime"),
-    "U": ("L2", "X1", "Z1", "Z2"),
-    "P": ("L2", "P0h", "P1h"),
-}
-# Norms that accept an exact reference function.
-_ERROR_NORMS = ("L2", "X1", "Xprime", "P0h")
 
 
 @pytest.mark.parametrize("family", sorted(_PINNED_NORMS))
@@ -268,20 +274,15 @@ def test_norms_and_gradient_interpolant_match_pinned_values(family):
     exact = {"W": case.L, "U": case.u, "P": case.p}
     rng = np.random.default_rng(7)
     got = {}
-    for tag, norm_ids in _NORMS_BY_SPACE.items():
+    for tag in ("W", "U", "P"):
         f = DiscreteField(tag, rng.standard_normal(spaces.space(tag).ndof))
-        for norm_id in norm_ids:
-            got[tag, norm_id, False] = verify.norm_eval(spaces, f, norm_id)
-        for norm_id in norm_ids:
-            if norm_id in _ERROR_NORMS:
-                got[tag, norm_id, True] = verify.norm_eval(
-                    spaces, f, norm_id, exact=exact[tag])
+        got[tag, "L2", False] = verify.norm_eval(spaces, f, "L2")
+        got[tag, "L2", True] = verify.norm_eval(spaces, f, "L2", exact=exact[tag])
     uh = DiscreteField("U", rng.standard_normal(spaces.U.ndof))
     got["error_Z2"] = verify.error_Z2(spaces, uh, case)
-    Lh = verify.interpolate_gradient(case, spaces)
+    Lh = spaces.interpolate("W", case.L)
     got["interp_probe"] = float(rng.standard_normal(spaces.W.ndof) @ Lh.coeffs)
     got["interp_L2"] = verify.norm_eval(spaces, Lh, "L2", exact=case.L)
-    got["interp_Xprime"] = verify.norm_eval(spaces, Lh, "Xprime", exact=case.L)
     pinned = _PINNED_NORMS[family]
     assert set(got) == set(pinned)
     for key, value in pinned.items():
@@ -335,9 +336,9 @@ _PINNED_PROJECTIONS = {
 def test_projections_match_pinned_values(family, k):
     spaces = StaggeredSpaces(cases.build_mesh(family, 4), k)
     case = verify.trig_case(1e-2)
-    for name, project in (("Ih", verify.project_Ih), ("Jh", verify.project_Jh)):
+    for name, tag, exact in (("Ih", "P", case.p), ("Jh", "U", case.u)):
         norm, probe, entries = _PINNED_PROJECTIONS[family, k, name]
-        c = project(case, spaces).coeffs
+        c = spaces.interpolate(tag, exact).coeffs
         n = len(c)
         assert abs(np.linalg.norm(c) - norm) <= 1e-12 * norm, name
         rng = np.random.default_rng(11)
