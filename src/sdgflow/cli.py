@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -103,6 +104,7 @@ class RunReport:
     residuals: list[float]
     errors: dict[str, float]
     norms: dict[str, float]
+    peak_rss_mb: float  # peak resident memory of the process when the run ended
     timings: dict[str, float] = field(default_factory=dict)
     solve_timings: dict[str, float] = field(default_factory=dict)  # sub-phases of "solve"
 
@@ -123,7 +125,8 @@ class RunReport:
             lines.append(f"norm_{key:<9s} {val:.3e}")
         total = sum(self.timings.values())
         lines.append(f"wall time {total:.2f}s "
-                     + " ".join(f"{k}={v:.2f}s" for k, v in self.timings.items()))
+                     + " ".join(f"{k}={v:.2f}s" for k, v in self.timings.items())
+                     + f"  peak_rss {self.peak_rss_mb:.1f} MB")
         return "\n".join(lines)
 
 
@@ -191,6 +194,8 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
         solve_timings=solution.timings,
         errors=errors,
         norms=norms,
+        # ru_maxrss is in kilobytes on Linux.
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         timings=timings,
     )
 

@@ -252,7 +252,15 @@ def build_square_grid(n: int) -> PrimalMesh:
 
 
 def _centroids(vertices: np.ndarray, polygons: list[list[int]]) -> np.ndarray:
-    return np.array([vertices[p].mean(axis=0) for p in polygons])
+    # One mean per polygon size: a stacked mean rounds like the mean of each
+    # polygon's vertices, a running sum over all polygons does not.
+    sizes = np.fromiter(map(len, polygons), dtype=int, count=len(polygons))
+    ids = np.fromiter(itertools.chain.from_iterable(polygons), dtype=int, count=int(sizes.sum()))
+    start, out = np.cumsum(sizes) - sizes, np.empty((len(polygons), 2))
+    for m in np.unique(sizes):
+        which = np.flatnonzero(sizes == m)
+        out[which] = vertices[ids[start[which, None] + np.arange(m)]].mean(axis=1)
+    return out
 
 
 def build_distorted_grid(n: int, delta: float = 0.25, seed: int = 42) -> PrimalMesh:
@@ -270,33 +278,22 @@ def build_distorted_grid(n: int, delta: float = 0.25, seed: int = 42) -> PrimalM
     h = 1.0 / n
     rng = np.random.default_rng(seed)
     vertices = mesh.vertices.copy()
-    interior = [
-        v
-        for v in range(len(vertices))
-        if 0.0 < vertices[v, 0] < 1.0 and 0.0 < vertices[v, 1] < 1.0
-    ]
-    vertex_polys: dict[int, list[int]] = {v: [] for v in interior}
-    for p, poly in enumerate(mesh.polygons):
-        for v in poly:
-            if v in vertex_polys:
-                vertex_polys[v].append(p)
+    quads = np.array(mesh.polygons)
+    interior = np.flatnonzero(np.all((vertices > 0.0) & (vertices < 1.0), axis=1))
+    # The quads around each vertex.
+    patches = np.split(np.argsort(quads.ravel(), kind="stable") // 4,
+                       np.cumsum(np.bincount(quads.ravel(), minlength=len(vertices)))[:-1])
 
-    def patch_ok(vs: np.ndarray, polys: list[int]) -> bool:
-        for p in polys:
-            coords = vs[mesh.polygons[p]]
-            nu = coords.mean(axis=0)
-            m = len(coords)
-            for i in range(m):
-                a, b = coords[i], coords[(i + 1) % m]
-                if float(_cross2(b - a, nu - a)) <= 1e-14:
-                    return False
-        return True
+    def patch_ok(patch: np.ndarray) -> bool:
+        coords = vertices[quads[patch]]
+        nu = coords.mean(axis=1, keepdims=True)
+        return not np.any(_cross2(np.roll(coords, -1, axis=1) - coords, nu - coords) <= 1e-14)
 
     for v in interior:
         base = mesh.vertices[v]
         for _ in range(100):
             vertices[v] = base + rng.uniform(-delta * h, delta * h, size=2)
-            if patch_ok(vertices, vertex_polys[v]):
+            if patch_ok(patches[v]):
                 break
         else:
             raise MeshError(f"no valid perturbation found for vertex {v}")

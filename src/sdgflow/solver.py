@@ -6,20 +6,24 @@ divergence rows the global matrix is symmetric indefinite; a scalar
 Lagrange multiplier enforces the zero-mean pressure condition without
 breaking symmetry.
 
-The solve condenses element by element. Each triangle's local saddle matrix
-is formed from the element stacks of the forms (`forms.element_matrices`),
-with B scaled by sqrt(eps), and its cell W/U moments are eliminated in one
-batched dense solve over all triangles (stage 1). The remainders are summed
-per polygon, and each polygon's dual-edge W/U moments and cell P moments are
-eliminated in one batched solve per polygon size (stage 2). The local Schur
-complements sum into the primal-edge skeleton: the W and P moments of every
-primal edge and the multiplier, which SuperLU factorizes.
+The solve condenses element by element, one batch of polygons of one size
+at a time. Each triangle's local saddle matrix is formed from the element
+stacks of the forms (`forms.element_matrices`), with B scaled by sqrt(eps),
+and its cell W/U moments are eliminated by a batched dense solve (stage 1).
+The remainders are summed per polygon, and each polygon's dual-edge W/U
+moments and cell P moments are eliminated by a second batched solve
+(stage 2). A batch's local matrices stay within BATCH_BYTES, so the dense
+stacks that span the mesh are only the eliminations that refinement reads
+back. The local Schur complements sum into the primal-edge skeleton: the W
+and P moments of every primal edge and the multiplier, which SuperLU
+factorizes.
 
 What depends only on the mesh and k is computed once per assembly, in a
-CondensationPlan: the gathers from triangle-local to polygon-local positions,
-the skeleton's sparsity pattern with the data slot of every local Schur
-entry, and a fill-reducing order of the skeleton taken from the mesh
-(minimum degree on the graph of primal edges that share a polygon), with the
+CondensationPlan: the triangles of every polygon and the places of their
+unknowns in the polygon's local numbering, one layout per polygon size, the
+skeleton's sparsity pattern with the data slot of every local Schur entry,
+and a fill-reducing order of the skeleton taken from the mesh (minimum
+degree on the graph of primal edges that share a polygon), with the
 multiplier last. A new viscosity redoes only the dense eliminations and the
 sparse LU. Iterative refinement applies the saddle operator element by
 element from the same stacks, so no global saddle matrix is formed.
@@ -48,7 +52,7 @@ class _SizeClass:
     """The polygons with one number of triangles; their local matrices have
     one size, the interior unknowns first, then the skeleton unknowns."""
 
-    start: int  # offset of their local matrices in the flat stage-2 buffer
+    triangles: np.ndarray  # (count, m) triangles of each polygon, in increasing order
     interior: np.ndarray  # (count, n2) stage-2 unknowns of each polygon
     kept: np.ndarray  # (count, nk) its skeleton unknowns, the multiplier last
 
@@ -68,7 +72,7 @@ class CondensationPlan:
     order: np.ndarray  # local positions: stage 1, then the rest
     num_inner: int
     local: np.ndarray  # (nT, nloc) saddle unknowns of each triangle, in `order`
-    assembly: np.ndarray  # (nT, nr, nr) flat stage-2 buffer index of each outer pair
+    position: np.ndarray  # (nT, nr) places of its outer unknowns in its polygon's numbering
     classes: list[_SizeClass]
     skeleton: np.ndarray  # (ns,) saddle unknowns in factorization order
     slots: np.ndarray  # data slot of every local Schur entry, classes in turn
@@ -147,31 +151,29 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     where = np.full(n, -1)
     where[skeleton] = np.arange(ns)
 
-    # One local layout per polygon size.
+    # One local layout per polygon size; each polygon's triangles in increasing
+    # order, the order in which stage 2 sums their remainders.
     sizes, total, interior = np.bincount(tri_poly), np.bincount(upoly), np.bincount(upoly, 1 - ukept)
-    cls_start, cls_row, cls_size = (np.zeros(len(sizes), dtype=np.int64) for _ in range(3))
-    classes, keys, start = [], [], 0
+    by_poly = np.argsort(tri_poly, kind="stable")
+    tri_first = np.cumsum(sizes) - sizes
+    classes, keys = [], []
     for m in np.unique(sizes):
         polys = np.flatnonzero(sizes == m)
         N, n2 = int(total[polys[0]]), int(interior[polys[0]])
         if np.any(total[polys] != N) or np.any(interior[polys] != n2):
             raise SolverError(f"{m}-gon polygons have different local layouts")
         dofs = udof[first[polys, None] + np.arange(N)]
-        cls = _SizeClass(start, dofs[:, :n2], dofs[:, n2:])
+        cls = _SizeClass(by_poly[tri_first[polys, None] + np.arange(m)], dofs[:, :n2], dofs[:, n2:])
         classes.append(cls)
-        cls_start[polys], cls_row[polys], cls_size[polys] = start, np.arange(len(polys)), N
-        start += len(polys) * N * N
         rows = where[cls.kept]
         keys.append((rows[:, None, :] * ns + rows[:, :, None]).ravel())
-    N = cls_size[tri_poly][:, None]
-    base = (cls_start + cls_row * cls_size * cls_size)[tri_poly][:, None]
-    assembly = ((base + pos * N)[:, :, None] + pos[:, None, :]).astype(np.int32)
 
     # CSC pattern of the skeleton: entry (i, j) of a local Schur complement
     # lands in column where[kept[j]], row where[kept[i]].
     cols_rows, slots = np.unique(np.concatenate(keys), return_inverse=True)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols_rows // ns, minlength=ns))])
-    return CondensationPlan(triangle, polygon, order, len(inner), local, assembly, classes,
+    return CondensationPlan(triangle, polygon, order, len(inner), local,
+                            pos.astype(np.min_scalar_type(int(total.max()))), classes,
                             skeleton, slots.astype(np.int32), (cols_rows % ns).astype(np.int32),
                             indptr.astype(np.int32))
 
@@ -234,7 +236,7 @@ class DiscreteSolution:
     multiplier: float
     residual: float
     skeleton: int  # size of the factorized matrix
-    lu_fill: int  # nonzeros of its L and U factors
+    lu_fill: int  # entries SuperLU stores for L and U, explicit zeros included
     residuals: list[float]  # relative residual after each refinement step
     timings: dict[str, float]  # seconds: condense, factorize, refine
 
@@ -265,6 +267,9 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
 # viscosity), where a single factorized solve can be several digits short.
 REFINE_STEPS = 5
 REFINE_TARGET = 1e-12
+# Byte budget of the local saddle matrices of one batch of polygons. Every
+# problem on an h = 1/4 grid, k <= 3, eliminates each size class in one batch.
+BATCH_BYTES = 6 << 20
 
 
 def _runs(at: np.ndarray, lo: int, hi: int) -> list[tuple[slice, slice]]:
@@ -275,36 +280,44 @@ def _runs(at: np.ndarray, lo: int, hi: int) -> list[tuple[slice, slice]]:
             for r in np.split(idx, np.flatnonzero(np.diff(at[idx]) != 1) + 1) if len(r)]
 
 
-def _local_matrices(el: forms.ElementMatrices, se: float, order: np.ndarray) -> np.ndarray:
-    """Each triangle's saddle matrix over its W, U, P cell_dofs and the
-    multiplier, rows and columns in the plan's local order."""
+def _local_matrices(el: forms.ElementMatrices, se: float, order: np.ndarray,
+                    tris: np.ndarray) -> np.ndarray:
+    """The saddle matrices of triangles `tris` over their W, U, P cell_dofs
+    and the multiplier, rows and columns in the plan's local order."""
     nw, nu, nl = el.M.shape[1], el.A.shape[1], len(order)
+    K = np.zeros((len(tris), nl, nl))
+    # A run of consecutive triangles reads views of the stacks, not copies.
+    if np.all(np.diff(tris) == 1):
+        tris = slice(tris[0], tris[-1] + 1)
     at = np.empty(nl, dtype=int)
     at[order] = np.arange(nl)
     w, u, p = _runs(at, 0, nw), _runs(at, nw, nw + nu), _runs(at, nw + nu, nl - 1)
-    K = np.zeros((len(el.M), nl, nl))
+    Bt, Dt = np.swapaxes(el.B, 1, 2), np.swapaxes(el.D, 1, 2)
     # Copy the blocks by contiguous runs; fancy indexing is several times slower.
-    for rows, cols, X in ((w, w, -el.M), (u, w, se * el.B), (w, u, se * np.swapaxes(el.B, 1, 2)),
-                          (u, u, el.A), (p, u, el.D), (u, p, np.swapaxes(el.D, 1, 2))):
+    for rows, cols, X, scale in ((w, w, el.M, -1.0), (u, w, el.B, se), (w, u, Bt, se),
+                                 (u, u, el.A, 1.0), (p, u, el.D, 1.0), (u, p, Dt, 1.0)):
         for rt, rs in rows:
             for ct, cs in cols:
-                K[:, rt, ct] = X[:, rs, cs]
+                np.multiply(X[tris, rs, cs], scale, out=K[:, rt, ct])
     for rt, rs in p:
-        K[:, rt, at[-1]] = K[:, at[-1], rt] = -el.c[:, rs]
+        np.negative(el.c[tris, rs], out=K[:, rt, at[-1]])
+        K[:, at[-1], rt] = K[:, rt, at[-1]]
     return K
 
 
-def _condense(K: np.ndarray, ni: int, owner: str):
+def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Batched Schur complements of the dense local matrices K onto their
-    trailing unknowns. Returns the complements, Kii^{-1} Kio and Kii^{-1}."""
+    trailing unknowns. Writes Kii^{-1} Kio to T and Kii^{-1} to inv and
+    returns the complements."""
     Kio = K[:, :ni, ni:]
     try:
-        inv = np.linalg.inv(K[:, :ni, :ni])
+        inv[...] = np.linalg.inv(K[:, :ni, :ni])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular {owner} block: {exc}") from exc
-    T = inv @ Kio
+    np.matmul(inv, Kio, out=T)
     # K is symmetric, so Koi Kii^{-1} = T^T.
-    return K[:, ni:, ni:] - np.swapaxes(Kio, 1, 2) @ T, T, inv
+    S = np.swapaxes(Kio, 1, 2) @ T
+    return np.subtract(K[:, ni:, ni:], S, out=S)
 
 
 def _operator(system: SaddleSystem):
@@ -333,24 +346,42 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     """Direct solve of the saddle system by two-stage static condensation of
     the element matrices, then iterative refinement against the same ones."""
     plan, n = system.blocks.interior, system.num_unknowns
+    el, se = system.blocks.elements, math.sqrt(system.eps)
     t0 = time.perf_counter()
-    K = _local_matrices(system.blocks.elements, math.sqrt(system.eps), plan.order)
-    S1, T1, inv1 = _condense(K, plan.num_inner, "triangle")
-    del K
-    # Every polygon's last entry (multiplier, multiplier) is listed, so the
-    # sums fill the whole stage-2 buffer.
-    flat = np.bincount(plan.assembly.ravel(), S1.ravel())
-    del S1
-    stage2, schur = [], []
+    (nT, nl), ni = plan.local.shape, plan.num_inner
+    # Stage 1 runs class by class, polygon by polygon: the rows of T1 and inv1
+    # are the triangles in this order, and every batch's rows are consecutive.
+    tris = np.concatenate([cls.triangles.ravel() for cls in plan.classes])
+    T1, inv1 = np.empty((nT, ni, nl - ni)), np.empty((nT, ni, ni))
+    # Every class's local Schur complements in turn, the order of plan.slots.
+    schur = np.empty(len(plan.slots))
+    stage2, row, at = [], 0, 0
     for cls in plan.classes:
-        count, n2 = cls.interior.shape
-        N = n2 + cls.kept.shape[1]
-        Kp = flat[cls.start:cls.start + count * N * N].reshape(count, N, N)
-        S2, T2, inv2 = _condense(Kp, n2, "polygon")
+        (count, m), n2, nk = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
+        N = n2 + nk
+        T2, inv2 = np.empty((count, n2, nk)), np.empty((count, n2, n2))
+        S2 = schur[at:at + count * nk * nk].reshape(count, nk, nk)
+        step = max(1, BATCH_BYTES // (8 * m * nl * nl))
+        for a in range(0, count, step):
+            b = min(a + step, count)
+            rows = slice(row + a * m, row + b * m)
+            K = _local_matrices(el, se, plan.order, tris[rows])
+            S1 = _condense(K, ni, "triangle", T1[rows], inv1[rows])
+            del K
+            # Sum the remainders into the batch's polygon matrices; every
+            # polygon's last entry (multiplier, multiplier) is listed.
+            pos = plan.position[tris[rows]].astype(np.intp)
+            pos_row = np.repeat(np.arange(b - a) * N, m)[:, None] + pos
+            place = (pos_row * N)[:, :, None] + pos[:, None, :]
+            Kp = np.bincount(place.ravel(), S1.ravel()).reshape(b - a, N, N)
+            del S1, place
+            S2[a:b] = _condense(Kp, n2, "polygon", T2[a:b], inv2[a:b])
+            del Kp
         stage2.append((T2, inv2))
-        schur.append(S2.ravel())
+        row, at = row + count * m, at + S2.size
     ns = len(plan.skeleton)
-    data = np.bincount(plan.slots, np.concatenate(schur), minlength=len(plan.indices))
+    data = np.bincount(plan.slots, schur, minlength=len(plan.indices))
+    del schur, S2
     S = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(ns, ns))
     t1 = time.perf_counter()
     # The skeleton is pre-ordered from the mesh; diagonal pivots where they are
@@ -361,13 +392,20 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    del S, data
     t2 = time.perf_counter()
 
-    g1, gr = plan.local[:, :plan.num_inner], plan.local[:, plan.num_inner:]
+    # Column-major like plan.local: the einsum reductions below round by layout.
+    local = np.asfortranarray(plan.local[tris])
+    g1, gr = local[:, :ni], local[:, ni:]
+    # The stage-1 products sum in triangle order.
+    outer = plan.local[:, ni:].ravel()
 
     def apply(b: np.ndarray) -> np.ndarray:
         b1 = b[g1]
-        r = b - np.bincount(gr.ravel(), np.einsum("tio,ti->to", T1, b1).ravel(), minlength=n)
+        y1 = np.empty(gr.shape)
+        y1[tris] = np.einsum("tio,ti->to", T1, b1)
+        r = b - np.bincount(outer, y1.ravel(), minlength=n)
         y2 = []
         for cls, (T2, inv2) in zip(plan.classes, stage2):
             b2 = r[cls.interior]
@@ -407,7 +445,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         multiplier=float(best[-1]),
         residual=best_res,
         skeleton=ns,
-        lu_fill=lu.L.nnz + lu.U.nnz,
+        lu_fill=lu.nnz,
         residuals=residuals,
         timings={"condense": t1 - t0, "factorize": t2 - t1,
                  "refine": time.perf_counter() - t2},

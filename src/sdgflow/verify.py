@@ -199,14 +199,3 @@ class ConvergenceTable:
                 if e0 is not None and e0 > 0.0 and err > 0.0:
                     row.orders[key] = math.log2(e0 / err)
         self.rows.append(row)
-
-    def order(self, key: str, level: int | None = None) -> float | None:
-        rows = [r for r in self.rows if key in r.orders]
-        if not rows:
-            return None
-        if level is None:
-            return rows[-1].orders[key]
-        for r in rows:
-            if r.level == level:
-                return r.orders[key]
-        return None

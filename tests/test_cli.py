@@ -2,6 +2,7 @@
 
 import json
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ def test_run_single_reports_errors_and_sizes():
     assert f"skeleton {report.skeleton}  lu_fill {report.lu_fill}  residuals" in text
 
 
+def test_run_single_reports_peak_memory():
+    # ru_maxrss is in kilobytes on Linux; the report gives megabytes.
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    report = cli.run_single(RunConfig(k=1, levels=(4,)))
+    assert before <= report.peak_rss_mb <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    wall = next(line for line in report.summary().splitlines() if line.startswith("wall time"))
+    assert wall.endswith(f"  peak_rss {report.peak_rss_mb:.1f} MB")
+
+
 def test_run_single_times_each_phase():
     # Assembly (blocks, load vectors, saddle matrix) is timed apart from the solve.
     report = cli.run_single(RunConfig(k=1, levels=(4,)))
@@ -161,7 +171,7 @@ def test_run_convergence_orders():
     table = cli.run_convergence(RunConfig(k=1, levels=(4, 8, 16)))
     assert len(table.rows) == 3
     assert not table.rows[0].orders
-    assert 1.5 < table.order("u") < 2.5
+    assert 1.5 < table.rows[-1].orders["u"] < 2.5
 
 
 # -- output formats -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the saddle-point assembly and the condensed solve."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from direct_oracle import direct_solve, residual, saddle_matrix
 
-from sdgflow import forms, mesh as mm, verify
+from sdgflow import forms, mesh as mm, solver, verify
 from sdgflow.solver import (
     SolverError,
     _operator,
@@ -235,3 +236,66 @@ def test_plan_depends_only_on_mesh_and_k(family):
     F, G = np.zeros(blocks.A.shape[0]), np.zeros(blocks.D.shape[0])
     stokes, darcy = (build_system(blocks, eps, 0.5, F, G) for eps in (1.0, 1e-8))
     assert stokes.blocks.interior is darcy.blocks.interior
+
+
+def count_batches(monkeypatch):
+    """Record how many batches of local matrices each solve forms."""
+    calls = []
+    local_matrices = solver._local_matrices
+    monkeypatch.setattr(solver, "_local_matrices",
+                        lambda *args: calls.append(1) or local_matrices(*args))
+    return calls
+
+
+@pytest.mark.parametrize("family,n", [("hanging", 4), ("distorted", 8)])
+def test_batches_reproduce_one_batch(family, n, monkeypatch):
+    # On the hanging mesh the triangles of 4-gons and 5-gons interleave, so
+    # the stage-1 rows are not in triangle order. A budget of two quads' local
+    # matrices runs every class in at least three batches.
+    _spaces, _case, system = make_system(k=2, n=n, eps=1e-4, family=family)
+    plan = system.blocks.interior
+    nl = plan.local.shape[1]
+    calls = count_batches(monkeypatch)
+    monkeypatch.setattr(solver, "BATCH_BYTES", 1 << 40)
+    whole = solve(system)
+    assert len(calls) == len(plan.classes)
+    budget = 2 * 4 * 8 * nl * nl
+    monkeypatch.setattr(solver, "BATCH_BYTES", budget)
+    del calls[:]
+    batched = solve(system)
+    batches = [-(-count // max(1, budget // (8 * m * nl * nl)))
+               for count, m in (cls.triangles.shape for cls in plan.classes)]
+    assert min(batches) >= 3 and len(calls) == sum(batches)
+    for a, b in ((whole.L, batched.L), (whole.u, batched.u), (whole.p, batched.p)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    assert whole.multiplier == batched.multiplier
+    assert whole.residuals == batched.residuals
+
+
+@pytest.mark.parametrize("family", ["square", "distorted", "hanging"])
+def test_small_meshes_run_as_one_batch(family, monkeypatch):
+    # At h = 1/4 every size class is eliminated in one batch, even at k = 3.
+    _spaces, _case, system = make_system(k=3, n=4, family=family)
+    calls = count_batches(monkeypatch)
+    solve(system)
+    assert len(calls) == len(system.blocks.interior.classes)
+
+
+def test_solve_peak_memory_is_bounded_by_its_eliminations():
+    # Beyond the stage-1 and stage-2 eliminations that refinement reads, the
+    # solve holds the local matrices of one batch at a time; a stack of them
+    # over the whole mesh would take the peak to 3.5 times those bytes.
+    _spaces, _case, system = make_system(k=2, n=16, eps=1e-8, family="distorted")
+    plan = system.blocks.interior
+    nT, nl = plan.local.shape
+    kept = nT * plan.num_inner * nl  # T1 and inv1
+    for cls in plan.classes:
+        count, n2 = cls.interior.shape
+        kept += count * n2 * (n2 + cls.kept.shape[1])  # T2 and inv2
+    tracemalloc.start()
+    try:
+        solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * kept
