@@ -4,6 +4,8 @@ All volume computations live on the reference triangle with vertices
 (0,0), (1,0), (0,1); edge computations live on the reference interval
 [-1, 1]. Triangle bases are modal (Dubiner-type, L2-orthonormal) and
 ordered by total degree, so the first dim(P^{k-1}) functions span P^{k-1}.
+Everything here is numpy only: Jacobi polynomials come from their
+three-term recurrence and the Gauss-Jacobi rule from its Jacobi matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
 MAX_ORDER = 6
 MAX_QUAD_DEGREE = 20
@@ -25,23 +26,62 @@ def tri_dim(k: int) -> int:
     return (k + 1) * (k + 2) // 2
 
 
-def _jacobi_normalized(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+def _jacobi(nmax: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """Jacobi polynomials P_n^(alpha, beta)(x) for n = 0..nmax, shape (nmax+1, npts).
+
+    Standard normalization, P_n(1) = binom(n + alpha, n), by the three-term
+    recurrence (Abramowitz and Stegun 22.7.1).
+    """
+    out = np.empty((nmax + 1, len(x)))
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
+    ab = alpha + beta
+    for n in range(2, nmax + 1):
+        c = 2 * n + ab
+        out[n] = ((c - 1) * (c * (c - 2) * x + alpha**2 - beta**2) * out[n - 1]
+                  - 2 * (n + alpha - 1) * (n + beta - 1) * c * out[n - 2]) / (
+                      2 * n * (n + ab) * (c - 2))
+    return out
+
+
+def _jacobi_normalized(nmax: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     # Orthonormal w.r.t. the weight (1-x)^alpha (1+x)^beta on [-1, 1].
-    lognorm = (
+    norms = [math.sqrt(math.exp(
         (alpha + beta + 1) * math.log(2.0)
-        + gammaln(n + alpha + 1)
-        + gammaln(n + beta + 1)
+        + math.lgamma(n + alpha + 1)
+        + math.lgamma(n + beta + 1)
         - math.log(2 * n + alpha + beta + 1)
-        - gammaln(n + 1)
-        - gammaln(n + alpha + beta + 1)
-    )
-    return eval_jacobi(n, alpha, beta, x) / math.sqrt(math.exp(lognorm))
+        - math.lgamma(n + 1)
+        - math.lgamma(n + alpha + beta + 1)
+    )) for n in range(nmax + 1)]
+    return _jacobi(nmax, alpha, beta, x) / np.array(norms)[:, None]
 
 
-def _jacobi_normalized_deriv(n: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.zeros_like(x)
-    return math.sqrt(n * (n + alpha + beta + 1)) * _jacobi_normalized(n - 1, alpha + 1, beta + 1, x)
+def _jacobi_normalized_deriv(nmax: int, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    out = np.zeros((nmax + 1, len(x)))
+    if nmax:
+        n = np.arange(1, nmax + 1)
+        out[1:] = (np.sqrt(n * (n + alpha + beta + 1))[:, None]
+                   * _jacobi_normalized(nmax - 1, alpha + 1, beta + 1, x))
+    return out
+
+
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi rule for (1-x)^alpha (1+x)^beta, alpha + beta > 0.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the monic recurrence, the weights mu0 times the squared first
+    eigenvector components.
+    """
+    ab = alpha + beta
+    c = 2 * np.arange(n) + ab
+    diag = (beta**2 - alpha**2) / (c * (c + 2))
+    m, c = np.arange(1, n), c[1:]
+    off = np.sqrt(4 * m * (m + alpha) * (m + beta) * (m + ab) / (c**2 * (c + 1) * (c - 1)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (ab + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(ab + 2)
+    return nodes, mu0 * vecs[0] ** 2
 
 
 def _collapsed_coords(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,20 +103,22 @@ class TriBasis:
     def dim(self) -> int:
         return tri_dim(self.k)
 
-    @property
-    def orders(self) -> list[tuple[int, int]]:
-        # (i, j) Dubiner mode pairs, ordered by total degree i + j.
-        return [(i, d - i) for d in range(self.k + 1) for i in range(d + 1)]
+    def _rows(self, i: int) -> np.ndarray:
+        # Rows of the Dubiner modes (i, j), j = 0..k-i. Modes are ordered by
+        # total degree d = i + j, then by i, so (i, j) follows the
+        # dim(P^{d-1}) modes of lower degree.
+        d = np.arange(i, self.k + 1)
+        return d * (d + 1) // 2 + i
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Basis values at points (npts, 2); returns (dim, npts)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         a, b = _collapsed_coords(pts[:, 0], pts[:, 1])
         out = np.empty((self.dim, len(pts)))
-        for row, (i, j) in enumerate(self.orders):
-            fa = _jacobi_normalized(i, 0.0, 0.0, a)
-            gb = _jacobi_normalized(j, 2.0 * i + 1.0, 0.0, b)
-            out[row] = 2.0 * _SQRT2 * fa * gb * (1.0 - b) ** i
+        fa = _jacobi_normalized(self.k, 0.0, 0.0, a)
+        for i in range(self.k + 1):
+            gb = _jacobi_normalized(self.k - i, 2.0 * i + 1.0, 0.0, b)
+            out[self._rows(i)] = 2.0 * _SQRT2 * fa[i] * gb * (1.0 - b) ** i
         return out
 
     def grad(self, points: np.ndarray) -> np.ndarray:
@@ -84,21 +126,22 @@ class TriBasis:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         a, b = _collapsed_coords(pts[:, 0], pts[:, 1])
         out = np.empty((self.dim, len(pts), 2))
-        for row, (i, j) in enumerate(self.orders):
-            fa = _jacobi_normalized(i, 0.0, 0.0, a)
-            dfa = _jacobi_normalized_deriv(i, 0.0, 0.0, a)
-            gb = _jacobi_normalized(j, 2.0 * i + 1.0, 0.0, b)
-            dgb = _jacobi_normalized_deriv(j, 2.0 * i + 1.0, 0.0, b)
+        fa = _jacobi_normalized(self.k, 0.0, 0.0, a)
+        dfa = _jacobi_normalized_deriv(self.k, 0.0, 0.0, a)
+        for i in range(self.k + 1):
+            gb = _jacobi_normalized(self.k - i, 2.0 * i + 1.0, 0.0, b)
+            dgb = _jacobi_normalized_deriv(self.k - i, 2.0 * i + 1.0, 0.0, b)
             pow_i = (1.0 - b) ** i
             pow_im1 = (1.0 - b) ** (i - 1) if i > 0 else np.zeros_like(b)
-            dr = 2.0 * _SQRT2 * dfa * gb * pow_im1
+            dr = 2.0 * _SQRT2 * dfa[i] * gb * pow_im1
             ds = _SQRT2 * (
-                dfa * gb * (1.0 + a) * pow_im1 + fa * (dgb * pow_i - i * gb * pow_im1)
+                dfa[i] * gb * (1.0 + a) * pow_im1 + fa[i] * (dgb * pow_i - i * gb * pow_im1)
             )
             # Chain rule for (r,s) = (2x-1, 2y-1) and the factor-2 rescaling
             # that makes the basis orthonormal on the area-1/2 reference triangle.
-            out[row, :, 0] = 4.0 * dr
-            out[row, :, 1] = 4.0 * ds
+            rows = self._rows(i)
+            out[rows, :, 0] = 4.0 * dr
+            out[rows, :, 1] = 4.0 * ds
         return out
 
 
@@ -115,10 +158,7 @@ class EdgeBasis:
     def eval(self, xi: np.ndarray) -> np.ndarray:
         """Basis values at xi (npts,); returns (dim, npts)."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty((self.dim, len(xi)))
-        for n in range(self.dim):
-            out[n] = _jacobi_normalized(n, 0.0, 0.0, xi)
-        return out
+        return _jacobi_normalized(self.k, 0.0, 0.0, xi)
 
 
 @dataclass(frozen=True)
@@ -150,7 +190,7 @@ def tri_quadrature(degree: int) -> QuadratureRule:
         raise ValueError(f"unsupported triangle quadrature degree {degree}")
     n = max(1, (degree + 2) // 2)
     xa, wa = np.polynomial.legendre.leggauss(n)
-    xb, wb = roots_jacobi(n, 1.0, 0.0)
+    xb, wb = _gauss_jacobi(n, 1.0, 0.0)
     A, B = np.meshgrid(xa, xb, indexing="ij")
     WA, WB = np.meshgrid(wa, wb, indexing="ij")
     x = (1.0 + A) * (1.0 - B) / 4.0

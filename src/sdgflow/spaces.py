@@ -20,6 +20,13 @@ these two per-triangle arrays: the forms and load vectors element by element,
 and the broken per-triangle modal coefficients of a field as the dual basis
 applied to its coefficients gathered through `cell_dofs`.
 
+The dual basis inverts each triangle's local DOF matrix in the modal basis
+of `polybasis` (numpy only). Each cell moment is detJ times one modal
+coefficient of degree below k, so the matrix is block triangular once its
+columns are split into these low modes and the rest: only the square block
+of the edge moments on the remaining modes is inverted, with 4(k+1),
+2(k+1) and k+1 rows for W, U and P.
+
 Edge traces come from reference tables: the affine map of a submesh
 triangle [a, b, nu] sends its sides (a, b), (b, nu), (nu, a) onto the three
 reference edges, so its trace on side s, at edge-rule points running from
@@ -171,13 +178,12 @@ class StaggeredSpaces:
         """T[s, f, i, q]: modal function i at point q of reference side s, read
         from its start vertex (f=0) or from its end vertex (f=1)."""
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        frac = (rule.points + 1.0) / 2.0
-        table = np.empty((3, 2, self.nk, len(frac)))
-        for s in range(3):
-            start, end = corners[s], corners[(s + 1) % 3]
-            table[s, 0] = self.basis.eval(start + np.outer(frac, end - start))
-            table[s, 1] = self.basis.eval(end + np.outer(frac, start - end))
-        return table
+        start = np.stack([corners, np.roll(corners, -1, axis=0)], axis=1)  # (s, f, xy)
+        end = start[:, ::-1]
+        frac = ((rule.points + 1.0) / 2.0)[:, None]
+        pts = start[:, :, None] + frac * (end - start)[:, :, None]  # (s, f, q, xy)
+        vals = self.basis.eval(pts.reshape(-1, 2)).reshape(self.nk, 3, 2, len(frac))
+        return np.ascontiguousarray(vals.transpose(1, 2, 0, 3))
 
     def data_points(self) -> np.ndarray:
         """Data-quadrature points on all triangles, shape (nT, nq, 2)."""
@@ -207,19 +213,33 @@ class StaggeredSpaces:
         cols.append(num_edge + np.arange(nT * per_cell).reshape(nT, per_cell))
         cell_dofs = np.hstack(cols)
 
-        nloc = ncomp * nk
-        nedge = edge_rows.shape[1]
-        vmats = np.zeros((nT, nloc, nloc))
-        vmats[:, :nedge] = edge_rows
+        # Cell moment r = (j, c) reads detJ times modal coefficient low[r], so
+        # with the columns split into these low modes and the remaining high
+        # ones, V = [[E_l, E_h], [detJ I, 0]] and only the edge block E_h
+        # needs inverting: V^-1 = [[0, I/detJ], [E_h^-1, -E_h^-1 E_l/detJ]].
+        nloc, nedge, detJ = ncomp * nk, edge_rows.shape[1], self.detJ
         j, c = np.divmod(np.arange(per_cell), ncomp)
-        vmats[:, nedge + np.arange(per_cell), c * nk + j] = self.detJ[:, None]
-
-        # 1-norm condition numbers, within a factor nloc of the 2-norm ones.
+        low, cell = c * nk + j, nedge + np.arange(per_cell)
+        high = np.setdiff1d(np.arange(nloc), low)
         try:
-            dual = np.linalg.inv(vmats)
-            conds = np.linalg.norm(vmats, 1, axis=(1, 2)) * np.linalg.norm(dual, 1, axis=(1, 2))
+            inv_h = np.linalg.inv(edge_rows[:, :, high])
         except np.linalg.LinAlgError:
+            # cond(V) >= cond(E_h), so the check below names the triangle.
+            vmats = np.zeros((nT, nloc, nloc))
+            vmats[:, :nedge] = edge_rows
+            vmats[:, cell, low] = detJ[:, None]
             conds = np.linalg.cond(vmats, 1)  # infinite where a matrix is singular
+        else:
+            dual = np.zeros((nT, nloc, nloc))
+            dual[:, low, cell] = 1.0 / detJ[:, None]
+            dual[:, high, :nedge] = inv_h
+            dual[:, high, nedge:] = -(inv_h @ edge_rows[:, :, low]) / detJ[:, None, None]
+            # 1-norm condition numbers, within a factor nloc of the 2-norm ones,
+            # from absolute column sums: V's are those of edge_rows plus detJ
+            # on the low columns.
+            colsum = np.abs(edge_rows).sum(axis=1)
+            colsum[:, low] += detJ[:, None]
+            conds = colsum.max(axis=1) * np.abs(dual).sum(axis=1).max(axis=1)
         bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
         if bad.any():
             t = int(np.argmax(bad))

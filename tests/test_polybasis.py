@@ -1,12 +1,18 @@
 """Tests for the modal bases, quadrature rules, and affine maps."""
 
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_jacobi, roots_jacobi
 
+import sdgflow
 from sdgflow import mesh as mm
 from sdgflow import polybasis as pb
 from sdgflow.spaces import StaggeredSpaces
@@ -63,14 +69,52 @@ def test_triangle_quadrature_point_count():
 
 
 def test_triangle_quadrature_polynomial_exactness():
-    q = pb.tri_quadrature(6)
-    x, y = q.points[:, 0], q.points[:, 1]
     # int over ref triangle of x^i y^j has the closed form i! j! / (i+j+2)!.
-    from math import factorial
-    for i in range(4):
-        for j in range(4 - i):
-            exact = factorial(i) * factorial(j) / factorial(i + j + 2)
-            assert np.isclose((q.weights * x**i * y**j).sum(), exact, atol=1e-15)
+    for d in range(pb.MAX_QUAD_DEGREE + 1):
+        q = pb.tri_quadrature(d)
+        x, y = q.points[:, 0], q.points[:, 1]
+        for i in range(d + 1):
+            for j in range(d + 1 - i):
+                exact = math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
+                assert abs((q.weights * x**i * y**j).sum() - exact) <= 1e-13 * exact
+
+
+# (alpha, beta) pairs of the triangle basis and its derivative up to MAX_ORDER.
+JACOBI_PAIRS = sorted({(0, 0), (1, 1)}
+                      | {(2 * i + 1, 0) for i in range(pb.MAX_ORDER + 1)}
+                      | {(2 * i + 2, 1) for i in range(pb.MAX_ORDER + 1)})
+
+
+@pytest.mark.parametrize("alpha,beta", JACOBI_PAIRS)
+def test_jacobi_recurrence_matches_scipy(alpha, beta):
+    x = np.linspace(-1.0, 1.0, 41)
+    got = pb._jacobi(pb.MAX_ORDER, alpha, beta, x)
+    for n in range(pb.MAX_ORDER + 1):
+        want = eval_jacobi(n, alpha, beta, x)
+        assert np.abs(got[n] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", range(1, pb.MAX_QUAD_DEGREE // 2 + 2))
+def test_gauss_jacobi_matches_scipy(n):
+    x, w = pb._gauss_jacobi(n, 1.0, 0.0)
+    xs, ws = roots_jacobi(n, 1.0, 0.0)
+    assert np.abs(x - xs).max() < 1e-14
+    assert np.abs(w - ws).max() < 1e-14
+
+
+def test_import_does_not_load_scipy_special():
+    # The bases are numpy-only; scipy.special would add to every import.
+    code = ("import importlib, pkgutil, sys, sdgflow\n"
+            "for m in pkgutil.iter_modules(sdgflow.__path__):\n"
+            "    importlib.import_module('sdgflow.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sdgflow.')))\n"
+            "print('scipy.special' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(sdgflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert "'sdgflow.spaces'" in out[0] and "'sdgflow.cli'" in out[0]
+    assert out[1] == "False"
 
 
 def test_edge_quadrature_is_gauss():

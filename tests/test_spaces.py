@@ -124,6 +124,48 @@ def test_local_dual_basis_inverts_dof_matrix():
         assert np.abs(got - np.eye(nloc)[l]).max() < 1e-10
 
 
+def _scaled(primal, factor):
+    return mm.PrimalMesh(primal.vertices * factor, primal.polygons,
+                         primal.interior_points * factor)
+
+
+DUAL_MESHES = {
+    "square": mm.build_staggered(mm.build_square_grid(4)),
+    "distorted": mm.build_staggered(mm.build_distorted_grid(4, 0.25, 42)),
+    "hanging": mm.build_staggered(mm.build_hanging_grid(4)),
+    # Cell rows scale with the area and edge rows with the length, so on a
+    # large domain the cell columns set the 1-norm of the local matrices.
+    "distorted-x64": mm.build_staggered(_scaled(mm.build_distorted_grid(4, 0.25, 42), 64.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_MESHES))
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_dual_basis_inverts_every_local_system(name, k):
+    # The reported condition numbers are those of the dual basis itself, and
+    # local dual function l, taken as a polynomial on the whole plane, has
+    # DOF values e_l on its triangle: its interpolant reads the identity.
+    spaces = StaggeredSpaces(DUAL_MESHES[name], k)
+    nT = spaces.mesh.num_triangles
+    for tag in "WUP":
+        s = spaces.space(tag)
+        nloc = s.ncomp * spaces.nk
+        assert s.dual_coeffs.shape == (nT, nloc, nloc)
+        cond = np.linalg.cond(s.dual_coeffs, 1)
+        assert (np.abs(s.conds - cond) <= 1e-10 * cond).all()
+        for t in (0, nT // 2, nT - 1):
+            dofs = s.dofmap.cell_dofs[t]
+            for l in range(nloc):
+                coeffs = s.dual_coeffs[t, :, l].reshape(s.ncomp, spaces.nk)
+
+                def fn(pts, t=t, coeffs=coeffs):
+                    ref = (pts - spaces.origin[t]) @ spaces.invJT[t]
+                    return spaces._shape_values(tag, coeffs @ spaces.basis.eval(ref))
+
+                got = spaces.interpolate(tag, fn).coeffs[dofs]
+                assert np.abs(got - np.eye(nloc)[l]).max() < 1e-10
+
+
 # -- polynomial reproduction by interpolation ---------------------------
 
 
