@@ -96,7 +96,7 @@ class RunReport:
 
     config: RunConfig
     level: int | None  # None for a file mesh, which has no level
-    h: float
+    h: float  # nominal 1/level on a grid family, as in the paper; mesh.h on a file
     ndof: int
     dims: tuple[int, int, int]
     skeleton: int

@@ -15,7 +15,6 @@ Edges are numbered in order of first appearance over the triangle sides.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,59 +56,69 @@ def _length(d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PrimalMesh:
-    """Polygonal partition of the domain with per-polygon interior points."""
+    """Polygonal partition of the domain with per-polygon interior points.
+
+    Polygon p is the CCW vertex cycle ids[offsets[p]:offsets[p + 1]].
+    """
 
     vertices: np.ndarray  # (nv, 2)
-    polygons: list[list[int]]  # CCW vertex-index cycles
+    offsets: np.ndarray  # (npoly + 1,) start of each cycle in ids, then len(ids)
+    ids: np.ndarray  # vertex ids of all cycles, polygon by polygon
     interior_points: np.ndarray  # (npoly, 2)
 
     @property
     def num_polygons(self) -> int:
-        return len(self.polygons)
+        return len(self.offsets) - 1
 
-    def _cycles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened polygon cycles: (sizes, ids, poly, nxt). Entry j is side
-        (ids[j], ids[nxt[j]]) of polygon poly[j]; each polygon's entries are
-        contiguous and in cycle order."""
-        sizes = np.fromiter(map(len, self.polygons), dtype=int, count=self.num_polygons)
-        ids = np.fromiter(itertools.chain.from_iterable(self.polygons), dtype=int,
-                          count=int(sizes.sum()))
+    def _cycles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(poly, nxt): entry j of ids is side (ids[j], ids[nxt[j]]) of
+        polygon poly[j]."""
+        sizes = np.diff(self.offsets)
         poly = np.repeat(np.arange(len(sizes)), sizes)
-        start = (np.cumsum(sizes) - sizes)[poly]
-        nxt = start + (np.arange(len(ids)) - start + 1) % sizes[poly]
-        return sizes, ids, poly, nxt
+        start = self.offsets[poly]
+        nxt = start + (np.arange(len(self.ids)) - start + 1) % sizes[poly]
+        return poly, nxt
 
-    def _signed_areas(self, ids, poly, nxt) -> np.ndarray:
+    def _signed_areas(self, poly, nxt) -> np.ndarray:
         # Shoelace relative to each polygon's first vertex: on coordinates far
         # from the origin the absolute terms would cancel.
-        origin = self.vertices[ids[np.searchsorted(poly, poly)]]
+        ids = self.ids
+        origin = self.vertices[ids[self.offsets[poly]]]
         a, b = self.vertices[ids] - origin, self.vertices[ids[nxt]] - origin
         return 0.5 * np.bincount(poly, _cross2(a, b), minlength=self.num_polygons)
 
     def area(self) -> float:
-        _, ids, poly, nxt = self._cycles()
-        return float(self._signed_areas(ids, poly, nxt).sum())
+        return float(self._signed_areas(*self._cycles()).sum())
 
     def validate(self, rho: float = 0.05) -> None:
         """Check orientation, star-shapedness and edge-length regularity.
 
-        Raises for the first failing polygon. Within it the checks run in
-        order: vertex count, repeated vertex, orientation, then side by side
-        star-shapedness and side length.
+        Raises first for a malformed cycle layout, then for the first
+        failing polygon. Within it the checks run in order: vertex count,
+        repeated vertex, orientation, then side by side star-shapedness and
+        side length.
         """
-        sizes, ids, poly, nxt = self._cycles()
+        ids, offsets = self.ids, self.offsets
+        sizes = np.diff(offsets)
+        if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(ids) or (sizes < 0).any():
+            raise MeshError(f"cycle offsets must rise from 0 to len(ids)={len(ids)}")
+        outside = (ids < 0) | (ids >= len(self.vertices))
+        if outside.any():
+            p = int(np.searchsorted(offsets, np.argmax(outside), side="right")) - 1
+            raise MeshError(f"polygon {p} references a vertex out of range")
+        poly, nxt = self._cycles()
         P = self.num_polygons
         order = np.lexsort((ids, poly))
         ps, vs = poly[order], ids[order]
         repeats = np.bincount(ps[1:][(ps[1:] == ps[:-1]) & (vs[1:] == vs[:-1])], minlength=P) > 0
-        area = self._signed_areas(ids, poly, nxt)
+        area = self._signed_areas(poly, nxt)
         a, b = self.vertices[ids], self.vertices[ids[nxt]]
         tri_area = 0.5 * _cross2(b - a, self.interior_points[poly] - a)
         h_e = _length(b - a)
         # Diameter: the largest distance over all vertex pairs of a polygon.
         m = sizes[poly]
         first = np.repeat(np.arange(len(ids)), m)
-        start = (np.cumsum(sizes) - sizes)[poly]
+        start = offsets[poly]
         second = start[first] + np.arange(len(first)) - np.repeat(np.cumsum(m) - m, m)
         d = self.vertices[ids[first]] - self.vertices[ids[second]]
         h_s = np.zeros(P)
@@ -146,7 +155,6 @@ class StaggeredMesh:
     triangles: np.ndarray  # (nT, 3) vertex ids; third vertex is the interior point
     tri_poly: np.ndarray  # (nT,) parent polygon id
     tri_area: np.ndarray
-    tri_diam: np.ndarray
     tri_edges: np.ndarray  # (nT, 3) edge ids: [primal side, dual side 1, dual side 2]
     side_sign: np.ndarray  # (nT, 3) jump sign of each triangle side
     edge_v0: np.ndarray  # (nE,) lower vertex id
@@ -240,27 +248,32 @@ def build_square_grid(n: int) -> PrimalMesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    polygons = []
-    for j in range(n):
-        for i in range(n):
-            polygons.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
+    # Cell (i, j), row by row, has lower-left vertex j * (n + 1) + i.
+    j, i = np.divmod(np.arange(n * n), n)
+    v = j * (n + 1) + i
+    ids = np.column_stack([v, v + 1, v + n + 2, v + n + 1]).ravel()
+    return _mesh_at_centroids(vertices, np.arange(0, 4 * n * n + 1, 4), ids)
 
 
-def _centroids(vertices: np.ndarray, polygons: list[list[int]]) -> np.ndarray:
+def _mesh_at_centroids(vertices: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> PrimalMesh:
+    """The primal mesh whose interior points are its polygons' vertex means."""
     # One mean per polygon size: a stacked mean rounds like the mean of each
     # polygon's vertices, a running sum over all polygons does not.
-    sizes = np.fromiter(map(len, polygons), dtype=int, count=len(polygons))
-    ids = np.fromiter(itertools.chain.from_iterable(polygons), dtype=int, count=int(sizes.sum()))
-    start, out = np.cumsum(sizes) - sizes, np.empty((len(polygons), 2))
+    sizes, points = np.diff(offsets), np.empty((len(offsets) - 1, 2))
     for m in np.unique(sizes):
         which = np.flatnonzero(sizes == m)
-        out[which] = vertices[ids[start[which, None] + np.arange(m)]].mean(axis=1)
-    return out
+        points[which] = vertices[ids[offsets[which, None] + np.arange(m)]].mean(axis=1)
+    return PrimalMesh(vertices, offsets, ids, points)
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys in order of first appearance. Returns the
+    position of each number's first occurrence and the number of each key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
 
 
 def build_distorted_grid(n: int, delta: float = 0.25, seed: int = 42) -> PrimalMesh:
@@ -278,11 +291,11 @@ def build_distorted_grid(n: int, delta: float = 0.25, seed: int = 42) -> PrimalM
     h = 1.0 / n
     rng = np.random.default_rng(seed)
     vertices = mesh.vertices.copy()
-    quads = np.array(mesh.polygons)
+    quads = mesh.ids.reshape(-1, 4)
     interior = np.flatnonzero(np.all((vertices > 0.0) & (vertices < 1.0), axis=1))
     # The quads around each vertex.
-    patches = np.split(np.argsort(quads.ravel(), kind="stable") // 4,
-                       np.cumsum(np.bincount(quads.ravel(), minlength=len(vertices)))[:-1])
+    patches = np.split(np.argsort(mesh.ids, kind="stable") // 4,
+                       np.cumsum(np.bincount(mesh.ids, minlength=len(vertices)))[:-1])
 
     def patch_ok(patch: np.ndarray) -> bool:
         coords = vertices[quads[patch]]
@@ -297,7 +310,7 @@ def build_distorted_grid(n: int, delta: float = 0.25, seed: int = 42) -> PrimalM
                 break
         else:
             raise MeshError(f"no valid perturbation found for vertex {v}")
-    return PrimalMesh(vertices, [list(p) for p in mesh.polygons], _centroids(vertices, mesh.polygons))
+    return _mesh_at_centroids(vertices, mesh.offsets, mesh.ids)
 
 
 def build_hanging_grid(n: int) -> PrimalMesh:
@@ -310,48 +323,26 @@ def build_hanging_grid(n: int) -> PrimalMesh:
     if n < 2 or n % 2 != 0:
         raise ValueError("hanging grid needs an even n >= 2")
     H = 1.0 / n
-    refined = {(i, j): i < n // 2 for j in range(n) for i in range(n)}
-    verts: dict[tuple[int, int], int] = {}
-    coords: list[tuple[float, float]] = []
-
-    def vid(ix2: int, iy2: int) -> int:
-        # Vertex lattice at half-cell resolution: coords (ix2*H/2, iy2*H/2).
-        key = (ix2, iy2)
-        if key not in verts:
-            verts[key] = len(coords)
-            coords.append((ix2 * H / 2.0, iy2 * H / 2.0))
-        return verts[key]
-
-    polygons: list[list[int]] = []
-    for j in range(n):
-        for i in range(n):
-            if refined[(i, j)]:
-                for dj in range(2):
-                    for di in range(2):
-                        x0, y0 = 2 * i + di, 2 * j + dj
-                        polygons.append(
-                            [
-                                vid(x0, y0),
-                                vid(x0 + 1, y0),
-                                vid(x0 + 1, y0 + 1),
-                                vid(x0, y0 + 1),
-                            ]
-                        )
-            else:
-                x0, y0 = 2 * i, 2 * j
-                cycle = [vid(x0, y0), vid(x0 + 2, y0), vid(x0 + 2, y0 + 2), vid(x0, y0 + 2)]
-                if i > 0 and refined[(i - 1, j)]:
-                    # Hanging node on the west side.
-                    cycle = [
-                        vid(x0, y0),
-                        vid(x0 + 2, y0),
-                        vid(x0 + 2, y0 + 2),
-                        vid(x0, y0 + 2),
-                        vid(x0, y0 + 1),
-                    ]
-                polygons.append(cycle)
-    vertices = np.array(coords)
-    return PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
+    # Every cell, row by row, gets four slots of five vertices on the lattice
+    # of half-cell steps: the corners SW, SE, NE, NW and the west midpoint.
+    # A refined cell fills the four slots with its subcells (rows of two),
+    # a coarse cell fills slot 0, with the midpoint next to the refined half.
+    j, i = np.divmod(np.arange(n * n), n)
+    refined = i < n // 2
+    corner = np.array([[0, 0], [2, 0], [2, 2], [0, 2], [0, 1]])  # of a coarse cell
+    sub = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])  # subcell origins in a refined one
+    origin = 2 * np.column_stack([i, j])[:, None, None]
+    lattice = np.where(refined[:, None, None, None], origin + sub[:, None] + corner // 2,
+                       origin + corner)
+    used = np.zeros((n * n, 4, 5), dtype=bool)
+    used[refined, :, :4] = True
+    used[~refined, 0, :4] = True
+    used[i == n // 2, 0, 4] = True
+    sizes = used.sum(axis=2)[used.any(axis=2)]
+    points = lattice[used]
+    first, ids = _first_appearance(points[:, 0] * (2 * n + 1) + points[:, 1])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return _mesh_at_centroids(points[first] * H / 2.0, offsets, ids)
 
 
 def import_polygon_mesh(text: str) -> PrimalMesh:
@@ -387,20 +378,20 @@ def import_polygon_mesh(text: str) -> PrimalMesh:
             vertices[v] = [float(fields[0]), float(fields[1])]
         except ValueError:
             raise MeshFormatError("vertex coordinates must be numbers", lineno) from None
-    polygons = []
+    offsets, ids = [0], []
     for p in range(npoly):
         lineno, fields = rows[1 + nv + p]
         try:
-            ids = [int(f) for f in fields]
+            line = [int(f) for f in fields]
         except ValueError:
             raise MeshFormatError("polygon indices must be integers", lineno) from None
-        if not ids or len(ids) != ids[0] + 1:
+        if not line or len(line) != line[0] + 1:
             raise MeshFormatError("polygon line must read `m i1 ... im`", lineno)
-        cycle = ids[1:]
-        if any(i < 0 or i >= nv for i in cycle):
+        if any(i < 0 or i >= nv for i in line[1:]):
             raise MeshFormatError(f"polygon {p} references a vertex out of range", lineno)
-        polygons.append(cycle)
-    return PrimalMesh(vertices, polygons, _centroids(vertices, polygons))
+        ids += line[1:]
+        offsets.append(len(ids))
+    return _mesh_at_centroids(vertices, np.array(offsets), np.array(ids, dtype=int))
 
 
 def build_staggered(mesh: PrimalMesh) -> StaggeredMesh:
@@ -412,25 +403,23 @@ def build_staggered(mesh: PrimalMesh) -> StaggeredMesh:
     mesh.validate()
     nv = len(mesh.vertices)
     vertices = np.vstack([mesh.vertices, mesh.interior_points])
-    _, ids, tri_poly, nxt = mesh._cycles()
+    tri_poly, nxt = mesh._cycles()
     # Triangle [a, b, nu] per polygon side; its sides (a, b), (b, nu), (nu, a).
-    triangles = np.column_stack([ids, ids[nxt], nv + tri_poly])
-    nT = len(triangles)
+    triangles = np.column_stack([mesh.ids, mesh.ids[nxt], nv + tri_poly])
+    corners = vertices[triangles]
+    sides = np.roll(corners, -1, axis=1) - corners
+    tri_area = 0.5 * np.abs(_cross2(sides[:, 0], corners[:, 2] - corners[:, 0]))
     ends = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1)
     lo, hi = ends.min(axis=-1).ravel(), ends.max(axis=-1).ravel()
     # Number the edges in order of first appearance over the triangle sides.
-    _, first, inverse = np.unique(lo * len(vertices) + hi, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    tri_edges = rank[inverse].reshape(nT, 3)
-    edge_v0, edge_v1 = lo[first[order]], hi[first[order]]
+    first, side_edge = _first_appearance(lo * len(vertices) + hi)
+    tri_edges = side_edge.reshape(-1, 3)
+    edge_v0, edge_v1 = lo[first], hi[first]
 
     direction = vertices[edge_v1] - vertices[edge_v0]
     edge_length = _length(direction)
     edge_normal = _rot90(direction / edge_length[:, None])
-    centroids = vertices[triangles].mean(axis=1)
+    centroids = corners.mean(axis=1)
     mid = 0.5 * (vertices[edge_v0] + vertices[edge_v1])
     outward = _dot(mid[tri_edges] - centroids[:, None], edge_normal[tri_edges])
     side_sign = np.where(outward > 0.0, 1, -1)
@@ -443,26 +432,12 @@ def build_staggered(mesh: PrimalMesh) -> StaggeredMesh:
     edge_normal[tri_edges[boundary & (side_sign < 0)]] *= -1.0
     side_sign[boundary] = 1
 
-    v0 = vertices[triangles[:, 0]]
-    v1 = vertices[triangles[:, 1]]
-    v2 = vertices[triangles[:, 2]]
-    tri_area = 0.5 * np.abs(_cross2(v1 - v0, v2 - v0))
-    sides_len = np.stack(
-        [
-            np.linalg.norm(v1 - v0, axis=1),
-            np.linalg.norm(v2 - v1, axis=1),
-            np.linalg.norm(v0 - v2, axis=1),
-        ]
-    )
-    tri_diam = sides_len.max(axis=0)
-
     out = StaggeredMesh(
         primal=mesh,
         vertices=vertices,
         triangles=triangles,
         tri_poly=tri_poly,
         tri_area=tri_area,
-        tri_diam=tri_diam,
         tri_edges=tri_edges,
         side_sign=side_sign,
         edge_v0=edge_v0,
@@ -471,7 +446,7 @@ def build_staggered(mesh: PrimalMesh) -> StaggeredMesh:
         edge_normal=edge_normal,
         edge_tangent=_rot90(edge_normal),
         edge_length=edge_length,
-        h=float(tri_diam.max()),
+        h=float(np.linalg.norm(sides, axis=-1).max()),  # the largest triangle side
     )
     out.validate()
     return out

@@ -301,7 +301,9 @@ class StaggeredSpaces:
         to the space; with gradients=True also returns the gradient array
         with one extra trailing axis for the derivative direction.
         """
-        coeffs = self.broken(field)[tri]
+        s = self.space(field.tag)
+        local = np.asarray(field.coeffs, dtype=float)[s.dofmap.cell_dofs[tri]]
+        coeffs = (s.dual_coeffs[tri] @ local).reshape(s.ncomp, self.nk)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ref = (pts - self.origin[tri]) @ self.invJT[tri]
         vals = coeffs @ self.basis.eval(ref)  # (ncomp, npts)

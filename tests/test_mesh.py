@@ -75,14 +75,22 @@ def test_distorted_grid_always_validates(seed):
     m.validate()
 
 
-def test_hanging_grid_structure():
-    m = mm.build_hanging_grid(4)
-    # Left half refined 2x: 8 refined cells -> 32 small squares, 8 coarse cells.
-    assert m.num_polygons == 32 + 8
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_hanging_grid_structure(n):
+    m = mm.build_hanging_grid(n)
+    # Left half refined 2x: n^2/2 refined cells -> 2n^2 small squares, and
+    # n^2/2 coarse cells.
+    assert m.num_polygons == 5 * n * n // 2
     assert np.isclose(m.area(), 1.0)
-    # Interface coarse cells carry the hanging midpoint as a 5th vertex.
-    penta = [p for p in m.polygons if len(p) == 5]
-    assert len(penta) == 4
+    # The n interface coarse cells, one per row, carry the hanging midpoint
+    # of their west side (from NW to SW) as a 5th vertex.
+    sizes = np.diff(m.offsets)
+    assert np.sum(sizes == 5) == n
+    penta = m.vertices[m.ids[m.offsets[:-1][sizes == 5, None] + np.arange(5)]]
+    sw, se, _, nw, mid = penta.transpose(1, 0, 2)
+    assert np.array_equal(mid, 0.5 * (sw + nw))
+    assert np.array_equal(sw[:, 0], nw[:, 0]) and (sw[:, 0] < se[:, 0]).all()
+    assert (nw[:, 1] > sw[:, 1]).all()
 
 
 def test_hanging_grid_rejects_odd_sizes():
@@ -97,29 +105,47 @@ def test_hanging_grid_rejects_odd_sizes():
 
 def test_validate_rejects_clockwise_polygon():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    m = mm.PrimalMesh(verts, [[0, 2, 1]], np.array([[0.3, 0.3]]))
+    m = mm.PrimalMesh(verts, np.array([0, 3]), np.array([0, 2, 1]), np.array([[0.3, 0.3]]))
     with pytest.raises(MeshError, match="counterclockwise"):
         m.validate()
 
 
 def test_validate_rejects_bad_star_point():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    m = mm.PrimalMesh(verts, [[0, 1, 2, 3]], np.array([[2.0, 2.0]]))
+    m = mm.PrimalMesh(verts, np.array([0, 4]), np.arange(4), np.array([[2.0, 2.0]]))
     with pytest.raises(MeshError, match="star-shaped"):
         m.validate()
 
 
 def test_validate_rejects_short_edge():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-4], [0.0, 1.0]])
-    m = mm.PrimalMesh(verts, [[0, 1, 2, 3]], np.array([[0.4, 0.4]]))
+    m = mm.PrimalMesh(verts, np.array([0, 4]), np.arange(4), np.array([[0.4, 0.4]]))
     with pytest.raises(MeshError, match="too short"):
         m.validate()
 
 
 def test_validate_rejects_degenerate_polygon():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    m = mm.PrimalMesh(verts, [[0, 1]], np.array([[0.5, 0.2]]))
+    m = mm.PrimalMesh(verts, np.array([0, 2]), np.array([0, 1]), np.array([[0.5, 0.2]]))
     with pytest.raises(MeshError, match="fewer than 3"):
+        m.validate()
+
+
+@pytest.mark.parametrize("offsets", [[0, 3], [1, 4], [0, 5], [0, 3, 2, 4]])
+def test_validate_rejects_bad_cycle_offsets(offsets):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    points = np.full((len(offsets) - 1, 2), 0.5)
+    m = mm.PrimalMesh(verts, np.array(offsets), np.arange(4), points)
+    with pytest.raises(MeshError, match="cycle offsets"):
+        m.validate()
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_validate_rejects_vertex_id_out_of_range(bad):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    m = mm.PrimalMesh(verts, np.array([0, 3, 6]), np.array([0, 1, 2, 0, 2, bad]),
+                      np.array([[0.6, 0.3], [0.3, 0.6]]))
+    with pytest.raises(MeshError, match="polygon 1 references a vertex out of range"):
         m.validate()
 
 
@@ -139,7 +165,7 @@ def test_staggered_invariants(primal):
     sm = mm.build_staggered(primal)
     sm.validate()
     # One triangle per polygon side.
-    assert sm.num_triangles == sum(len(p) for p in primal.polygons)
+    assert sm.num_triangles == len(primal.ids)
     # One dual edge per triangle (counting identity used by the pressure space).
     assert len(sm.dual_edge_ids) == sm.num_triangles
     assert np.isclose(sm.tri_area.sum(), primal.area())
@@ -326,11 +352,11 @@ def test_validate_reports_first_failing_polygon():
     # Polygon 0 is fine, polygon 1 repeats a vertex, polygon 2 is clockwise:
     # the message names polygon 1.
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
-    polys = [[0, 1, 2, 3], [1, 4, 4, 2], [1, 2, 4]]
-    m = mm.PrimalMesh(verts, polys, np.array([[0.5, 0.5], [1.4, 0.3], [1.4, 0.3]]))
+    offsets, ids = np.array([0, 4, 8, 11]), np.array([0, 1, 2, 3, 1, 4, 4, 2, 1, 2, 4])
+    m = mm.PrimalMesh(verts, offsets, ids, np.array([[0.5, 0.5], [1.4, 0.3], [1.4, 0.3]]))
     with pytest.raises(MeshError, match="polygon 1 repeats a vertex"):
         m.validate()
-    m.polygons = [[0, 1, 2, 3], [1, 2, 4]]
+    m.offsets, m.ids = np.array([0, 4, 7]), np.array([0, 1, 2, 3, 1, 2, 4])
     with pytest.raises(MeshError, match="polygon 1 is not counterclockwise"):
         m.validate()
 

@@ -133,7 +133,7 @@ def test_unsupported_orders_rejected():
 
 def _affine_spaces(vertices):
     # One polygon with a single triangle [a, b, nu] per side.
-    primal = mm.PrimalMesh(np.asarray(vertices, dtype=float), [[0, 1, 2]],
+    primal = mm.PrimalMesh(np.asarray(vertices, dtype=float), np.array([0, 3]), np.arange(3),
                            np.mean(vertices, axis=0, keepdims=True))
     return StaggeredSpaces(mm.build_staggered(primal), 1)
 

@@ -125,7 +125,7 @@ def test_local_dual_basis_inverts_dof_matrix():
 
 
 def _scaled(primal, factor):
-    return mm.PrimalMesh(primal.vertices * factor, primal.polygons,
+    return mm.PrimalMesh(primal.vertices * factor, primal.offsets, primal.ids,
                          primal.interior_points * factor)
 
 
