@@ -45,8 +45,11 @@ def _volume_derivative_blocks(spaces: StaggeredSpaces) -> np.ndarray:
 def scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
     """Sum the element matrices local[t] (test x trial local DOFs) into the
     global matrix at the rows and columns of each triangle's cell_dofs."""
-    rows = np.broadcast_to(test.dofmap.cell_dofs[:, :, None], local.shape)
-    cols = np.broadcast_to(trial.dofmap.cell_dofs[:, None, :], local.shape)
+    # int32 indices, the CSR's own index type: int64 ones take twice the
+    # bytes per entry and are copied again in the conversion.
+    index = np.int32 if max(test.ndof, trial.ndof) <= np.iinfo(np.int32).max else np.int64
+    rows = np.broadcast_to(test.dofmap.cell_dofs.astype(index)[:, :, None], local.shape)
+    cols = np.broadcast_to(trial.dofmap.cell_dofs.astype(index)[:, None, :], local.shape)
     return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(test.ndof, trial.ndof))
 
@@ -142,11 +145,11 @@ def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]
     """Load vectors (F, G) with F_i = int f . v_i and G_m = int g q_m."""
     X = spaces.data_points()
     nT, nq, _ = X.shape
-    w = spaces.data_quad.weights
+    weighted = (spaces.data_vals * spaces.data_quad.weights).T  # (nq, nk)
     fv = np.asarray(f(X.reshape(-1, 2))).reshape(nT, nq, 2)
-    Fb = spaces.detJ[:, None, None] * np.einsum("tqa,iq,q->tai", fv, spaces.data_vals, w)
+    Fb = spaces.detJ[:, None, None] * (np.swapaxes(fv, 1, 2) @ weighted)
     gv = np.asarray(g(X.reshape(-1, 2))).reshape(nT, nq)
-    Gb = spaces.detJ[:, None] * np.einsum("tq,iq,q->ti", gv, spaces.data_vals, w)
+    Gb = spaces.detJ[:, None] * (gv @ weighted)
     return _load(spaces.U, Fb), _load(spaces.P, Gb)
 
 

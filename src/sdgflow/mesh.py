@@ -102,6 +102,9 @@ class PrimalMesh:
         sizes = np.diff(offsets)
         if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(ids) or (sizes < 0).any():
             raise MeshError(f"cycle offsets must rise from 0 to len(ids)={len(ids)}")
+        if self.interior_points.shape != (len(sizes), 2):
+            raise MeshError(
+                f"{len(self.interior_points)} interior points for {len(sizes)} polygons")
         outside = (ids < 0) | (ids >= len(self.vertices))
         if outside.any():
             p = int(np.searchsorted(offsets, np.argmax(outside), side="right")) - 1
@@ -258,9 +261,10 @@ def build_square_grid(n: int) -> PrimalMesh:
 def _mesh_at_centroids(vertices: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> PrimalMesh:
     """The primal mesh whose interior points are its polygons' vertex means."""
     # One mean per polygon size: a stacked mean rounds like the mean of each
-    # polygon's vertices, a running sum over all polygons does not.
-    sizes, points = np.diff(offsets), np.empty((len(offsets) - 1, 2))
-    for m in np.unique(sizes):
+    # polygon's vertices, a running sum over all polygons does not. An empty
+    # cycle keeps the origin; validation rejects it.
+    sizes, points = np.diff(offsets), np.zeros((len(offsets) - 1, 2))
+    for m in np.unique(sizes[sizes > 0]):
         which = np.flatnonzero(sizes == m)
         points[which] = vertices[ids[offsets[which, None] + np.arange(m)]].mean(axis=1)
     return PrimalMesh(vertices, offsets, ids, points)

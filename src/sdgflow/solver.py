@@ -6,17 +6,23 @@ divergence rows the global matrix is symmetric indefinite; a scalar
 Lagrange multiplier enforces the zero-mean pressure condition without
 breaking symmetry.
 
-The solve condenses element by element, one batch of polygons of one size
-at a time. Each triangle's local saddle matrix is formed from the element
-stacks of the forms (`forms.element_matrices`), with B scaled by sqrt(eps),
-and its cell W/U moments are eliminated by a batched dense solve (stage 1).
-The remainders are summed per polygon, and each polygon's dual-edge W/U
-moments and cell P moments are eliminated by a second batched solve
-(stage 2). A batch's local matrices stay within BATCH_BYTES, so the dense
-stacks that span the mesh are only the eliminations that refinement reads
-back. The local Schur complements sum into the primal-edge skeleton: the W
-and P moments of every primal edge and the multiplier, which SuperLU
-factorizes.
+The solve condenses element by element in three stages. The gradient's cell
+moments couple to each other only through the mass block, which does not
+depend on the viscosity, so stage 0 eliminates them once per assembly:
+per triangle, with i the W cell moments, o the W edge moments and u all U
+moments, `assemble_blocks` stores M_ii^{-1} and the reduced stacks
+M' = M_oo - M_oi M_ii^{-1} M_io, B' = B_uo - B_ui M_ii^{-1} M_io and
+E = B_ui M_ii^{-1} B_ui^T (`GradientCells`). For each viscosity the solve
+then runs one batch of polygons of one size at a time. Each triangle's
+reduced local matrix [[-M', se B'^T], [se B', A + eps E]], bordered by D
+and the multiplier (se = sqrt(eps)), has its cell U moments eliminated by a
+batched dense solve (stage 1). The remainders are summed per polygon, and
+each polygon's dual-edge W/U moments and cell P moments are eliminated by a
+second batched solve (stage 2). A batch's local matrices stay within
+BATCH_BYTES, so the only dense stacks the solve makes over the whole mesh
+are the eliminations that refinement reads back. The local Schur complements
+sum into the primal-edge skeleton: the W and P moments of every primal edge
+and the multiplier, which SuperLU factorizes.
 
 What depends only on the mesh and k is computed once per assembly, in a
 CondensationPlan: the triangles of every polygon and the places of their
@@ -24,9 +30,9 @@ unknowns in the polygon's local numbering, one layout per polygon size, the
 skeleton's sparsity pattern with the data slot of every local Schur entry,
 and a fill-reducing order of the skeleton taken from the mesh (minimum
 degree on the graph of primal edges that share a polygon), with the
-multiplier last. A new viscosity redoes only the dense eliminations and the
-sparse LU. Iterative refinement applies the saddle operator element by
-element from the same stacks, so no global saddle matrix is formed.
+multiplier last. A new viscosity redoes only stages 1 and 2 and the sparse
+LU. Iterative refinement applies the saddle operator element by element from
+the original stacks, so no global saddle matrix is formed.
 """
 
 from __future__ import annotations
@@ -59,19 +65,21 @@ class _SizeClass:
 
 @dataclass
 class CondensationPlan:
-    """Layout of the two-stage condensation; depends only on mesh and k.
+    """Layout of the condensation; depends only on mesh and k.
 
-    `triangle` and `polygon` give the owner of each saddle unknown in stage 1
-    and stage 2, -1 where that stage keeps it; the skeleton is what both keep.
-    Each triangle's local unknowns are its W, U and P cell_dofs and the
+    `triangle` and `polygon` give the owner of each saddle unknown in stages
+    0 and 1 (a triangle's W and U cell moments) and in stage 2, -1 where that
+    stage keeps it; the skeleton is what all keep. Each triangle's reduced
+    local unknowns are its W edge moments, its U and P cell_dofs and the
     multiplier; `order` puts the num_inner stage-1 positions first.
     """
 
     triangle: np.ndarray  # (n,)
     polygon: np.ndarray  # (n,)
-    order: np.ndarray  # local positions: stage 1, then the rest
+    gradient: np.ndarray  # (nT, ni) W cell moments of each triangle: stage 0
+    order: np.ndarray  # reduced local positions: stage 1, then the rest
     num_inner: int
-    local: np.ndarray  # (nT, nloc) saddle unknowns of each triangle, in `order`
+    local: np.ndarray  # (nT, nloc) reduced unknowns of each triangle, in `order`
     position: np.ndarray  # (nT, nr) places of its outer unknowns in its polygon's numbering
     classes: list[_SizeClass]
     skeleton: np.ndarray  # (ns,) saddle unknowns in factorization order
@@ -118,14 +126,17 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     nW, nU, nT = W.ndof, U.ndof, mesh.num_triangles
     n = nW + nU + P.ndof + 1  # the multiplier is last
     tri_poly = mesh.tri_poly
-    local = np.hstack([W.cell_dofs, nW + U.cell_dofs, nW + nU + P.cell_dofs,
-                       np.full((nT, 1), n - 1)])
     # Local DOF order of each space: primal side, the two dual sides, cell.
-    uo, po = 4 * nk, 6 * nk
-    inner = np.concatenate([np.arange(4 * k1, 4 * nk), uo + np.arange(2 * k1, 2 * nk)])
+    # Stage 0 removes the W cell moments, the last of W's 4nk.
+    uo = 4 * k1
+    po = uo + 2 * nk
+    gradient = W.cell_dofs[:, uo:]
+    local = np.hstack([W.cell_dofs[:, :uo], nW + U.cell_dofs, nW + nU + P.cell_dofs,
+                       np.full((nT, 1), n - 1)])
+    inner = uo + np.arange(2 * k1, 2 * nk)
     stage2 = np.concatenate([np.arange(2 * k1, 4 * k1), uo + np.arange(2 * k1),
                              po + np.arange(k1, nk)])
-    triangle = _owners(n, local[:, inner], np.arange(nT), "triangle")
+    triangle = _owners(n, np.hstack([gradient, local[:, inner]]), np.arange(nT), "triangle")
     polygon = _owners(n, local[:, stage2], tri_poly, "polygon")
     order = np.concatenate([inner, np.setdiff1d(np.arange(local.shape[1]), inner)])
     local = local[:, order]
@@ -172,7 +183,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     # lands in column where[kept[j]], row where[kept[i]].
     cols_rows, slots = np.unique(np.concatenate(keys), return_inverse=True)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols_rows // ns, minlength=ns))])
-    return CondensationPlan(triangle, polygon, order, len(inner), local,
+    return CondensationPlan(triangle, polygon, gradient, order, len(inner), local,
                             pos.astype(np.min_scalar_type(int(total.max()))), classes,
                             skeleton, slots.astype(np.int32), (cols_rows % ns).astype(np.int32),
                             indptr.astype(np.int32))
@@ -191,14 +202,49 @@ def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
 
 
 @dataclass
+class GradientCells:
+    """Stage 0: every triangle's W cell moments (i) eliminated from its M and
+    B stacks, leaving its W edge moments (o) and its U moments (u)."""
+
+    Minv: np.ndarray  # (nT, ni, ni) M_ii^{-1}
+    M: np.ndarray  # (nT, no, no) M_oo - M_oi M_ii^{-1} M_io
+    B: np.ndarray  # (nT, nu, no) B_uo - B_ui M_ii^{-1} M_io
+    E: np.ndarray  # (nT, nu, nu) B_ui M_ii^{-1} B_ui^T
+
+
+def _eliminate_gradient_cells(el: forms.ElementMatrices, no: int) -> GradientCells:
+    """Stage 0 of the condensation. The W cell moments are the last positions
+    of the M and B stacks, from no on; the products run in batches of
+    triangles of at most BATCH_BYTES of W-by-W blocks."""
+    (nT, nw, _), nu = el.M.shape, el.B.shape[1]
+    try:
+        Minv = np.linalg.inv(el.M[:, no:, no:])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular gradient cell block: {exc}") from exc
+    out = GradientCells(Minv, np.empty((nT, no, no)), np.empty((nT, nu, no)),
+                        np.empty((nT, nu, nu)))
+    step = max(1, BATCH_BYTES // (8 * nw * nw))
+    for a in range(0, nT, step):
+        t = slice(a, a + step)
+        M, Bui, inv = el.M[t], el.B[t, :, no:], Minv[t]
+        T, Mr, Br = inv @ M[:, no:, :no], out.M[t], out.B[t]
+        np.subtract(M[:, :no, :no], np.matmul(M[:, :no, no:], T, out=Mr), out=Mr)
+        np.subtract(el.B[t, :, :no], np.matmul(Bui, T, out=Br), out=Br)
+        np.matmul(Bui @ inv, np.swapaxes(Bui, 1, 2), out=out.E[t])
+    return out
+
+
+@dataclass
 class SystemBlocks:
-    """Element stacks of the forms, pressure means and condensation plan. The
-    global M, B, A and D are built on access, for inspection only."""
+    """Element stacks of the forms, pressure means, the stage-0 eliminations
+    and the condensation plan. The global M, B, A and D are built on access,
+    for inspection only."""
 
     spaces: StaggeredSpaces = field(repr=False)
     alpha: float  # reaction coefficient of the A stack
     elements: forms.ElementMatrices = field(repr=False)
     c: np.ndarray  # (nP,) pressure means
+    gradient: GradientCells = field(repr=False)
     interior: CondensationPlan = field(repr=False)
 
     M = _global_block("W", "W", "M", "nW x nW gradient mass")
@@ -208,8 +254,10 @@ class SystemBlocks:
 
 
 def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
-    return SystemBlocks(spaces, alpha, forms.element_matrices(spaces, alpha),
-                        forms.mean_vector(spaces), _condensation_plan(spaces))
+    el = forms.element_matrices(spaces, alpha)
+    return SystemBlocks(spaces, alpha, el, forms.mean_vector(spaces),
+                        _eliminate_gradient_cells(el, 4 * (spaces.k + 1)),
+                        _condensation_plan(spaces))
 
 
 @dataclass
@@ -267,9 +315,12 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
 # viscosity), where a single factorized solve can be several digits short.
 REFINE_STEPS = 5
 REFINE_TARGET = 1e-12
-# Byte budget of the local saddle matrices of one batch of polygons. Every
-# problem on an h = 1/4 grid, k <= 3, eliminates each size class in one batch.
-BATCH_BYTES = 6 << 20
+# Byte budget of the reduced local matrices of one batch of polygons. Their
+# stage-1 remainders, the places of these in the polygon matrices and the
+# polygon matrices, which the batch holds next, take 2.4-2.7 times as many
+# bytes at k = 2 and 3 on quadrilaterals. Every problem on an h = 1/4 grid,
+# k <= 3, eliminates each size class in one batch.
+BATCH_BYTES = 3 << 20
 
 
 def _runs(at: np.ndarray, lo: int, hi: int) -> list[tuple[slice, slice]]:
@@ -280,11 +331,12 @@ def _runs(at: np.ndarray, lo: int, hi: int) -> list[tuple[slice, slice]]:
             for r in np.split(idx, np.flatnonzero(np.diff(at[idx]) != 1) + 1) if len(r)]
 
 
-def _local_matrices(el: forms.ElementMatrices, se: float, order: np.ndarray,
-                    tris: np.ndarray) -> np.ndarray:
-    """The saddle matrices of triangles `tris` over their W, U, P cell_dofs
-    and the multiplier, rows and columns in the plan's local order."""
-    nw, nu, nl = el.M.shape[1], el.A.shape[1], len(order)
+def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
+                    order: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """The reduced saddle matrices of triangles `tris` over their W edge
+    moments, U and P cell_dofs and the multiplier, rows and columns in the
+    plan's local order."""
+    (nu, nw), nl, se = g.B.shape[1:], len(order), math.sqrt(eps)
     K = np.zeros((len(tris), nl, nl))
     # A run of consecutive triangles reads views of the stacks, not copies.
     if np.all(np.diff(tris) == 1):
@@ -292,13 +344,16 @@ def _local_matrices(el: forms.ElementMatrices, se: float, order: np.ndarray,
     at = np.empty(nl, dtype=int)
     at[order] = np.arange(nl)
     w, u, p = _runs(at, 0, nw), _runs(at, nw, nw + nu), _runs(at, nw + nu, nl - 1)
-    Bt, Dt = np.swapaxes(el.B, 1, 2), np.swapaxes(el.D, 1, 2)
+    Bt, Dt = np.swapaxes(g.B, 1, 2), np.swapaxes(el.D, 1, 2)
     # Copy the blocks by contiguous runs; fancy indexing is several times slower.
-    for rows, cols, X, scale in ((w, w, el.M, -1.0), (u, w, el.B, se), (w, u, Bt, se),
-                                 (u, u, el.A, 1.0), (p, u, el.D, 1.0), (u, p, Dt, 1.0)):
+    for rows, cols, X, scale in ((w, w, g.M, -1.0), (u, w, g.B, se), (w, u, Bt, se),
+                                 (u, u, g.E, eps), (p, u, el.D, 1.0), (u, p, Dt, 1.0)):
         for rt, rs in rows:
             for ct, cs in cols:
                 np.multiply(X[tris, rs, cs], scale, out=K[:, rt, ct])
+    for rt, rs in u:
+        for ct, cs in u:
+            K[:, rt, ct] += el.A[tris, rs, cs]
     for rt, rs in p:
         np.negative(el.c[tris, rs], out=K[:, rt, at[-1]])
         K[:, at[-1], rt] = K[:, rt, at[-1]]
@@ -323,8 +378,10 @@ def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray
 def _operator(system: SaddleSystem):
     """x -> K x, with K the saddle matrix summed element by element from the
     stacks that the condensation factorizes."""
-    el, se, plan = system.blocks.elements, math.sqrt(system.eps), system.blocks.interior
-    dofs = plan.local[:, np.argsort(plan.order)][:, :-1]  # the W, U, P cell_dofs in turn
+    s, el, se = system.blocks.spaces, system.blocks.elements, math.sqrt(system.eps)
+    nW, nU = s.W.ndof, s.U.ndof
+    dofs = np.hstack([s.W.dofmap.cell_dofs, nW + s.U.dofmap.cell_dofs,
+                      nW + nU + s.P.dofmap.cell_dofs])
     nw, nu = el.M.shape[1], el.A.shape[1]
     mv = lambda X, v: (X @ v[:, :, None])[:, :, 0]  # X[t] v[t] for every t
     mtv = lambda X, v: (v[:, None, :] @ X)[:, 0]  # X[t]^T v[t]
@@ -343,10 +400,11 @@ def _operator(system: SaddleSystem):
 
 
 def solve(system: SaddleSystem) -> DiscreteSolution:
-    """Direct solve of the saddle system by two-stage static condensation of
-    the element matrices, then iterative refinement against the same ones."""
+    """Direct solve of the saddle system by static condensation of the
+    element matrices, stage 0 taken from the blocks, then iterative
+    refinement against the original element stacks."""
     plan, n = system.blocks.interior, system.num_unknowns
-    el, se = system.blocks.elements, math.sqrt(system.eps)
+    el, g, se = system.blocks.elements, system.blocks.gradient, math.sqrt(system.eps)
     t0 = time.perf_counter()
     (nT, nl), ni = plan.local.shape, plan.num_inner
     # Stage 1 runs class by class, polygon by polygon: the rows of T1 and inv1
@@ -365,7 +423,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         for a in range(0, count, step):
             b = min(a + step, count)
             rows = slice(row + a * m, row + b * m)
-            K = _local_matrices(el, se, plan.order, tris[rows])
+            K = _local_matrices(el, g, system.eps, plan.order, tris[rows])
             S1 = _condense(K, ni, "triangle", T1[rows], inv1[rows])
             del K
             # Sum the remainders into the batch's polygon matrices; every
@@ -400,8 +458,19 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     g1, gr = local[:, :ni], local[:, ni:]
     # The stage-1 products sum in triangle order.
     outer = plan.local[:, ni:].ravel()
+    # Stage 0 rebuilds the W cell moments from M_ii^{-1} and views of the
+    # original stacks.
+    no, nu = g.M.shape[1], g.E.shape[1]
+    g0 = plan.gradient
+    natural = plan.local[:, np.argsort(plan.order)]
+    go, gu, gou = natural[:, :no], natural[:, no:no + nu], natural[:, :no + nu].ravel()
+    Moi, Mio, Bui = el.M[:, :no, no:], el.M[:, no:, :no], el.B[:, :, no:]
 
     def apply(b: np.ndarray) -> np.ndarray:
+        y0 = np.einsum("tij,tj->ti", g.Minv, b[g0])
+        b = b + np.bincount(gou, np.hstack([
+            -np.einsum("toi,ti->to", Moi, y0),
+            se * np.einsum("tui,ti->tu", Bui, y0)]).ravel(), minlength=n)
         b1 = b[g1]
         y1 = np.empty(gr.shape)
         y1[tris] = np.einsum("tio,ti->to", T1, b1)
@@ -417,6 +486,8 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         for cls, (T2, _), y in zip(plan.classes, stage2, y2):
             x[cls.interior] = y - np.einsum("pik,pk->pi", T2, x[cls.kept])
         x[g1] = np.einsum("tij,tj->ti", inv1, b1) - np.einsum("tio,to->ti", T1, x[gr])
+        x[g0] = -y0 - np.einsum("tij,tj->ti", g.Minv, np.einsum("tio,to->ti", Mio, x[go])
+                                - se * np.einsum("tui,tu->ti", Bui, x[gu]))
         return x
 
     x = apply(system.rhs)

@@ -185,10 +185,13 @@ class StaggeredSpaces:
         vals = self.basis.eval(pts.reshape(-1, 2)).reshape(self.nk, 3, 2, len(frac))
         return np.ascontiguousarray(vals.transpose(1, 2, 0, 3))
 
+    def physical(self, ref: np.ndarray) -> np.ndarray:
+        """Reference points ref (n, 2) mapped to every triangle, shape (nT, n, 2)."""
+        return ref @ np.swapaxes(self.jac, 1, 2) + self.origin[:, None, :]
+
     def data_points(self) -> np.ndarray:
         """Data-quadrature points on all triangles, shape (nT, nq, 2)."""
-        return (np.einsum("qa,tba->tqb", self.data_quad.points, self.jac)
-                + self.origin[:, None, :])
+        return self.physical(self.data_quad.points)
 
     # -- space construction ---------------------------------------------
 

@@ -118,13 +118,15 @@ def error_Z2(spaces: StaggeredSpaces, u_h: DiscreteField, case: ManufacturedCase
     its tangential component on dual edges."""
     mesh, w = spaces.mesh, spaces.data_quad.weights
     broken = spaces.broken(u_h)
-    grads = np.einsum("tck,kqb,tab->tcqa", broken, spaces.data_grads, spaces.invJT)
     X = spaces.data_points()
     nT, nq, _ = X.shape
+    # Reference gradients, then the chain rule, both as batched products.
+    ref = (broken @ spaces.data_grads.reshape(spaces.nk, -1)).reshape(nT, -1, 2)
+    grads = (ref @ np.swapaxes(spaces.invJT, 1, 2)).reshape(nT, -1, nq, 2)
     # Exact gradient rearranged to (nT, component, quad point, derivative).
     gx = case.grad_u(X.reshape(-1, 2)).reshape(nT, nq, 2, 2).transpose(0, 2, 1, 3)
     diff = grads - gx
-    total = float(np.einsum("tcqa,tcqa,q,t->", diff, diff, w, spaces.detJ))
+    total = float(spaces.detJ @ ((diff * diff).sum(axis=(1, 3)) @ w))
     jump = _edge_jumps(spaces, broken, case.u)
     tangential = np.einsum("ecq,ec->eq", jump, mesh.edge_tangent)
 
@@ -158,10 +160,10 @@ def error_vs_interpolant(spaces: StaggeredSpaces, f: DiscreteField, exact) -> fl
     P = lagrange_nodes(spaces.k)
     V = spaces.basis.eval(P)  # (nk, n_nodes), square for uniform nodes
     to_modal = np.linalg.inv(V.T)  # nodal values -> modal coefficients
-    X = np.einsum("na,tba->tnb", P, spaces.jac) + spaces.origin[:, None, :]
+    X = spaces.physical(P)
     nT, nn, _ = X.shape
     vals = np.asarray(exact(X.reshape(-1, 2))).reshape(nT, nn, -1)
-    coeffs = np.einsum("in,tnc->tci", to_modal, vals)
+    coeffs = np.swapaxes(vals, 1, 2) @ to_modal.T
     diff = coeffs - spaces.broken(f)
     return math.sqrt(float((spaces.detJ[:, None, None] * diff ** 2).sum()))
 

@@ -3,6 +3,7 @@
 import json
 import math
 import resource
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,18 @@ def test_main_mesh_error_exit_code(tmp_path, capsys):
                      "--mesh-file", str(bad), "--levels", "2"])
     assert code == 3
     assert "mesh" in capsys.readouterr().err
+
+
+def test_main_empty_polygon_is_a_mesh_error_without_warnings(tmp_path, capsys):
+    # A polygon line `0` parses; the mesh check names the empty cycle, and no
+    # numpy warning about its vertex mean comes first.
+    bad = tmp_path / "empty.txt"
+    bad.write_text("3 2\n0 0\n1 0\n0 1\n0\n3 0 1 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["mesh", "check", "--mesh", "file", "--mesh-file", str(bad)])
+    assert code == 3
+    assert "polygon 0 has fewer than 3 vertices" in capsys.readouterr().err
 
 
 def test_main_runtime_error_exit_code(capsys):

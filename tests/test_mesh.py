@@ -357,7 +357,15 @@ def test_validate_reports_first_failing_polygon():
     with pytest.raises(MeshError, match="polygon 1 repeats a vertex"):
         m.validate()
     m.offsets, m.ids = np.array([0, 4, 7]), np.array([0, 1, 2, 3, 1, 2, 4])
+    m.interior_points = m.interior_points[:2]
     with pytest.raises(MeshError, match="polygon 1 is not counterclockwise"):
+        m.validate()
+
+
+def test_validate_needs_one_interior_point_per_polygon():
+    m = mm.build_square_grid(2)
+    m.interior_points = m.interior_points[:3]
+    with pytest.raises(MeshError, match="3 interior points for 4 polygons"):
         m.validate()
 
 

@@ -120,7 +120,7 @@ def test_solve_residual_and_mean():
 @pytest.mark.parametrize("k,eps", [(0, 1e-8), (1, 1.0), (2, 1e-4), (3, 1e-8)])
 def test_condensed_matches_direct(family, k, eps):
     # The hanging mesh has 5-gon polygons, so stage 2 inverts blocks of two
-    # sizes; at k=0 stage 1 has nothing to eliminate.
+    # sizes; at k=0 stages 0 and 1 have nothing to eliminate.
     n = 4 if family == "hanging" else 3
     _spaces, _case, system = make_system(k=k, n=n, eps=eps, family=family)
     x = direct_solve(system)
@@ -131,6 +131,21 @@ def test_condensed_matches_direct(family, k, eps):
         assert np.abs(a - b.coeffs).max() < 1e-9 * scale
     assert abs(x[-1] - sol.multiplier) < 1e-9
     assert sol.residual == min(sol.residuals) <= 1e-12
+
+
+@pytest.mark.parametrize("family,k", [("distorted", 2), ("hanging", 3)])
+def test_first_solve_takes_any_right_hand_side(family, k, monkeypatch):
+    # The loads leave the gradient rows zero, refinement corrections do not:
+    # with no refinement step, a right-hand side nonzero in every row must
+    # already give the direct solution.
+    _spaces, _case, system = make_system(k=k, n=4, eps=1e-2, family=family)
+    system.rhs = np.random.default_rng(3).standard_normal(len(system.rhs))
+    x = direct_solve(system)
+    monkeypatch.setattr(solver, "REFINE_STEPS", 0)
+    sol = solve(system)
+    y = np.concatenate([sol.L.coeffs, sol.u.coeffs, sol.p.coeffs, [sol.multiplier]])
+    assert len(sol.residuals) == 1
+    assert np.abs(x - y).max() < 1e-9 * np.abs(x).max()
 
 
 def test_zero_data_gives_zero_solution():
@@ -225,6 +240,37 @@ def test_invalid_eliminations_raise_solver_error():
         solve(system)
 
 
+@pytest.mark.parametrize("family", ["square", "distorted", "hanging"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_gradient_cells_are_the_element_schur_complement(family, k):
+    # Stage 0, taken from the blocks, must be what eliminating each
+    # triangle's W cell moments from its dense element saddle matrix over
+    # (W, U, P) leaves, at any viscosity.
+    spaces = make_spaces(k, 4, family)
+    blocks = assemble_blocks(spaces, 1.0)
+    el, g = blocks.elements, blocks.gradient
+    nT, nw, _ = el.M.shape
+    nu, npr = el.A.shape[1], el.D.shape[1]
+    no = 4 * (k + 1)  # W edge moments; the cell moments follow
+    ni = nw - no
+    assert g.Minv.shape == (nT, ni, ni)
+    cells = np.arange(no, nw)
+    rest = np.setdiff1d(np.arange(nw + nu + npr), cells)
+    Z, Zw, Dt = np.zeros((nT, npr, npr)), np.zeros((nT, nw, npr)), np.swapaxes(el.D, 1, 2)
+    for eps in (1.0, 1e-8):
+        se = np.sqrt(eps)
+        K = np.block([[-el.M, se * np.swapaxes(el.B, 1, 2), Zw],
+                      [se * el.B, el.A, Dt],
+                      [np.swapaxes(Zw, 1, 2), el.D, Z]])
+        Kri = K[:, rest][:, :, cells]
+        schur = (K[:, rest][:, :, rest]
+                 - Kri @ np.linalg.solve(K[:, cells][:, :, cells], np.swapaxes(Kri, 1, 2)))
+        reduced = np.block([[-g.M, se * np.swapaxes(g.B, 1, 2), Zw[:, :no]],
+                            [se * g.B, el.A + eps * g.E, Dt],
+                            [np.swapaxes(Zw[:, :no], 1, 2), el.D, Z]])
+        assert np.abs(reduced - schur).max() <= 1e-12 * np.abs(K).max()
+
+
 @pytest.mark.parametrize("family", ["distorted", "hanging"])
 def test_plan_depends_only_on_mesh_and_k(family):
     mesh = make_spaces(2, 4, family).mesh
@@ -282,13 +328,15 @@ def test_small_meshes_run_as_one_batch(family, monkeypatch):
 
 
 def test_solve_peak_memory_is_bounded_by_its_eliminations():
-    # Beyond the stage-1 and stage-2 eliminations that refinement reads, the
-    # solve holds the local matrices of one batch at a time; a stack of them
-    # over the whole mesh would take the peak to 3.5 times those bytes.
+    # Refinement reads the inverses of the gradient cell blocks, kept from the
+    # assembly, and the stage-1 and stage-2 eliminations of the solve. Beyond
+    # these the solve holds the local matrices of one batch at a time; a
+    # stack of them over the whole mesh would take the peak to 3.9 times
+    # those bytes.
     _spaces, _case, system = make_system(k=2, n=16, eps=1e-8, family="distorted")
     plan = system.blocks.interior
     nT, nl = plan.local.shape
-    kept = nT * plan.num_inner * nl  # T1 and inv1
+    kept = system.blocks.gradient.Minv.size + nT * plan.num_inner * nl  # Minv, T1 and inv1
     for cls in plan.classes:
         count, n2 = cls.interior.shape
         kept += count * n2 * (n2 + cls.kept.shape[1])  # T2 and inv2
