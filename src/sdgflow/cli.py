@@ -48,10 +48,10 @@ class RunConfig:
         problems = []
         if not 0 <= self.k <= 3:
             problems.append(f"k must be in 0..3, got {self.k}")
-        if not self.epsilon > 0.0:
-            problems.append(f"epsilon must be positive, got {self.epsilon}")
-        if not self.alpha > 0.0:
-            problems.append(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.epsilon < math.inf:
+            problems.append(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0.0 < self.alpha < math.inf:
+            problems.append(f"alpha must be positive and finite, got {self.alpha}")
         if self.mesh not in MESH_FAMILIES and self.mesh != "file":
             problems.append(
                 f"mesh must be one of {MESH_FAMILIES} or 'file', got {self.mesh!r}"
@@ -67,6 +67,12 @@ class RunConfig:
             problems.append(f"levels must be positive, got {self.levels}")
         elif list(self.levels) != sorted(self.levels):
             problems.append(f"levels must be increasing, got {self.levels}")
+        if self.mesh == "hanging" and any(n % 2 for n in self.levels):
+            problems.append(f"hanging grid needs even levels, got {self.levels}")
+        if not 0.0 <= self.delta < 0.5:
+            problems.append(f"delta must lie in [0, 0.5), got {self.delta}")
+        if self.seed < 0:
+            problems.append(f"seed must be non-negative, got {self.seed}")
         if self.case not in ("trig", "zero"):
             problems.append(f"unknown case {self.case!r} (expected 'trig' or 'zero')")
         if self.quad_degree is not None and not 1 <= self.quad_degree <= 20:

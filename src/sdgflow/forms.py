@@ -155,8 +155,3 @@ def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]
 
 def _mean_loads(spaces: StaggeredSpaces) -> np.ndarray:
     return spaces.detJ[:, None] * (spaces.data_vals @ spaces.data_quad.weights)[None, :]
-
-
-def mean_vector(spaces: StaggeredSpaces) -> np.ndarray:
-    """c with c_m = integral of global pressure basis function m."""
-    return _load(spaces.P, _mean_loads(spaces))

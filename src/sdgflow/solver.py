@@ -25,14 +25,15 @@ sum into the primal-edge skeleton: the W and P moments of every primal edge
 and the multiplier, which SuperLU factorizes.
 
 What depends only on the mesh and k is computed once per assembly, in a
-CondensationPlan: the triangles of every polygon and the places of their
-unknowns in the polygon's local numbering, one layout per polygon size, the
-skeleton's sparsity pattern with the data slot of every local Schur entry,
-and a fill-reducing order of the skeleton taken from the mesh (minimum
-degree on the graph of primal edges that share a polygon), with the
-multiplier last. A new viscosity redoes only stages 1 and 2 and the sparse
-LU. Iterative refinement applies the saddle operator element by element from
-the original stacks, so no global saddle matrix is formed.
+CondensationPlan: the triangles of every polygon, one local layout per
+polygon size (taken from its first polygon, checked on the others) with the
+place of each triangle's unknowns in it, the skeleton's sparsity pattern with
+the data slot of every local Schur entry, and a fill-reducing order of the
+skeleton taken from the mesh (minimum degree on the graph of primal edges
+that share a polygon), with the multiplier last. A new viscosity redoes only
+stages 1 and 2 and the sparse LU. Iterative refinement applies the saddle
+operator element by element from the original stacks, so no global saddle
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ class SolverError(RuntimeError):
 
 @dataclass
 class _SizeClass:
-    """The polygons with one number of triangles; their local matrices have
-    one size, the interior unknowns first, then the skeleton unknowns."""
+    """The polygons with one number of triangles; their local matrices share
+    one size and one layout, interior unknowns first, then skeleton ones."""
 
     triangles: np.ndarray  # (count, m) triangles of each polygon, in increasing order
+    position: np.ndarray  # (m, nr) places of each triangle's outer unknowns in the layout
     interior: np.ndarray  # (count, n2) stage-2 unknowns of each polygon
     kept: np.ndarray  # (count, nk) its skeleton unknowns, the multiplier last
 
@@ -70,17 +72,16 @@ class CondensationPlan:
     `triangle` and `polygon` give the owner of each saddle unknown in stages
     0 and 1 (a triangle's W and U cell moments) and in stage 2, -1 where that
     stage keeps it; the skeleton is what all keep. Each triangle's reduced
-    local unknowns are its W edge moments, its U and P cell_dofs and the
-    multiplier; `order` puts the num_inner stage-1 positions first.
+    local unknowns are its U cell moments, the num_inner that stage 1
+    eliminates, then its W edge moments, U edge moments, P cell_dofs and the
+    multiplier.
     """
 
     triangle: np.ndarray  # (n,)
     polygon: np.ndarray  # (n,)
     gradient: np.ndarray  # (nT, ni) W cell moments of each triangle: stage 0
-    order: np.ndarray  # reduced local positions: stage 1, then the rest
     num_inner: int
-    local: np.ndarray  # (nT, nloc) reduced unknowns of each triangle, in `order`
-    position: np.ndarray  # (nT, nr) places of its outer unknowns in its polygon's numbering
+    local: np.ndarray  # (nT, nloc) reduced unknowns of each triangle
     classes: list[_SizeClass]
     skeleton: np.ndarray  # (ns,) saddle unknowns in factorization order
     slots: np.ndarray  # data slot of every local Schur entry, classes in turn
@@ -126,31 +127,18 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     nW, nU, nT = W.ndof, U.ndof, mesh.num_triangles
     n = nW + nU + P.ndof + 1  # the multiplier is last
     tri_poly = mesh.tri_poly
-    # Local DOF order of each space: primal side, the two dual sides, cell.
-    # Stage 0 removes the W cell moments, the last of W's 4nk.
-    uo = 4 * k1
-    po = uo + 2 * nk
-    gradient = W.cell_dofs[:, uo:]
-    local = np.hstack([W.cell_dofs[:, :uo], nW + U.cell_dofs, nW + nU + P.cell_dofs,
+    # Local DOF order of each space: primal side, the two dual sides, cell
+    # (U has no primal side). Stage 0 removes the W cell moments, the last of
+    # W's 4nk; the U cell moments, which stage 1 removes, go first.
+    gradient = W.cell_dofs[:, 4 * k1:]
+    local = np.hstack([nW + U.cell_dofs[:, 2 * k1:], W.cell_dofs[:, :4 * k1],
+                       nW + U.cell_dofs[:, :2 * k1], nW + nU + P.cell_dofs,
                        np.full((nT, 1), n - 1)])
-    inner = uo + np.arange(2 * k1, 2 * nk)
-    stage2 = np.concatenate([np.arange(2 * k1, 4 * k1), uo + np.arange(2 * k1),
-                             po + np.arange(k1, nk)])
-    triangle = _owners(n, np.hstack([gradient, local[:, inner]]), np.arange(nT), "triangle")
+    ni = 2 * (nk - k1)
+    # Stage 2: the W dual sides, the U dual sides and the P cell moments.
+    stage2 = ni + np.r_[2 * k1:6 * k1, 7 * k1:6 * k1 + nk]
+    triangle = _owners(n, np.hstack([gradient, local[:, :ni]]), np.arange(nT), "triangle")
     polygon = _owners(n, local[:, stage2], tri_poly, "polygon")
-    order = np.concatenate([inner, np.setdiff1d(np.arange(local.shape[1]), inner)])
-    local = local[:, order]
-    outer = local[:, len(inner):]
-
-    # Polygon-local numbering: per polygon its stage-2 unknowns, then its
-    # skeleton unknowns, each in increasing saddle order.
-    kept = polygon[outer] < 0
-    key = (tri_poly[:, None] * 2 + kept) * n + outer
-    uniq, pos = np.unique(key, return_inverse=True)
-    pos = pos.reshape(outer.shape)
-    upoly, ukept, udof = uniq // (2 * n), (uniq // n) % 2, uniq % n
-    first = np.searchsorted(upoly, np.arange(mesh.primal.num_polygons))
-    pos -= first[tri_poly][:, None]
 
     # Skeleton order: the W then P moments of each primal edge, edges in the
     # mesh-derived order, the multiplier last.
@@ -162,19 +150,30 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     where = np.full(n, -1)
     where[skeleton] = np.arange(ns)
 
-    # One local layout per polygon size; each polygon's triangles in increasing
-    # order, the order in which stage 2 sums their remainders.
-    sizes, total, interior = np.bincount(tri_poly), np.bincount(upoly), np.bincount(upoly, 1 - ukept)
+    # One local layout per polygon size, taken from its first polygon: the
+    # stage-2 unknowns, then the skeleton unknowns, each in increasing saddle
+    # order. Each polygon's triangles are in increasing order, the order in
+    # which stage 2 sums their remainders.
+    sizes = np.bincount(tri_poly)
     by_poly = np.argsort(tri_poly, kind="stable")
     tri_first = np.cumsum(sizes) - sizes
     classes, keys = [], []
     for m in np.unique(sizes):
-        polys = np.flatnonzero(sizes == m)
-        N, n2 = int(total[polys[0]]), int(interior[polys[0]])
-        if np.any(total[polys] != N) or np.any(interior[polys] != n2):
+        tris = by_poly[tri_first[sizes == m, None] + np.arange(m)]
+        dofs = local[tris, ni:]  # (count, m, nr) outer unknowns
+        first = dofs[0].ravel()
+        uniq, position = np.unique((polygon[first] < 0) * n + first, return_inverse=True)
+        position = position.reshape(dofs.shape[1:])
+        n2 = np.count_nonzero(uniq < n)
+        layout = np.empty((len(tris), len(uniq)), dtype=dofs.dtype)
+        layout[:, position] = dofs
+        # Every polygon must list one unknown per place, each in one place,
+        # and its stage-2 unknowns in the first n2 places.
+        if (np.any(layout[:, position] != dofs)
+                or np.any(np.diff(np.sort(layout, axis=1), axis=1) == 0)
+                or np.any((polygon[layout] < 0) != (np.arange(len(uniq)) >= n2))):
             raise SolverError(f"{m}-gon polygons have different local layouts")
-        dofs = udof[first[polys, None] + np.arange(N)]
-        cls = _SizeClass(by_poly[tri_first[polys, None] + np.arange(m)], dofs[:, :n2], dofs[:, n2:])
+        cls = _SizeClass(tris, position, layout[:, :n2], layout[:, n2:])
         classes.append(cls)
         rows = where[cls.kept]
         keys.append((rows[:, None, :] * ns + rows[:, :, None]).ravel())
@@ -183,9 +182,8 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     # lands in column where[kept[j]], row where[kept[i]].
     cols_rows, slots = np.unique(np.concatenate(keys), return_inverse=True)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols_rows // ns, minlength=ns))])
-    return CondensationPlan(triangle, polygon, gradient, order, len(inner), local,
-                            pos.astype(np.min_scalar_type(int(total.max()))), classes,
-                            skeleton, slots.astype(np.int32), (cols_rows % ns).astype(np.int32),
+    return CondensationPlan(triangle, polygon, gradient, ni, local, classes, skeleton,
+                            slots.astype(np.int32), (cols_rows % ns).astype(np.int32),
                             indptr.astype(np.int32))
 
 
@@ -255,7 +253,9 @@ class SystemBlocks:
 
 def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
     el = forms.element_matrices(spaces, alpha)
-    return SystemBlocks(spaces, alpha, el, forms.mean_vector(spaces),
+    P = spaces.P.dofmap
+    c = np.bincount(P.cell_dofs.ravel(), el.c.ravel(), minlength=P.ndof)
+    return SystemBlocks(spaces, alpha, el, c,
                         _eliminate_gradient_cells(el, 4 * (spaces.k + 1)),
                         _condensation_plan(spaces))
 
@@ -295,8 +295,8 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
 
     `alpha` must be the one the blocks were assembled with.
     """
-    if eps <= 0.0:
-        raise ValueError("viscosity must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("viscosity must be positive and finite")
     if alpha != blocks.alpha:
         raise ValueError(f"alpha {alpha:g} differs from the blocks' alpha {blocks.alpha:g}")
     s, el = blocks.spaces, blocks.elements
@@ -323,29 +323,24 @@ REFINE_TARGET = 1e-12
 BATCH_BYTES = 3 << 20
 
 
-def _runs(at: np.ndarray, lo: int, hi: int) -> list[tuple[slice, slice]]:
-    """(target, source) slice pairs that move local positions lo..hi-1 of the
-    natural order to their places at[...] in the plan's order."""
-    idx = np.arange(lo, hi)
-    return [(slice(at[r[0]], at[r[-1]] + 1), slice(r[0] - lo, r[-1] - lo + 1))
-            for r in np.split(idx, np.flatnonzero(np.diff(at[idx]) != 1) + 1) if len(r)]
-
-
 def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
-                    order: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """The reduced saddle matrices of triangles `tris` over their W edge
-    moments, U and P cell_dofs and the multiplier, rows and columns in the
-    plan's local order."""
-    (nu, nw), nl, se = g.B.shape[1:], len(order), math.sqrt(eps)
+                    tris: np.ndarray) -> np.ndarray:
+    """The reduced saddle matrices of triangles `tris`, rows and columns in
+    the plan's local order: U cell moments, W edge moments, U edge moments,
+    P cell_dofs, multiplier."""
+    (nu, no), npr, se = g.B.shape[1:], el.D.shape[1], math.sqrt(eps)
+    nl, ue = nu + no + npr + 1, no // 2  # U's edge moments come first in its stacks
     K = np.zeros((len(tris), nl, nl))
     # A run of consecutive triangles reads views of the stacks, not copies.
     if np.all(np.diff(tris) == 1):
         tris = slice(tris[0], tris[-1] + 1)
-    at = np.empty(nl, dtype=int)
-    at[order] = np.arange(nl)
-    w, u, p = _runs(at, 0, nw), _runs(at, nw, nw + nu), _runs(at, nw + nu, nl - 1)
+    # (local, stack) slices of each field; the U cell moments are moved first.
+    pt = slice(nu + no, nl - 1)
+    w = ((slice(nu - ue, nu - ue + no), slice(None)),)
+    u = ((slice(0, nu - ue), slice(ue, nu)), (slice(nu - ue + no, nu + no), slice(0, ue)))
+    p = ((pt, slice(None)),)
     Bt, Dt = np.swapaxes(g.B, 1, 2), np.swapaxes(el.D, 1, 2)
-    # Copy the blocks by contiguous runs; fancy indexing is several times slower.
+    # Copy the blocks by slices; fancy indexing is several times slower.
     for rows, cols, X, scale in ((w, w, g.M, -1.0), (u, w, g.B, se), (w, u, Bt, se),
                                  (u, u, g.E, eps), (p, u, el.D, 1.0), (u, p, Dt, 1.0)):
         for rt, rs in rows:
@@ -354,9 +349,8 @@ def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
     for rt, rs in u:
         for ct, cs in u:
             K[:, rt, ct] += el.A[tris, rs, cs]
-    for rt, rs in p:
-        np.negative(el.c[tris, rs], out=K[:, rt, at[-1]])
-        K[:, at[-1], rt] = K[:, rt, at[-1]]
+    np.negative(el.c[tris], out=K[:, pt, -1])
+    K[:, -1, pt] = K[:, pt, -1]
     return K
 
 
@@ -406,37 +400,35 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     plan, n = system.blocks.interior, system.num_unknowns
     el, g, se = system.blocks.elements, system.blocks.gradient, math.sqrt(system.eps)
     t0 = time.perf_counter()
-    (nT, nl), ni = plan.local.shape, plan.num_inner
-    # Stage 1 runs class by class, polygon by polygon: the rows of T1 and inv1
-    # are the triangles in this order, and every batch's rows are consecutive.
-    tris = np.concatenate([cls.triangles.ravel() for cls in plan.classes])
-    T1, inv1 = np.empty((nT, ni, nl - ni)), np.empty((nT, ni, ni))
+    nl, ni = plan.local.shape[1], plan.num_inner
     # Every class's local Schur complements in turn, the order of plan.slots.
     schur = np.empty(len(plan.slots))
-    stage2, row, at = [], 0, 0
+    elims, at = [], 0
     for cls in plan.classes:
         (count, m), n2, nk = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
         N = n2 + nk
+        # Stages 1 and 2 of the class; the rows of T1 and inv1 are its
+        # triangles, polygon by polygon.
+        T1, inv1 = np.empty((count * m, ni, nl - ni)), np.empty((count * m, ni, ni))
         T2, inv2 = np.empty((count, n2, nk)), np.empty((count, n2, n2))
         S2 = schur[at:at + count * nk * nk].reshape(count, nk, nk)
+        # Place of each entry of a polygon's stage-1 remainders in its matrix;
+        # every polygon's last entry (multiplier, multiplier) is listed.
+        place = cls.position[:, :, None] * N + cls.position[:, None, :]
         step = max(1, BATCH_BYTES // (8 * m * nl * nl))
         for a in range(0, count, step):
             b = min(a + step, count)
-            rows = slice(row + a * m, row + b * m)
-            K = _local_matrices(el, g, system.eps, plan.order, tris[rows])
-            S1 = _condense(K, ni, "triangle", T1[rows], inv1[rows])
+            K = _local_matrices(el, g, system.eps, cls.triangles[a:b].ravel())
+            S1 = _condense(K, ni, "triangle", T1[a * m:b * m], inv1[a * m:b * m])
             del K
-            # Sum the remainders into the batch's polygon matrices; every
-            # polygon's last entry (multiplier, multiplier) is listed.
-            pos = plan.position[tris[rows]].astype(np.intp)
-            pos_row = np.repeat(np.arange(b - a) * N, m)[:, None] + pos
-            place = (pos_row * N)[:, :, None] + pos[:, None, :]
-            Kp = np.bincount(place.ravel(), S1.ravel()).reshape(b - a, N, N)
-            del S1, place
+            # Sum the remainders into the batch's polygon matrices.
+            at_batch = (np.arange(b - a) * (N * N))[:, None, None, None] + place
+            Kp = np.bincount(at_batch.ravel(), S1.ravel()).reshape(b - a, N, N)
+            del S1, at_batch
             S2[a:b] = _condense(Kp, n2, "polygon", T2[a:b], inv2[a:b])
             del Kp
-        stage2.append((T2, inv2))
-        row, at = row + count * m, at + S2.size
+        elims.append((plan.local[cls.triangles.ravel()], T1, inv1, T2, inv2))
+        at += S2.size
     ns = len(plan.skeleton)
     data = np.bincount(plan.slots, schur, minlength=len(plan.indices))
     del schur, S2
@@ -453,39 +445,35 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     del S, data
     t2 = time.perf_counter()
 
-    # Column-major like plan.local: the einsum reductions below round by layout.
-    local = np.asfortranarray(plan.local[tris])
-    g1, gr = local[:, :ni], local[:, ni:]
-    # The stage-1 products sum in triangle order.
-    outer = plan.local[:, ni:].ravel()
     # Stage 0 rebuilds the W cell moments from M_ii^{-1} and views of the
     # original stacks.
-    no, nu = g.M.shape[1], g.E.shape[1]
+    spaces, no = system.blocks.spaces, g.M.shape[1]
     g0 = plan.gradient
-    natural = plan.local[:, np.argsort(plan.order)]
-    go, gu, gou = natural[:, :no], natural[:, no:no + nu], natural[:, :no + nu].ravel()
+    go, gu = spaces.W.dofmap.cell_dofs[:, :no], spaces.W.ndof + spaces.U.dofmap.cell_dofs
+    gou = np.hstack([go, gu]).ravel()
     Moi, Mio, Bui = el.M[:, :no, no:], el.M[:, no:, :no], el.B[:, :, no:]
 
     def apply(b: np.ndarray) -> np.ndarray:
         y0 = np.einsum("tij,tj->ti", g.Minv, b[g0])
-        b = b + np.bincount(gou, np.hstack([
+        r = b + np.bincount(gou, np.hstack([
             -np.einsum("toi,ti->to", Moi, y0),
             se * np.einsum("tui,ti->tu", Bui, y0)]).ravel(), minlength=n)
-        b1 = b[g1]
-        y1 = np.empty(gr.shape)
-        y1[tris] = np.einsum("tio,ti->to", T1, b1)
-        r = b - np.bincount(outer, y1.ravel(), minlength=n)
-        y2 = []
-        for cls, (T2, inv2) in zip(plan.classes, stage2):
+        b1, y2 = [], []
+        for cls, (local, T1, _, T2, inv2) in zip(plan.classes, elims):
+            # Stages 1 and 2 leave the stage-1 unknowns of r as they are.
+            b1.append(r[local[:, :ni]])
+            r -= np.bincount(local[:, ni:].ravel(), np.einsum("tio,ti->to", T1, b1[-1]).ravel(),
+                             minlength=n)
             b2 = r[cls.interior]
             y2.append(np.einsum("pij,pj->pi", inv2, b2))
             r -= np.bincount(cls.kept.ravel(), np.einsum("pik,pi->pk", T2, b2).ravel(),
                              minlength=n)
         x = np.empty(n)
         x[plan.skeleton] = lu.solve(r[plan.skeleton])
-        for cls, (T2, _), y in zip(plan.classes, stage2, y2):
-            x[cls.interior] = y - np.einsum("pik,pk->pi", T2, x[cls.kept])
-        x[g1] = np.einsum("tij,tj->ti", inv1, b1) - np.einsum("tio,to->ti", T1, x[gr])
+        for cls, (local, T1, inv1, T2, _), c1, c2 in zip(plan.classes, elims, b1, y2):
+            x[cls.interior] = c2 - np.einsum("pik,pk->pi", T2, x[cls.kept])
+            x[local[:, :ni]] = (np.einsum("tij,tj->ti", inv1, c1)
+                                - np.einsum("tio,to->ti", T1, x[local[:, ni:]]))
         x[g0] = -y0 - np.einsum("tij,tj->ti", g.Minv, np.einsum("tio,to->ti", Mio, x[go])
                                 - se * np.einsum("tui,tu->ti", Bui, x[gu]))
         return x

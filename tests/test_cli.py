@@ -329,6 +329,25 @@ def test_main_config_error_exit_code(capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,problem", [
+    (["solve", "--mesh", "hanging", "--levels", "3"], "hanging grid needs even levels"),
+    (["mesh", "check", "--mesh", "hanging", "--levels", "5"], "hanging grid needs even levels"),
+    (["solve", "--mesh", "distorted", "--delta", "0.6"], "delta must lie in [0, 0.5)"),
+    (["solve", "--mesh", "distorted", "--delta", "nan"], "delta must lie in [0, 0.5)"),
+    (["solve", "--mesh", "distorted", "--seed", "-1"], "seed must be non-negative"),
+    (["solve", "--epsilon", "inf"], "epsilon must be positive and finite"),
+    (["solve", "--alpha", "inf"], "alpha must be positive and finite"),
+])
+def test_main_invalid_values_are_config_errors(argv, problem, capsys):
+    # Caught by RunConfig.validate before any mesh is built: no numpy warning
+    # and no runtime error from the mesh builders or the factorization.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and problem in err
+
+
 def test_main_mesh_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 0\n1 0\n0 1\n3 0 2 1\n")  # clockwise polygon

@@ -1,7 +1,10 @@
 """Tests for the saddle-point assembly and the condensed solve."""
 
+import hashlib
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,8 +87,9 @@ def test_refinement_operator_is_the_assembled_matrix(family, k, eps):
 def test_build_system_validates_inputs():
     spaces, case, system = make_system()
     F, G = forms.assemble_rhs(spaces, case.f, case.g)
-    with pytest.raises(ValueError, match="viscosity"):
-        build_system(system.blocks, 0.0, 1.0, F, G)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="viscosity"):
+            build_system(system.blocks, eps, 1.0, F, G)
     with pytest.raises(ValueError, match="right-hand side"):
         build_system(system.blocks, 1.0, 1.0, F[:-1], G)
     bad = assemble_blocks(spaces, 1.0)
@@ -219,6 +223,62 @@ def test_interior_groups_layout(family, k):
     skeleton = np.flatnonzero((groups.triangle < 0) & (groups.polygon < 0))
     assert len(skeleton) == 3 * k1 * len(mesh.primal_edge_ids) + 1
     assert skeleton[-1] == n - 1
+
+    # Stage 2 takes each polygon's interior unknowns in increasing order, the
+    # order in which its elimination rounds as before the layouts were shared.
+    for cls in groups.classes:
+        assert np.all(np.diff(cls.interior, axis=1) > 0)
+
+
+_PINNED_PLANS = json.loads((Path(__file__).parent / "condensation_plans.json").read_text())
+
+
+def _digest(a):
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    return "x".join(map(str, a.shape)) + ":" + hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PLANS))
+def test_plan_matches_pinned(name):
+    # Recorded from the condensation that numbered each polygon's unknowns by
+    # one global sort: the owners, the skeleton, its pattern and each class's
+    # triangles and stage-2 unknowns must be reproduced exactly, and each
+    # polygon's skeleton unknowns as a set.
+    family, k = name.split("4-k")
+    plan = assemble_blocks(make_spaces(int(k), 4, family), 1.0).interior
+    ref = _PINNED_PLANS[name]
+    for key in ("skeleton", "indices", "indptr", "triangle", "polygon"):
+        assert _digest(getattr(plan, key)) == ref[key], key
+    assert len(plan.classes) == len(ref["classes"])
+    for cls, pinned in zip(plan.classes, ref["classes"]):
+        assert _digest(cls.triangles) == pinned["triangles"]
+        assert _digest(cls.interior) == pinned["interior"]
+        assert _digest(np.sort(cls.kept, axis=1)) == pinned["kept"]
+
+
+@pytest.mark.parametrize("change", ["swap", "merge", "foreign"])
+def test_polygons_of_one_size_share_one_layout(change):
+    # The layout of the quads is taken from polygon 0. A triangle of polygon 1
+    # whose unknowns do not fit it (two places for one unknown, one place for
+    # two, or a skeleton place that lists polygon 2's stage-2 unknowns) must
+    # be refused, not eliminated with the wrong local matrices.
+    spaces = make_spaces(k=1, n=3, family="distorted")
+    W, U, k1 = spaces.W.dofmap, spaces.U.dofmap, spaces.k + 1
+    tri_poly = spaces.mesh.tri_poly
+    t, t2 = np.flatnonzero(tri_poly == 1)[0], np.flatnonzero(tri_poly == 2)[0]
+    w, u = W.cell_dofs.copy(), U.cell_dofs.copy()
+    if change == "swap":  # its two U dual-side blocks exchanged
+        u[t, :2 * k1] = np.roll(u[t, :2 * k1], k1)
+    elif change == "merge":  # one dual edge's U unknowns read as another's
+        mine = tri_poly[:, None] == 1
+        for a, b in zip(u[t, k1:2 * k1], u[t, :k1]):
+            u[mine & (u == a)] = b
+    else:  # its primal side's W unknowns replaced by a dual side of polygon 2
+        w[t, :2 * k1] = w[t2, 2 * k1:4 * k1]
+    spaces.W.dofmap = replace(W, cell_dofs=w)
+    spaces.U.dofmap = replace(U, cell_dofs=u)
+    with pytest.raises(SolverError, match="4-gon polygons have different local layouts"):
+        assemble_blocks(spaces, 1.0)
 
 
 def test_invalid_eliminations_raise_solver_error():
