@@ -19,21 +19,26 @@ and the multiplier (se = sqrt(eps)), has its cell U moments eliminated by a
 batched dense solve (stage 1). The remainders are summed per polygon, and
 each polygon's dual-edge W/U moments and cell P moments are eliminated by a
 second batched solve (stage 2). A batch's local matrices stay within
-BATCH_BYTES, so the only dense stacks the solve makes over the whole mesh
-are the eliminations that refinement reads back. The local Schur complements
-sum into the primal-edge skeleton: the W and P moments of every primal edge
-and the multiplier, which SuperLU factorizes.
+BATCH_BYTES, and one work buffer per solve holds them and then the batch's
+polygon matrices, so the only dense stacks the solve makes over the whole
+mesh are the eliminations that refinement reads back. The local Schur
+complements sum into the primal-edge skeleton: the W and P moments of every
+primal edge and the multiplier, which SuperLU factorizes.
 
 What depends only on the mesh and k is computed once per assembly, in a
 CondensationPlan: the triangles of every polygon, one local layout per
 polygon size (taken from its first polygon, checked on the others) with the
-place of each triangle's unknowns in it, the skeleton's sparsity pattern with
-the data slot of every local Schur entry, and a fill-reducing order of the
+place of each triangle's unknowns in it, a fill-reducing order of the
 skeleton taken from the mesh (minimum degree on the graph of primal edges
-that share a polygon), with the multiplier last. A new viscosity redoes only
-stages 1 and 2 and the sparse LU. Iterative refinement applies the saddle
-operator element by element from the original stacks, so no global saddle
-matrix is formed.
+that share a polygon), with the multiplier last, and the skeleton's sparsity
+pattern with the data slot of every local Schur entry. Only the primal-edge
+moments couple two polygons, so that pattern is the same graph in the
+skeleton order, each edge expanded into its 3(k+1) moments and bordered by
+the multiplier; it and the slots are read off the graph with arithmetic and
+one search per pair of a polygon's edges, with no sort of the entries. A new
+viscosity redoes only stages 1 and 2 and the sparse LU. Iterative refinement
+applies the saddle operator element by element from the original stacks, so
+no global saddle matrix is formed.
 """
 
 from __future__ import annotations
@@ -105,11 +110,15 @@ def _owners(n: int, dofs: np.ndarray, owner: np.ndarray, what: str) -> np.ndarra
     return out
 
 
-def _edge_order(mesh) -> np.ndarray:
+def _edge_order(mesh) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:
     """Primal edges in a fill-reducing elimination order: SuperLU's minimum
     degree on the graph in which two primal edges are adjacent when they
     bound a common polygon (each node stands for the 3(k+1) skeleton moments
-    of one edge), read from a diagonally dominant matrix with that graph."""
+    of one edge), read from a diagonally dominant matrix with that graph.
+
+    Returns the ordered edges, the place of every mesh edge in that order
+    (-1 off the primal edges) and the graph renumbered by place, in CSC with
+    sorted rows; it is symmetric, and every node is adjacent to itself."""
     prim = mesh.primal_edge_ids
     node = np.full(len(mesh.edge_kind), -1)
     node[prim] = np.arange(len(prim))
@@ -118,7 +127,42 @@ def _edge_order(mesh) -> np.ndarray:
     graph = inc.T @ inc
     graph = (graph + sp.diags(np.asarray(graph.sum(axis=0)).ravel())).tocsc()
     rank = spla.splu(graph, permc_spec="MMD_AT_PLUS_A").perm_c
-    return prim[np.argsort(rank)]
+    order = np.argsort(rank)
+    place = np.full(len(mesh.edge_kind), -1)
+    place[prim] = rank
+    graph = graph[order][:, order]
+    graph.sort_indices()
+    return prim[order], place, graph
+
+
+def _skeleton_pattern(graph: sp.csc_matrix, k3: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSC pattern of the skeleton: the edge graph in skeleton order, each
+    node expanded into the k3 moments of its edge, bordered by the
+    multiplier. Column (a, s) lists the k3 rows of every edge adjacent to
+    edge a, in order, then the multiplier; the multiplier's column lists all
+    ns rows."""
+    ne, gptr = graph.shape[0], graph.indptr
+    ns = k3 * ne + 1
+    deg = np.diff(gptr)
+    counts = np.append(np.repeat(deg * k3 + 1, k3), ns)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    # A column is a sequence of runs of consecutive rows, one run of k3 per
+    # adjacent edge and a last one of the multiplier's row, so `indices` is
+    # the running sum of steps that are 1 except where a run begins. The
+    # heads of the runs of edge a's columns, edge after edge:
+    heads = np.insert(graph.indices * k3, gptr[1:], ns - 1)
+    # Each run follows the one before it or, for a column's first, the
+    # multiplier's row that ends the column before.
+    steps = heads - np.minimum(np.roll(heads, 1) + k3 - 1, ns - 1)
+    runs = np.repeat(deg + 1, k3)
+    run = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)  # within its column
+    head = np.repeat(np.repeat(gptr[:-1] + np.arange(ne), k3), runs) + run
+    indices = np.ones(indptr[-1], dtype=np.int32)
+    indices[np.repeat(indptr[:-2], runs) + k3 * run] = steps[head]
+    indices[0] += ns - 1  # the first column starts from row 0
+    indices[indptr[-2]] = 1 - ns  # the multiplier's column lists every row
+    np.cumsum(indices, dtype=np.int32, out=indices)
+    return indices, indptr
 
 
 def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
@@ -142,13 +186,18 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
 
     # Skeleton order: the W then P moments of each primal edge, edges in the
     # mesh-derived order, the multiplier last.
-    edges = _edge_order(mesh)
+    edges, place, graph = _edge_order(mesh)
+    k3, ne = 3 * k1, len(edges)
     skeleton = np.concatenate([
         np.hstack([W.edge_offsets[edges, None] + np.arange(2 * k1),
                    nW + nU + P.edge_offsets[edges, None] + np.arange(k1)]).ravel(), [n - 1]])
     ns = len(skeleton)
     where = np.full(n, -1)
     where[skeleton] = np.arange(ns)
+    indices, indptr = _skeleton_pattern(graph, k3)
+    # Graph entries keyed by (column, row); they are sorted that way.
+    gkeys = np.repeat(np.arange(ne), np.diff(graph.indptr)) * ne + graph.indices
+    tri_edge = place[mesh.tri_edges[:, 0]]
 
     # One local layout per polygon size, taken from its first polygon: the
     # stage-2 unknowns, then the skeleton unknowns, each in increasing saddle
@@ -157,7 +206,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     sizes = np.bincount(tri_poly)
     by_poly = np.argsort(tri_poly, kind="stable")
     tri_first = np.cumsum(sizes) - sizes
-    classes, keys = [], []
+    classes = []
     for m in np.unique(sizes):
         tris = by_poly[tri_first[sizes == m, None] + np.arange(m)]
         dofs = local[tris, ni:]  # (count, m, nr) outer unknowns
@@ -173,18 +222,41 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
                 or np.any(np.diff(np.sort(layout, axis=1), axis=1) == 0)
                 or np.any((polygon[layout] < 0) != (np.arange(len(uniq)) >= n2))):
             raise SolverError(f"{m}-gon polygons have different local layouts")
-        cls = _SizeClass(tris, position, layout[:, :n2], layout[:, n2:])
-        classes.append(cls)
+        classes.append(_SizeClass(tris, position, layout[:, :n2], layout[:, n2:]))
+    # Every class's local Schur entries in turn, polygon by polygon, (row,
+    # column) in the order of its kept unknowns, the order of solve's stacks.
+    slots = np.empty(sum(c.kept.size * c.kept.shape[1] for c in classes), dtype=np.int32)
+    at, deg = 0, np.diff(graph.indptr)
+    for cls in classes:
+        (count, m), n2, nkept = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
+        # The triangle of each skeleton place, m for the multiplier's, and
+        # the skeleton edge of each triangle, ne standing for the multiplier.
+        tri_of = np.empty(nkept, dtype=int)
+        outer = cls.position >= n2
+        tri_of[cls.position[outer] - n2] = np.nonzero(outer)[0]
+        tri_of[-1] = m
+        edge = np.hstack([tri_edge[cls.triangles], np.full((count, 1), ne)])
         rows = where[cls.kept]
-        keys.append((rows[:, None, :] * ns + rows[:, :, None]).ravel())
-
-    # CSC pattern of the skeleton: entry (i, j) of a local Schur complement
-    # lands in column where[kept[j]], row where[kept[i]].
-    cols_rows, slots = np.unique(np.concatenate(keys), return_inverse=True)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols_rows // ns, minlength=ns))])
+        if np.any(rows // k3 != edge[:, tri_of]):
+            raise SolverError(f"{m}-gon polygons list skeleton unknowns off their primal edges")
+        # Entry (i, j) lands in column rows[j] at row rows[i]: in the column
+        # after offset[t_i, t_j] entries of the runs before row i's, then
+        # rows[i] % k3 into its run, with t the triangles of the places.
+        offset = np.empty((count, m + 1, m + 1), dtype=np.int32)
+        col, row = edge[:, None, :m], edge[:, :m, None]
+        offset[:, :m, :m] = k3 * (np.searchsorted(gkeys, col * ne + row) - graph.indptr[col])
+        offset[:, :m, m] = k3 * edge[:, :m]  # the multiplier's column lists every row
+        offset[:, m, :m] = k3 * deg[edge[:, :m]]  # the multiplier's row is last
+        offset[:, m, m] = ns - 1
+        out = slots[at:at + count * nkept * nkept].reshape(count, nkept, nkept)
+        # mode="clip" writes to out directly; "raise" would buffer it.
+        np.take(offset.reshape(count, -1), tri_of[:, None] * (m + 1) + tri_of, axis=1, out=out,
+                mode="clip")
+        out += indptr[rows][:, None, :]
+        out += (rows % k3).astype(np.int32)[:, :, None]
+        at += out.size
     return CondensationPlan(triangle, polygon, gradient, ni, local, classes, skeleton,
-                            slots.astype(np.int32), (cols_rows % ns).astype(np.int32),
-                            indptr.astype(np.int32))
+                            slots, indices, indptr)
 
 
 def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
@@ -193,7 +265,9 @@ def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
         X = forms.scatter(s.space(test), s.space(trial), getattr(blocks.elements, stack))
         # The dual-basis products leave roundoff residue of analytically zero
         # integrals, which would otherwise dominate the sparsity pattern.
-        X.data[np.abs(X.data) < 1e-13 * np.abs(X.data).max(initial=0.0)] = 0.0
+        size = np.abs(X.data)
+        X.data[size < 1e-13 * size.max(initial=0.0)] = 0.0
+        del size
         X.eliminate_zeros()
         return X
     return property(get, doc=f"{doc}, scattered from the element stack and pruned on each access.")
@@ -324,13 +398,14 @@ BATCH_BYTES = 3 << 20
 
 
 def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
-                    tris: np.ndarray) -> np.ndarray:
+                    tris: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The reduced saddle matrices of triangles `tris`, rows and columns in
     the plan's local order: U cell moments, W edge moments, U edge moments,
-    P cell_dofs, multiplier."""
+    P cell_dofs, multiplier. They are written to K, which holds one per
+    triangle."""
     (nu, no), npr, se = g.B.shape[1:], el.D.shape[1], math.sqrt(eps)
     nl, ue = nu + no + npr + 1, no // 2  # U's edge moments come first in its stacks
-    K = np.zeros((len(tris), nl, nl))
+    K.fill(0.0)
     # A run of consecutive triangles reads views of the stacks, not copies.
     if np.all(np.diff(tris) == 1):
         tris = slice(tris[0], tris[-1] + 1)
@@ -354,10 +429,11 @@ def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
     return K
 
 
-def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Batched Schur complements of the dense local matrices K onto their
     trailing unknowns. Writes Kii^{-1} Kio to T and Kii^{-1} to inv and
-    returns the complements."""
+    returns the complements, in out if it is given."""
     Kio = K[:, :ni, ni:]
     try:
         inv[...] = np.linalg.inv(K[:, :ni, :ni])
@@ -365,7 +441,7 @@ def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray
         raise SolverError(f"singular {owner} block: {exc}") from exc
     np.matmul(inv, Kio, out=T)
     # K is symmetric, so Koi Kii^{-1} = T^T.
-    S = np.swapaxes(Kio, 1, 2) @ T
+    S = np.matmul(np.swapaxes(Kio, 1, 2), T, out=out)
     return np.subtract(K[:, ni:, ni:], S, out=S)
 
 
@@ -404,7 +480,15 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     # Every class's local Schur complements in turn, the order of plan.slots.
     schur = np.empty(len(plan.slots))
     elims, at = [], 0
+    # One work buffer, allocated once per solve, holds a batch's local
+    # matrices and then, once they are condensed, its polygon matrices.
+    steps, size = [], 0
     for cls in plan.classes:
+        (count, m), N = cls.triangles.shape, cls.interior.shape[1] + cls.kept.shape[1]
+        steps.append(min(count, max(1, BATCH_BYTES // (8 * m * nl * nl))))
+        size = max(size, steps[-1] * max(m * nl * nl, N * N))
+    work = np.empty(size)
+    for cls, step in zip(plan.classes, steps):
         (count, m), n2, nk = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
         N = n2 + nk
         # Stages 1 and 2 of the class; the rows of T1 and inv1 are its
@@ -412,23 +496,25 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         T1, inv1 = np.empty((count * m, ni, nl - ni)), np.empty((count * m, ni, ni))
         T2, inv2 = np.empty((count, n2, nk)), np.empty((count, n2, n2))
         S2 = schur[at:at + count * nk * nk].reshape(count, nk, nk)
-        # Place of each entry of a polygon's stage-1 remainders in its matrix;
-        # every polygon's last entry (multiplier, multiplier) is listed.
-        place = cls.position[:, :, None] * N + cls.position[:, None, :]
-        step = max(1, BATCH_BYTES // (8 * m * nl * nl))
+        # Place of each entry of the stage-1 remainders of a batch's polygons
+        # in their matrices; a shorter last batch reads the first rows.
+        place = ((np.arange(step) * (N * N))[:, None, None, None]
+                 + cls.position[:, :, None] * N + cls.position[:, None, :]).ravel()
         for a in range(0, count, step):
             b = min(a + step, count)
-            K = _local_matrices(el, g, system.eps, cls.triangles[a:b].ravel())
+            K = _local_matrices(el, g, system.eps, cls.triangles[a:b].ravel(),
+                                work[:(b - a) * m * nl * nl].reshape(-1, nl, nl))
             S1 = _condense(K, ni, "triangle", T1[a * m:b * m], inv1[a * m:b * m])
-            del K
-            # Sum the remainders into the batch's polygon matrices.
-            at_batch = (np.arange(b - a) * (N * N))[:, None, None, None] + place
-            Kp = np.bincount(at_batch.ravel(), S1.ravel()).reshape(b - a, N, N)
-            del S1, at_batch
-            S2[a:b] = _condense(Kp, n2, "polygon", T2[a:b], inv2[a:b])
-            del Kp
+            # Sum the remainders into the batch's polygon matrices, each
+            # entry over its polygon's triangles in increasing order.
+            Kp = work[:(b - a) * N * N]
+            Kp.fill(0.0)
+            np.add.at(Kp, place[:S1.size], S1.ravel())
+            del S1
+            _condense(Kp.reshape(-1, N, N), n2, "polygon", T2[a:b], inv2[a:b], out=S2[a:b])
         elims.append((plan.local[cls.triangles.ravel()], T1, inv1, T2, inv2))
         at += S2.size
+    del work, K, Kp, place
     ns = len(plan.skeleton)
     data = np.bincount(plan.slots, schur, minlength=len(plan.indices))
     del schur, S2

@@ -241,19 +241,92 @@ def _digest(a):
 @pytest.mark.parametrize("name", sorted(_PINNED_PLANS))
 def test_plan_matches_pinned(name):
     # Recorded from the condensation that numbered each polygon's unknowns by
-    # one global sort: the owners, the skeleton, its pattern and each class's
-    # triangles and stage-2 unknowns must be reproduced exactly, and each
-    # polygon's skeleton unknowns as a set.
+    # one global sort and found the skeleton's pattern by another: the owners,
+    # the skeleton, its pattern, the data slot of every local Schur entry and
+    # each class's triangles and stage-2 unknowns must be reproduced exactly,
+    # and each polygon's skeleton unknowns as a set.
     family, k = name.split("4-k")
     plan = assemble_blocks(make_spaces(int(k), 4, family), 1.0).interior
     ref = _PINNED_PLANS[name]
-    for key in ("skeleton", "indices", "indptr", "triangle", "polygon"):
+    for key in ("skeleton", "indices", "indptr", "slots", "triangle", "polygon"):
         assert _digest(getattr(plan, key)) == ref[key], key
     assert len(plan.classes) == len(ref["classes"])
     for cls, pinned in zip(plan.classes, ref["classes"]):
         assert _digest(cls.triangles) == pinned["triangles"]
         assert _digest(cls.interior) == pinned["interior"]
         assert _digest(np.sort(cls.kept, axis=1)) == pinned["kept"]
+
+
+def _pattern_by_sort(plan):
+    """The skeleton's CSC pattern and the slot of every local Schur entry,
+    found as the condensation once found them: one np.unique over the
+    (column, row) key of every entry of every polygon's complement."""
+    ns = len(plan.skeleton)
+    where = np.full(len(plan.triangle), -1)
+    where[plan.skeleton] = np.arange(ns)
+    keys = []
+    for cls in plan.classes:
+        rows = where[cls.kept]
+        keys.append((rows[:, None, :] * ns + rows[:, :, None]).ravel())
+    cols_rows, slots = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols_rows // ns, minlength=ns))])
+    return cols_rows % ns, indptr, slots
+
+
+# Three polygon sizes (a triangle, a quadrilateral and a pentagon with a
+# straight angle), every polygon with boundary edges.
+_MIXED_MESH = "7 3\n0 0\n1 0\n2 0\n2 1\n1 1\n0 1\n1 0.5\n5 0 1 6 4 5\n3 1 2 6\n4 6 2 3 4\n"
+
+
+@pytest.mark.parametrize("family,k", [(f, k) for f in ("square", "distorted", "hanging", "mixed")
+                                      for k in range(4)])
+def test_pattern_from_edge_graph_matches_sort(family, k):
+    # The plan reads the pattern and the slots off the graph of primal edges
+    # that share a polygon; they must be what sorting every entry gives.
+    if family == "mixed":
+        spaces = StaggeredSpaces(mm.build_staggered(mm.import_polygon_mesh(_MIXED_MESH)), k)
+    else:
+        spaces = make_spaces(k, 8, family)
+    plan = assemble_blocks(spaces, 1.0).interior
+    if family == "mixed":
+        assert [cls.triangles.shape for cls in plan.classes] == [(1, 3), (1, 4), (1, 5)]
+    indices, indptr, slots = _pattern_by_sort(plan)
+    assert np.array_equal(plan.indices, indices)
+    assert np.array_equal(plan.indptr, indptr)
+    assert np.array_equal(plan.slots, slots)
+
+
+def test_plan_peak_memory_is_bounded_by_what_it_keeps():
+    # Sorting every local Schur entry key took the traced peak to 6.6 times
+    # the bytes the plan keeps; reading the pattern off the edge graph, 1.25.
+    spaces = make_spaces(2, 16, "distorted")
+    tracemalloc.start()
+    try:
+        plan = solver._condensation_plan(spaces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [plan.triangle, plan.polygon, plan.local, plan.skeleton, plan.slots, plan.indices,
+              plan.indptr]  # plan.gradient is a view of the W dofmap
+    for cls in plan.classes:
+        arrays += [cls.triangles, cls.position, cls.interior, cls.kept]
+    assert peak < 2 * sum(a.nbytes for a in arrays)
+
+
+def test_skeleton_unknowns_must_lie_on_their_primal_edges():
+    # A triangle of polygon 1 whose primal-side W unknowns are those of a
+    # primal edge of polygon 2: its polygons still share one layout, but the
+    # edge graph would slot its entries into the wrong columns.
+    spaces = make_spaces(k=1, n=3, family="distorted")
+    W, mesh = spaces.W.dofmap, spaces.mesh
+    mine = np.flatnonzero(mesh.tri_poly == 1)
+    theirs = np.flatnonzero((mesh.tri_poly == 2)
+                            & ~np.isin(mesh.tri_edges[:, 0], mesh.tri_edges[mine, 0]))
+    w = W.cell_dofs.copy()
+    w[mine[0], :2 * (spaces.k + 1)] = w[theirs[0], :2 * (spaces.k + 1)]
+    spaces.W.dofmap = replace(W, cell_dofs=w)
+    with pytest.raises(SolverError, match="skeleton unknowns off their primal edges"):
+        assemble_blocks(spaces, 1.0)
 
 
 @pytest.mark.parametrize("change", ["swap", "merge", "foreign"])
