@@ -4,7 +4,10 @@ Unknowns are stacked as (gradient coefficients, velocity coefficients,
 pressure coefficients, mean multiplier). After negating the gradient and
 divergence rows the global matrix is symmetric indefinite; a scalar
 Lagrange multiplier enforces the zero-mean pressure condition without
-breaking symmetry.
+breaking symmetry. Without the multiplier the matrix is singular, its kernel
+the constant pressure z, so the solve condenses that matrix and treats the
+multiplier in closed form: it is the one that puts the right-hand side in
+the matrix's range, and the mean condition picks the multiple of z to add.
 
 The solve condenses element by element in three stages. The gradient's cell
 moments couple to each other only through the mass block, which does not
@@ -15,30 +18,31 @@ M' = M_oo - M_oi M_ii^{-1} M_io, B' = B_uo - B_ui M_ii^{-1} M_io and
 E = B_ui M_ii^{-1} B_ui^T (`GradientCells`). For each viscosity the solve
 then runs one batch of polygons of one size at a time. Each triangle's
 reduced local matrix [[-M', se B'^T], [se B', A + eps E]], bordered by D
-and the multiplier (se = sqrt(eps)), has its cell U moments eliminated by a
-batched dense solve (stage 1). The remainders are summed per polygon, and
-each polygon's dual-edge W/U moments and cell P moments are eliminated by a
-second batched solve (stage 2). A batch's local matrices stay within
-BATCH_BYTES, and one work buffer per solve holds them and then the batch's
-polygon matrices, so the only dense stacks the solve makes over the whole
-mesh are the eliminations that refinement reads back. The local Schur
-complements sum into the primal-edge skeleton: the W and P moments of every
-primal edge and the multiplier, which SuperLU factorizes.
+(se = sqrt(eps)), has its cell U moments eliminated by a batched dense solve
+(stage 1). The remainders are summed per polygon, and each polygon's
+dual-edge W/U moments and cell P moments are eliminated by a second batched
+solve (stage 2). A batch's local matrices stay within BATCH_BYTES, and one
+work buffer per solve holds them and then the batch's polygon matrices, so
+the only dense stacks the solve makes over the whole mesh are the
+eliminations that refinement reads back. The local Schur complements sum
+into the primal-edge skeleton, the W and P moments of every primal edge. It
+is negative semidefinite with z as its kernel; with the edge-mean P moment
+of one edge pinned to zero it is negative definite, and SuperLU factorizes
+it with diagonal pivots.
 
 What depends only on the mesh and k is computed once per assembly, in a
 CondensationPlan: the triangles of every polygon, one local layout per
 polygon size (taken from its first polygon, checked on the others) with the
 place of each triangle's unknowns in it, a fill-reducing order of the
 skeleton taken from the mesh (minimum degree on the graph of primal edges
-that share a polygon), with the multiplier last, and the skeleton's sparsity
-pattern with the data slot of every local Schur entry. Only the primal-edge
-moments couple two polygons, so that pattern is the same graph in the
-skeleton order, each edge expanded into its 3(k+1) moments and bordered by
-the multiplier; it and the slots are read off the graph with arithmetic and
-one search per pair of a polygon's edges, with no sort of the entries. A new
-viscosity redoes only stages 1 and 2 and the sparse LU. Iterative refinement
-applies the saddle operator element by element from the original stacks, so
-no global saddle matrix is formed.
+that share a polygon), and the skeleton's sparsity pattern with the data
+slot of every local Schur entry. Only the primal-edge moments couple two
+polygons, so that pattern is the same graph in the skeleton order, each edge
+expanded into its 3(k+1) moments; it and the slots are read off the graph
+with arithmetic and one search per pair of a polygon's edges, with no sort
+of the entries. A new viscosity redoes only stages 1 and 2 and the sparse
+LU. Iterative refinement applies the saddle operator element by element
+from the original stacks, so no global saddle matrix is formed.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class _SizeClass:
     triangles: np.ndarray  # (count, m) triangles of each polygon, in increasing order
     position: np.ndarray  # (m, nr) places of each triangle's outer unknowns in the layout
     interior: np.ndarray  # (count, n2) stage-2 unknowns of each polygon
-    kept: np.ndarray  # (count, nk) its skeleton unknowns, the multiplier last
+    kept: np.ndarray  # (count, nk) its skeleton unknowns
 
 
 @dataclass
@@ -78,8 +82,7 @@ class CondensationPlan:
     0 and 1 (a triangle's W and U cell moments) and in stage 2, -1 where that
     stage keeps it; the skeleton is what all keep. Each triangle's reduced
     local unknowns are its U cell moments, the num_inner that stage 1
-    eliminates, then its W edge moments, U edge moments, P cell_dofs and the
-    multiplier.
+    eliminates, then its W edge moments, U edge moments and P cell_dofs.
     """
 
     triangle: np.ndarray  # (n,)
@@ -92,6 +95,8 @@ class CondensationPlan:
     slots: np.ndarray  # data slot of every local Schur entry, classes in turn
     indices: np.ndarray  # CSC pattern of the skeleton matrix
     indptr: np.ndarray
+    pin: int  # skeleton place of the moment pinned to zero
+    pinned: np.ndarray  # data slots of its row and column off the diagonal
 
     @property
     def size(self) -> int:
@@ -137,31 +142,17 @@ def _edge_order(mesh) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:
 
 def _skeleton_pattern(graph: sp.csc_matrix, k3: int) -> tuple[np.ndarray, np.ndarray]:
     """CSC pattern of the skeleton: the edge graph in skeleton order, each
-    node expanded into the k3 moments of its edge, bordered by the
-    multiplier. Column (a, s) lists the k3 rows of every edge adjacent to
-    edge a, in order, then the multiplier; the multiplier's column lists all
-    ns rows."""
-    ne, gptr = graph.shape[0], graph.indptr
-    ns = k3 * ne + 1
-    deg = np.diff(gptr)
-    counts = np.append(np.repeat(deg * k3 + 1, k3), ns)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    # A column is a sequence of runs of consecutive rows, one run of k3 per
-    # adjacent edge and a last one of the multiplier's row, so `indices` is
-    # the running sum of steps that are 1 except where a run begins. The
-    # heads of the runs of edge a's columns, edge after edge:
-    heads = np.insert(graph.indices * k3, gptr[1:], ns - 1)
-    # Each run follows the one before it or, for a column's first, the
-    # multiplier's row that ends the column before.
-    steps = heads - np.minimum(np.roll(heads, 1) + k3 - 1, ns - 1)
-    runs = np.repeat(deg + 1, k3)
-    run = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)  # within its column
-    head = np.repeat(np.repeat(gptr[:-1] + np.arange(ne), k3), runs) + run
-    indices = np.ones(indptr[-1], dtype=np.int32)
-    indices[np.repeat(indptr[:-2], runs) + k3 * run] = steps[head]
-    indices[0] += ns - 1  # the first column starts from row 0
-    indices[indptr[-2]] = 1 - ns  # the multiplier's column lists every row
-    np.cumsum(indices, dtype=np.int32, out=indices)
+    node expanded into the k3 moments of its edge. Column (a, s) lists the k3
+    rows of every edge adjacent to edge a, in order."""
+    gptr, deg = graph.indptr, np.diff(graph.indptr)
+    runs = np.repeat(deg, k3)  # adjacent edges of each column
+    indptr = np.concatenate([[0], np.cumsum(runs * k3)]).astype(np.int32)
+    # A column is a sequence of runs of k3 consecutive rows, one per adjacent
+    # edge. The place in the graph of each run's edge, column after column:
+    adj = np.arange(runs.sum()) + np.repeat(np.repeat(gptr[:-1], k3) - indptr[:-1] // k3, runs)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    np.add((graph.indices[adj] * k3)[:, None], np.arange(k3, dtype=np.int32),
+           out=indices.reshape(-1, k3))
     return indices, indptr
 
 
@@ -169,15 +160,14 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     mesh, k1, nk = spaces.mesh, spaces.k + 1, spaces.nk
     W, U, P = spaces.W.dofmap, spaces.U.dofmap, spaces.P.dofmap
     nW, nU, nT = W.ndof, U.ndof, mesh.num_triangles
-    n = nW + nU + P.ndof + 1  # the multiplier is last
+    n = nW + nU + P.ndof
     tri_poly = mesh.tri_poly
     # Local DOF order of each space: primal side, the two dual sides, cell
     # (U has no primal side). Stage 0 removes the W cell moments, the last of
     # W's 4nk; the U cell moments, which stage 1 removes, go first.
     gradient = W.cell_dofs[:, 4 * k1:]
     local = np.hstack([nW + U.cell_dofs[:, 2 * k1:], W.cell_dofs[:, :4 * k1],
-                       nW + U.cell_dofs[:, :2 * k1], nW + nU + P.cell_dofs,
-                       np.full((nT, 1), n - 1)])
+                       nW + U.cell_dofs[:, :2 * k1], nW + nU + P.cell_dofs])
     ni = 2 * (nk - k1)
     # Stage 2: the W dual sides, the U dual sides and the P cell moments.
     stage2 = ni + np.r_[2 * k1:6 * k1, 7 * k1:6 * k1 + nk]
@@ -185,16 +175,19 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     polygon = _owners(n, local[:, stage2], tri_poly, "polygon")
 
     # Skeleton order: the W then P moments of each primal edge, edges in the
-    # mesh-derived order, the multiplier last.
+    # mesh-derived order.
     edges, place, graph = _edge_order(mesh)
     k3, ne = 3 * k1, len(edges)
-    skeleton = np.concatenate([
-        np.hstack([W.edge_offsets[edges, None] + np.arange(2 * k1),
-                   nW + nU + P.edge_offsets[edges, None] + np.arange(k1)]).ravel(), [n - 1]])
+    skeleton = np.hstack([W.edge_offsets[edges, None] + np.arange(2 * k1),
+                          nW + nU + P.edge_offsets[edges, None] + np.arange(k1)]).ravel()
     ns = len(skeleton)
     where = np.full(n, -1)
     where[skeleton] = np.arange(ns)
     indices, indptr = _skeleton_pattern(graph, k3)
+    # The constant pressure, the skeleton's kernel, has a nonzero edge mean;
+    # pin that moment of the last edge. Its diagonal is in its row and column.
+    pin = ns - k1
+    pinned = np.setxor1d(np.arange(indptr[pin], indptr[pin + 1]), np.flatnonzero(indices == pin))
     # Graph entries keyed by (column, row); they are sorted that way.
     gkeys = np.repeat(np.arange(ne), np.diff(graph.indptr)) * ne + graph.indices
     tri_edge = place[mesh.tri_edges[:, 0]]
@@ -226,37 +219,32 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     # Every class's local Schur entries in turn, polygon by polygon, (row,
     # column) in the order of its kept unknowns, the order of solve's stacks.
     slots = np.empty(sum(c.kept.size * c.kept.shape[1] for c in classes), dtype=np.int32)
-    at, deg = 0, np.diff(graph.indptr)
+    at = 0
     for cls in classes:
         (count, m), n2, nkept = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
-        # The triangle of each skeleton place, m for the multiplier's, and
-        # the skeleton edge of each triangle, ne standing for the multiplier.
+        # The triangle of each skeleton place and the skeleton edge of each
+        # triangle.
         tri_of = np.empty(nkept, dtype=int)
         outer = cls.position >= n2
         tri_of[cls.position[outer] - n2] = np.nonzero(outer)[0]
-        tri_of[-1] = m
-        edge = np.hstack([tri_edge[cls.triangles], np.full((count, 1), ne)])
+        edge = tri_edge[cls.triangles]
         rows = where[cls.kept]
         if np.any(rows // k3 != edge[:, tri_of]):
             raise SolverError(f"{m}-gon polygons list skeleton unknowns off their primal edges")
         # Entry (i, j) lands in column rows[j] at row rows[i]: in the column
         # after offset[t_i, t_j] entries of the runs before row i's, then
         # rows[i] % k3 into its run, with t the triangles of the places.
-        offset = np.empty((count, m + 1, m + 1), dtype=np.int32)
-        col, row = edge[:, None, :m], edge[:, :m, None]
-        offset[:, :m, :m] = k3 * (np.searchsorted(gkeys, col * ne + row) - graph.indptr[col])
-        offset[:, :m, m] = k3 * edge[:, :m]  # the multiplier's column lists every row
-        offset[:, m, :m] = k3 * deg[edge[:, :m]]  # the multiplier's row is last
-        offset[:, m, m] = ns - 1
+        col, row = edge[:, None, :], edge[:, :, None]
+        offset = (k3 * (np.searchsorted(gkeys, col * ne + row) - graph.indptr[col])).astype(np.int32)
         out = slots[at:at + count * nkept * nkept].reshape(count, nkept, nkept)
         # mode="clip" writes to out directly; "raise" would buffer it.
-        np.take(offset.reshape(count, -1), tri_of[:, None] * (m + 1) + tri_of, axis=1, out=out,
+        np.take(offset.reshape(count, -1), tri_of[:, None] * m + tri_of, axis=1, out=out,
                 mode="clip")
         out += indptr[rows][:, None, :]
         out += (rows % k3).astype(np.int32)[:, :, None]
         at += out.size
     return CondensationPlan(triangle, polygon, gradient, ni, local, classes, skeleton,
-                            slots, indices, indptr)
+                            slots, indices, indptr, pin, pinned)
 
 
 def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
@@ -316,6 +304,7 @@ class SystemBlocks:
     alpha: float  # reaction coefficient of the A stack
     elements: forms.ElementMatrices = field(repr=False)
     c: np.ndarray  # (nP,) pressure means
+    z: np.ndarray  # (nP,) the constant pressure 1, the kernel without the multiplier
     gradient: GradientCells = field(repr=False)
     interior: CondensationPlan = field(repr=False)
 
@@ -329,7 +318,8 @@ def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
     el = forms.element_matrices(spaces, alpha)
     P = spaces.P.dofmap
     c = np.bincount(P.cell_dofs.ravel(), el.c.ravel(), minlength=P.ndof)
-    return SystemBlocks(spaces, alpha, el, c,
+    z = spaces.interpolate("P", lambda x: np.ones(len(x))).coeffs
+    return SystemBlocks(spaces, alpha, el, c, z,
                         _eliminate_gradient_cells(el, 4 * (spaces.k + 1)),
                         _condensation_plan(spaces))
 
@@ -401,16 +391,15 @@ def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
                     tris: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The reduced saddle matrices of triangles `tris`, rows and columns in
     the plan's local order: U cell moments, W edge moments, U edge moments,
-    P cell_dofs, multiplier. They are written to K, which holds one per
-    triangle."""
+    P cell_dofs. They are written to K, which holds one per triangle."""
     (nu, no), npr, se = g.B.shape[1:], el.D.shape[1], math.sqrt(eps)
-    nl, ue = nu + no + npr + 1, no // 2  # U's edge moments come first in its stacks
+    nl, ue = nu + no + npr, no // 2  # U's edge moments come first in its stacks
     K.fill(0.0)
     # A run of consecutive triangles reads views of the stacks, not copies.
     if np.all(np.diff(tris) == 1):
         tris = slice(tris[0], tris[-1] + 1)
     # (local, stack) slices of each field; the U cell moments are moved first.
-    pt = slice(nu + no, nl - 1)
+    pt = slice(nu + no, nl)
     w = ((slice(nu - ue, nu - ue + no), slice(None)),)
     u = ((slice(0, nu - ue), slice(ue, nu)), (slice(nu - ue + no, nu + no), slice(0, ue)))
     p = ((pt, slice(None)),)
@@ -424,8 +413,6 @@ def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
     for rt, rs in u:
         for ct, cs in u:
             K[:, rt, ct] += el.A[tris, rs, cs]
-    np.negative(el.c[tris], out=K[:, pt, -1])
-    K[:, -1, pt] = K[:, pt, -1]
     return K
 
 
@@ -473,7 +460,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     """Direct solve of the saddle system by static condensation of the
     element matrices, stage 0 taken from the blocks, then iterative
     refinement against the original element stacks."""
-    plan, n = system.blocks.interior, system.num_unknowns
+    plan, n = system.blocks.interior, len(system.blocks.interior.triangle)
     el, g, se = system.blocks.elements, system.blocks.gradient, math.sqrt(system.eps)
     t0 = time.perf_counter()
     nl, ni = plan.local.shape[1], plan.num_inner
@@ -518,13 +505,12 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     ns = len(plan.skeleton)
     data = np.bincount(plan.slots, schur, minlength=len(plan.indices))
     del schur, S2
+    data[plan.pinned] = 0.0
     S = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(ns, ns))
     t1 = time.perf_counter()
-    # The skeleton is pre-ordered from the mesh; diagonal pivots where they are
-    # at least 0.01 of the column maximum (0.1 multiplies the fill at small
-    # viscosity).
+    # The skeleton is pre-ordered from the mesh; diagonal pivots.
     try:
-        lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+        lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
@@ -538,12 +524,19 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     go, gu = spaces.W.dofmap.cell_dofs[:, :no], spaces.W.ndof + spaces.U.dofmap.cell_dofs
     gou = np.hstack([go, gu]).ravel()
     Moi, Mio, Bui = el.M[:, :no, no:], el.M[:, no:, :no], el.B[:, :, no:]
+    c, z = system.blocks.c, system.blocks.z
+    pressure, cz = slice(n - len(z), n), c @ z
 
     def apply(b: np.ndarray) -> np.ndarray:
+        # The multiplier puts the pressure rows in the range of the matrix
+        # without it, whose kernel is z; b is then solved with the pinned
+        # moment zero, and the multiple of z added that gives the mean.
+        lam = -(z @ b[pressure]) / cz
         y0 = np.einsum("tij,tj->ti", g.Minv, b[g0])
-        r = b + np.bincount(gou, np.hstack([
+        r = b[:n] + np.bincount(gou, np.hstack([
             -np.einsum("toi,ti->to", Moi, y0),
             se * np.einsum("tui,ti->tu", Bui, y0)]).ravel(), minlength=n)
+        r[pressure] += lam * c
         b1, y2 = [], []
         for cls, (local, T1, _, T2, inv2) in zip(plan.classes, elims):
             # Stages 1 and 2 leave the stage-1 unknowns of r as they are.
@@ -554,14 +547,18 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
             y2.append(np.einsum("pij,pj->pi", inv2, b2))
             r -= np.bincount(cls.kept.ravel(), np.einsum("pik,pi->pk", T2, b2).ravel(),
                              minlength=n)
-        x = np.empty(n)
-        x[plan.skeleton] = lu.solve(r[plan.skeleton])
+        rs = r[plan.skeleton]
+        rs[plan.pin] = 0.0
+        x = np.empty(n + 1)
+        x[plan.skeleton] = lu.solve(rs)
         for cls, (local, T1, inv1, T2, _), c1, c2 in zip(plan.classes, elims, b1, y2):
             x[cls.interior] = c2 - np.einsum("pik,pk->pi", T2, x[cls.kept])
             x[local[:, :ni]] = (np.einsum("tij,tj->ti", inv1, c1)
                                 - np.einsum("tio,to->ti", T1, x[local[:, ni:]]))
         x[g0] = -y0 - np.einsum("tij,tj->ti", g.Minv, np.einsum("tio,to->ti", Mio, x[go])
                                 - se * np.einsum("tui,tu->ti", Bui, x[gu]))
+        x[pressure] -= (b[-1] + c @ x[pressure]) / cz * z
+        x[-1] = lam
         return x
 
     x = apply(system.rhs)
@@ -582,6 +579,12 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         if not np.isfinite(res) or res >= best_res:
             break
         best, best_r, best_res = x, r, res
+    # The pinned skeleton is negative definite when the problem is well posed.
+    # SuperLU gives its pivots only as the diagonal of U, converting both
+    # factors to copies, so they are read once the eliminations are freed.
+    del apply, elims, T1, inv1, T2, inv2
+    if np.any(lu.U.diagonal() >= 0.0):
+        raise SolverError("the pinned skeleton is not negative definite")
     nW, nU, nP = system.dims
     return DiscreteSolution(
         L=DiscreteField("W", best[:nW].copy()),

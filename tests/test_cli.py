@@ -101,8 +101,8 @@ def test_run_single_reports_errors_and_sizes():
     assert all(v > 0.0 for v in report.errors.values())
     assert report.ndof == sum(report.dims) + 1
     assert report.h == 0.25
-    # Skeleton: 3(k+1) moments on each of the 40 primal edges, plus the multiplier.
-    assert report.skeleton == 6 * 40 + 1
+    # Skeleton: 3(k+1) moments on each of the 40 primal edges.
+    assert report.skeleton == 6 * 40
     assert report.lu_fill > 0 and report.residuals[-1] < 1e-12
     text = report.summary()
     assert "err_u" in text and "unknowns" in text

@@ -194,7 +194,7 @@ def test_interior_groups_layout(family, k):
     mesh, k1 = spaces.mesh, k + 1
     W, U, P = spaces.W.dofmap, spaces.U.dofmap, spaces.P.dofmap
     nW, nU = W.ndof, U.ndof
-    n = nW + nU + P.ndof + 1
+    n = nW + nU + P.ndof
     assert groups.triangle.shape == groups.polygon.shape == (n,)
     assert not np.any((groups.triangle >= 0) & (groups.polygon >= 0))
 
@@ -219,10 +219,10 @@ def test_interior_groups_layout(family, k):
         expected = np.concatenate([expected, nW + nU + cell_entries(P)[tris].ravel()])
         assert np.array_equal(np.flatnonzero(groups.polygon == p), np.sort(expected))
 
-    # Skeleton: 2(k+1) W and k+1 P moments per primal edge, plus the multiplier.
+    # Skeleton: 2(k+1) W and k+1 P moments per primal edge.
     skeleton = np.flatnonzero((groups.triangle < 0) & (groups.polygon < 0))
-    assert len(skeleton) == 3 * k1 * len(mesh.primal_edge_ids) + 1
-    assert skeleton[-1] == n - 1
+    assert len(skeleton) == 3 * k1 * len(mesh.primal_edge_ids)
+    assert skeleton[-1] == nW + nU + P.num_edge_dofs - 1
 
     # Stage 2 takes each polygon's interior unknowns in increasing order, the
     # order in which its elimination rounds as before the layouts were shared.
