@@ -343,17 +343,33 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-svg", help="SVG plot output path")
 
 
-_CONFIG_KEYS = {
-    "k": int, "epsilon": float, "alpha": float, "mesh": str, "mesh_file": str,
-    "levels": None, "delta": float, "seed": int, "case": str,
-    "quad_degree": int, "out_csv": str, "out_svg": str,
-}
+def _integer(value) -> int:
+    """An integral number, not a bool; a string is read by int()."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _real(value) -> float:
+    """A number, not a bool; a string is read by float()."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
 
 
 def _parse_levels(value) -> tuple[int, ...]:
     if isinstance(value, str):
-        return tuple(int(part) for part in value.split(",") if part.strip())
-    return tuple(int(v) for v in value)
+        return tuple(_integer(part) for part in value.split(",") if part.strip())
+    return tuple(_integer(v) for v in value)
+
+
+_CONFIG_KEYS = {
+    "k": _integer, "epsilon": _real, "alpha": _real, "mesh": str, "mesh_file": str,
+    "levels": _parse_levels, "delta": _real, "seed": _integer, "case": str,
+    "quad_degree": _integer, "out_csv": str, "out_svg": str,
+}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -373,21 +389,24 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         for key, value in data.items():
             if key not in _CONFIG_KEYS:
                 problems.append(f"unknown config key {key!r}")
-            elif key == "levels":
-                config = replace(config, levels=_parse_levels(value))
-            else:
+                continue
+            try:
                 config = replace(config, **{key: _CONFIG_KEYS[key](value)})
+            except (TypeError, ValueError):
+                problems.append(f"config key {key!r} has an invalid value {value!r}")
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is None:
             continue
-        if key == "levels":
-            config = replace(config, levels=_parse_levels(flag))
-        else:
-            config = replace(config, **{key: flag})
+        try:
+            config = replace(config, **{key: _CONFIG_KEYS[key](flag)})
+        except ValueError:
+            problems.append(f"--{key.replace('_', '-')} has an invalid value {flag!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return config

@@ -348,6 +348,40 @@ def test_main_invalid_values_are_config_errors(argv, problem, capsys):
     assert err.startswith("error: config: ") and problem in err
 
 
+@pytest.mark.parametrize("text,problem", [
+    ("[1]", "config must be a JSON object, got list"),
+    ('{"k": "x"}', "config key 'k' has an invalid value 'x'"),
+    ('{"levels": 5}', "config key 'levels' has an invalid value 5"),
+    ('{"k": 2.7}', "config key 'k' has an invalid value 2.7"),
+    ('{"k": true}', "config key 'k' has an invalid value True"),
+    ('{"seed": 4.5}', "config key 'seed'"),
+    ('{"quad_degree": 8.5}', "config key 'quad_degree'"),
+    ('{"levels": [4, 8.5]}', "config key 'levels'"),
+    ('{"epsilon": false}', "config key 'epsilon'"),
+])
+def test_main_malformed_config_values_are_config_errors(text, problem, tmp_path, capsys):
+    # A value its key cannot hold is refused, not truncated (2.7 read as k=2,
+    # true as k=1) and not left to fail later as a runtime error.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert cli.main(["mesh", "check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and problem in err
+
+
+def test_main_malformed_levels_flag_is_a_config_error(capsys):
+    assert cli.main(["mesh", "check", "--levels", "4,x"]) == 2
+    assert "--levels has an invalid value '4,x'" in capsys.readouterr().err
+
+
+def test_build_config_takes_integral_numbers(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"k": 2.0, "levels": "4, 8", "seed": "7"}))
+    config = cli.build_config(_parse(["solve", "--config", str(cfg)]))
+    assert (config.k, config.levels, config.seed) == (2, (4, 8), 7)
+    assert type(config.k) is int
+
+
 def test_main_mesh_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 0\n1 0\n0 1\n3 0 2 1\n")  # clockwise polygon

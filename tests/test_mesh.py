@@ -1,6 +1,7 @@
 """Tests for primal mesh builders, the staggered subdivision, and mesh I/O."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,18 @@ def test_validate_needs_one_interior_point_per_polygon():
 def test_import_polygon_mesh_rejects_malformed(text, match):
     with pytest.raises(MeshFormatError, match=match):
         mm.import_polygon_mesh(text)
+
+
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_import_polygon_mesh_rejects_non_finite_coordinates(coord):
+    # Refused where it is read, before the mesh check would warn about the
+    # arithmetic and then report adjacency signs that do not oppose.
+    text = f"5 2\n0 0\n1 0\n1 1\n0 1\n{coord} 0.5\n4 0 1 2 4\n3 0 4 3\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshFormatError, match="finite numbers") as err:
+            mm.build_staggered(mm.import_polygon_mesh(text))
+    assert err.value.line == 6
 
 
 def test_import_polygon_mesh_reports_line_numbers():

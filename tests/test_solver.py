@@ -373,6 +373,29 @@ def test_invalid_eliminations_raise_solver_error():
         solve(system)
 
 
+def test_indefinite_skeleton_raises_solver_error():
+    # The A stack negated and scaled: the system stays solvable (without the
+    # check the refined residual reaches 4e-13), but the pinned skeleton is
+    # not negative definite, which its diagonal pivots rely on.
+    _spaces, _case, system = make_system(k=1, n=3, family="distorted")
+    system.blocks.elements.A *= -100.0
+    with pytest.raises(SolverError, match="not negative definite"):
+        solve(system)
+
+
+@pytest.mark.parametrize("family,k", [("square", 0), ("distorted", 2), ("hanging", 3)])
+def test_constant_pressure_is_the_kernel_without_the_multiplier(family, k):
+    # The solve condenses the saddle matrix without the multiplier, whose
+    # kernel is the constant pressure z of the blocks; c . z = 1 puts the
+    # multiplier in closed form.
+    _spaces, _case, system = make_system(k=k, n=4, family=family)
+    K0 = saddle_matrix(system)[:-1, :-1]
+    nW, nU, _nP = system.dims
+    z = np.concatenate([np.zeros(nW + nU), system.blocks.z])
+    assert np.abs(K0 @ z).max() < 1e-14 * abs(K0).max()
+    assert abs(system.blocks.c @ system.blocks.z - 1.0) < 1e-14
+
+
 @pytest.mark.parametrize("family", ["square", "distorted", "hanging"])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_gradient_cells_are_the_element_schur_complement(family, k):
