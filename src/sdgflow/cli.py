@@ -219,21 +219,13 @@ def run_convergence(config: RunConfig) -> ConvergenceTable:
 
 # -- output formatting --------------------------------------------------
 
-def _fmt_err(v: float) -> str:
-    return f"{v:.2e}"
-
-
-def _fmt_ord(v: float | None) -> str:
-    return "N/A" if v is None else f"{v:.2f}"
-
-
 def table_to_csv(table: ConvergenceTable) -> str:
     lines = [CSV_COLUMNS]
     for row in table.rows:
         fields = ["N/A" if row.level is None else str(row.level), f"{row.h:.6g}", str(row.ndof)]
         for key in ERROR_KEYS:
-            fields.append(_fmt_err(row.errors[key]))
-            fields.append(_fmt_ord(row.orders.get(key)))
+            order = row.orders.get(key)
+            fields += [f"{row.errors[key]:.2e}", "N/A" if order is None else f"{order:.2f}"]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
 
@@ -345,9 +337,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 def _integer(value) -> int:
     """An integral number, not a bool; a string is read by int()."""
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, bool) or not float(value).is_integer():
+    if not isinstance(value, str) and (isinstance(value, bool) or not float(value).is_integer()):
         raise ValueError(value)
     return int(value)
 
@@ -374,13 +364,13 @@ _CONFIG_KEYS = {
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Assemble a RunConfig: preset first, JSON config next, flags last."""
-    problems = []
     config = RunConfig()
     if args.preset:
         try:
             config = config_from_preset(cases.preset(args.preset))
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from None
+    values = []  # (source, key, value) in the order they apply
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -391,22 +381,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        for key, value in data.items():
-            if key not in _CONFIG_KEYS:
-                problems.append(f"unknown config key {key!r}")
-                continue
-            try:
-                config = replace(config, **{key: _CONFIG_KEYS[key](value)})
-            except (TypeError, ValueError):
-                problems.append(f"config key {key!r} has an invalid value {value!r}")
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is None:
+        values += [(f"config key {key!r}", key, value) for key, value in data.items()]
+    values += [(f"--{key.replace('_', '-')}", key, getattr(args, key)) for key in _CONFIG_KEYS
+               if getattr(args, key, None) is not None]
+    problems = []
+    for source, key, value in values:
+        if key not in _CONFIG_KEYS:
+            problems.append(f"unknown config key {key!r}")
             continue
         try:
-            config = replace(config, **{key: _CONFIG_KEYS[key](flag)})
-        except ValueError:
-            problems.append(f"--{key.replace('_', '-')} has an invalid value {flag!r}")
+            config = replace(config, **{key: _CONFIG_KEYS[key](value)})
+        except (TypeError, ValueError):
+            problems.append(f"{source} has an invalid value {value!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return config

@@ -382,7 +382,7 @@ def import_polygon_mesh(text: str) -> PrimalMesh:
             vertices[v] = [float(fields[0]), float(fields[1])]
         except ValueError:
             raise MeshFormatError("vertex coordinates must be numbers", lineno) from None
-        if not np.all(np.isfinite(vertices[v])):
+        if not np.isfinite(vertices[v]).all():
             raise MeshFormatError("vertex coordinates must be finite numbers", lineno)
     offsets, ids = [0], []
     for p in range(npoly):

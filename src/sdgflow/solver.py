@@ -2,12 +2,10 @@
 
 Unknowns are stacked as (gradient coefficients, velocity coefficients,
 pressure coefficients, mean multiplier). After negating the gradient and
-divergence rows the global matrix is symmetric indefinite; a scalar
-Lagrange multiplier enforces the zero-mean pressure condition without
-breaking symmetry. Without the multiplier the matrix is singular, its kernel
-the constant pressure z, so the solve condenses that matrix and treats the
-multiplier in closed form: it is the one that puts the right-hand side in
-the matrix's range, and the mean condition picks the multiple of z to add.
+divergence rows the global matrix is symmetric indefinite; the scalar
+Lagrange multiplier enforces the zero-mean pressure condition. The solve
+condenses the matrix without it, whose kernel is the constant pressure z,
+and finds the multiplier and the multiple of z in closed form.
 
 The solve condenses element by element in three stages. The gradient's cell
 moments couple to each other only through the mass block, which does not
@@ -25,10 +23,9 @@ solve (stage 2). A batch's local matrices stay within BATCH_BYTES, and one
 work buffer per solve holds them and then the batch's polygon matrices, so
 the only dense stacks the solve makes over the whole mesh are the
 eliminations that refinement reads back. The local Schur complements sum
-into the primal-edge skeleton, the W and P moments of every primal edge. It
-is negative semidefinite with z as its kernel; with the edge-mean P moment
-of one edge pinned to zero it is negative definite, and SuperLU factorizes
-it with diagonal pivots.
+into the primal-edge skeleton, the W and P moments of every primal edge;
+with the edge-mean P moment of one edge pinned to zero it is negative
+definite, and SuperLU factorizes it with diagonal pivots.
 
 What depends only on the mesh and k is computed once per assembly, in a
 CondensationPlan: the triangles of every polygon, one local layout per
@@ -78,7 +75,7 @@ class _SizeClass:
 class CondensationPlan:
     """Layout of the condensation; depends only on mesh and k.
 
-    `triangle` and `polygon` give the owner of each saddle unknown in stages
+    `triangle` and `polygon` give the owner of each W, U and P unknown in stages
     0 and 1 (a triangle's W and U cell moments) and in stage 2, -1 where that
     stage keeps it; the skeleton is what all keep. Each triangle's reduced
     local unknowns are its U cell moments, the num_inner that stage 1
@@ -150,10 +147,8 @@ def _skeleton_pattern(graph: sp.csc_matrix, k3: int) -> tuple[np.ndarray, np.nda
     # A column is a sequence of runs of k3 consecutive rows, one per adjacent
     # edge. The place in the graph of each run's edge, column after column:
     adj = np.arange(runs.sum()) + np.repeat(np.repeat(gptr[:-1], k3) - indptr[:-1] // k3, runs)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    np.add((graph.indices[adj] * k3)[:, None], np.arange(k3, dtype=np.int32),
-           out=indices.reshape(-1, k3))
-    return indices, indptr
+    indices = graph.indices[adj, None] * k3 + np.arange(k3, dtype=np.int32)
+    return indices.ravel(), indptr
 
 
 def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
@@ -222,8 +217,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     at = 0
     for cls in classes:
         (count, m), n2, nkept = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
-        # The triangle of each skeleton place and the skeleton edge of each
-        # triangle.
+        # The triangle of each skeleton place and each triangle's skeleton edge.
         tri_of = np.empty(nkept, dtype=int)
         outer = cls.position >= n2
         tri_of[cls.position[outer] - n2] = np.nonzero(outer)[0]
@@ -235,11 +229,11 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
         # after offset[t_i, t_j] entries of the runs before row i's, then
         # rows[i] % k3 into its run, with t the triangles of the places.
         col, row = edge[:, None, :], edge[:, :, None]
-        offset = (k3 * (np.searchsorted(gkeys, col * ne + row) - graph.indptr[col])).astype(np.int32)
+        offset = k3 * (np.searchsorted(gkeys, col * ne + row) - graph.indptr[col])
         out = slots[at:at + count * nkept * nkept].reshape(count, nkept, nkept)
         # mode="clip" writes to out directly; "raise" would buffer it.
-        np.take(offset.reshape(count, -1), tri_of[:, None] * m + tri_of, axis=1, out=out,
-                mode="clip")
+        np.take(offset.astype(np.int32).reshape(count, -1), tri_of[:, None] * m + tri_of,
+                axis=1, out=out, mode="clip")
         out += indptr[rows][:, None, :]
         out += (rows % k3).astype(np.int32)[:, :, None]
         at += out.size
@@ -304,7 +298,7 @@ class SystemBlocks:
     alpha: float  # reaction coefficient of the A stack
     elements: forms.ElementMatrices = field(repr=False)
     c: np.ndarray  # (nP,) pressure means
-    z: np.ndarray  # (nP,) the constant pressure 1, the kernel without the multiplier
+    z: np.ndarray  # (nP,) the constant pressure 1
     gradient: GradientCells = field(repr=False)
     interior: CondensationPlan = field(repr=False)
 
@@ -399,10 +393,9 @@ def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
     if np.all(np.diff(tris) == 1):
         tris = slice(tris[0], tris[-1] + 1)
     # (local, stack) slices of each field; the U cell moments are moved first.
-    pt = slice(nu + no, nl)
     w = ((slice(nu - ue, nu - ue + no), slice(None)),)
     u = ((slice(0, nu - ue), slice(ue, nu)), (slice(nu - ue + no, nu + no), slice(0, ue)))
-    p = ((pt, slice(None)),)
+    p = ((slice(nu + no, nl), slice(None)),)
     Bt, Dt = np.swapaxes(g.B, 1, 2), np.swapaxes(el.D, 1, 2)
     # Copy the blocks by slices; fancy indexing is several times slower.
     for rows, cols, X, scale in ((w, w, g.M, -1.0), (u, w, g.B, se), (w, u, Bt, se),
@@ -549,7 +542,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
                              minlength=n)
         rs = r[plan.skeleton]
         rs[plan.pin] = 0.0
-        x = np.empty(n + 1)
+        x = np.full(n + 1, lam)  # the multiplier last; every other entry is set below
         x[plan.skeleton] = lu.solve(rs)
         for cls, (local, T1, inv1, T2, _), c1, c2 in zip(plan.classes, elims, b1, y2):
             x[cls.interior] = c2 - np.einsum("pik,pk->pi", T2, x[cls.kept])
@@ -558,7 +551,6 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         x[g0] = -y0 - np.einsum("tij,tj->ti", g.Minv, np.einsum("tio,to->ti", Mio, x[go])
                                 - se * np.einsum("tui,tu->ti", Bui, x[gu]))
         x[pressure] -= (b[-1] + c @ x[pressure]) / cz * z
-        x[-1] = lam
         return x
 
     x = apply(system.rhs)
@@ -579,17 +571,14 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         if not np.isfinite(res) or res >= best_res:
             break
         best, best_r, best_res = x, r, res
-    # The pinned skeleton is negative definite when the problem is well posed.
-    # SuperLU gives its pivots only as the diagonal of U, converting both
-    # factors to copies, so they are read once the eliminations are freed.
+    # SuperLU gives its pivots as the diagonal of U, with a copy of both
+    # factors, so they are read once the eliminations are freed.
     del apply, elims, T1, inv1, T2, inv2
     if np.any(lu.U.diagonal() >= 0.0):
         raise SolverError("the pinned skeleton is not negative definite")
-    nW, nU, nP = system.dims
+    L, u, p, _ = np.split(best, np.cumsum(system.dims))
     return DiscreteSolution(
-        L=DiscreteField("W", best[:nW].copy()),
-        u=DiscreteField("U", best[nW:nW + nU].copy()),
-        p=DiscreteField("P", best[nW + nU:nW + nU + nP].copy()),
+        L=DiscreteField("W", L), u=DiscreteField("U", u), p=DiscreteField("P", p),
         multiplier=float(best[-1]),
         residual=best_res,
         skeleton=ns,
