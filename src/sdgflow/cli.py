@@ -219,13 +219,21 @@ def run_convergence(config: RunConfig) -> ConvergenceTable:
 
 # -- output formatting --------------------------------------------------
 
+def _fmt_err(v: float) -> str:
+    return f"{v:.2e}"
+
+
+def _fmt_ord(v: float | None) -> str:
+    return "N/A" if v is None else f"{v:.2f}"
+
+
 def table_to_csv(table: ConvergenceTable) -> str:
     lines = [CSV_COLUMNS]
     for row in table.rows:
         fields = ["N/A" if row.level is None else str(row.level), f"{row.h:.6g}", str(row.ndof)]
         for key in ERROR_KEYS:
-            order = row.orders.get(key)
-            fields += [f"{row.errors[key]:.2e}", "N/A" if order is None else f"{order:.2f}"]
+            fields.append(_fmt_err(row.errors[key]))
+            fields.append(_fmt_ord(row.orders.get(key)))
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
 
@@ -321,16 +329,16 @@ def emit_outputs(table: ConvergenceTable, out_csv: str | None,
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--preset", help="named experiment preset, e.g. table1")
-    sub.add_argument("--k", type=int, help="polynomial order 0..3")
-    sub.add_argument("--epsilon", type=float, help="viscosity coefficient")
-    sub.add_argument("--alpha", type=float, help="reaction coefficient")
+    sub.add_argument("--k", help="polynomial order 0..3")
+    sub.add_argument("--epsilon", help="viscosity coefficient")
+    sub.add_argument("--alpha", help="reaction coefficient")
     sub.add_argument("--mesh", help="square|distorted|hanging|file")
     sub.add_argument("--mesh-file", help="polygon mesh file (with --mesh file)")
     sub.add_argument("--levels", help="comma-separated h^-1 values, e.g. 2,4,8")
-    sub.add_argument("--delta", type=float, help="distortion amplitude")
-    sub.add_argument("--seed", type=int, help="distortion seed")
+    sub.add_argument("--delta", help="distortion amplitude")
+    sub.add_argument("--seed", help="distortion seed")
     sub.add_argument("--case", help="manufactured case id (trig or zero)")
-    sub.add_argument("--quad-degree", type=int, help="data quadrature degree")
+    sub.add_argument("--quad-degree", help="data quadrature degree")
     sub.add_argument("--out-csv", help="CSV output path")
     sub.add_argument("--out-svg", help="SVG plot output path")
 

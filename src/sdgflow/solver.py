@@ -542,7 +542,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
                              minlength=n)
         rs = r[plan.skeleton]
         rs[plan.pin] = 0.0
-        x = np.full(n + 1, lam)  # the multiplier last; every other entry is set below
+        x = np.empty(n + 1)
         x[plan.skeleton] = lu.solve(rs)
         for cls, (local, T1, inv1, T2, _), c1, c2 in zip(plan.classes, elims, b1, y2):
             x[cls.interior] = c2 - np.einsum("pik,pk->pi", T2, x[cls.kept])
@@ -551,6 +551,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         x[g0] = -y0 - np.einsum("tij,tj->ti", g.Minv, np.einsum("tio,to->ti", Mio, x[go])
                                 - se * np.einsum("tui,tu->ti", Bui, x[gu]))
         x[pressure] -= (b[-1] + c @ x[pressure]) / cz * z
+        x[-1] = lam
         return x
 
     x = apply(system.rhs)

@@ -369,9 +369,10 @@ def test_main_malformed_config_values_are_config_errors(text, problem, tmp_path,
     assert err.startswith("error: config: ") and problem in err
 
 
-def test_main_malformed_levels_flag_is_a_config_error(capsys):
-    assert cli.main(["mesh", "check", "--levels", "4,x"]) == 2
-    assert "--levels has an invalid value '4,x'" in capsys.readouterr().err
+@pytest.mark.parametrize("flag,value", [("--levels", "4,x"), ("--k", "2.7"), ("--seed", "x")])
+def test_main_malformed_flags_are_config_errors(flag, value, capsys):
+    assert cli.main(["mesh", "check", flag, value]) == 2
+    assert f"{flag} has an invalid value '{value}'" in capsys.readouterr().err
 
 
 def test_build_config_takes_integral_numbers(tmp_path):
