@@ -2,10 +2,11 @@
 
 Unknowns are stacked as (gradient coefficients, velocity coefficients,
 pressure coefficients, mean multiplier). After negating the gradient and
-divergence rows the global matrix is symmetric indefinite; the scalar
-Lagrange multiplier enforces the zero-mean pressure condition. The solve
-condenses the matrix without it, whose kernel is the constant pressure z,
-and finds the multiplier and the multiple of z in closed form.
+divergence rows the global matrix is symmetric indefinite; a scalar Lagrange
+multiplier enforces the zero-mean pressure condition without breaking
+symmetry. The solve condenses the matrix without it, whose kernel is the
+constant pressure z, and finds the multiplier and the multiple of z in
+closed form.
 
 The solve condenses element by element in three stages. The gradient's cell
 moments couple to each other only through the mass block, which does not
@@ -501,7 +502,8 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     data[plan.pinned] = 0.0
     S = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(ns, ns))
     t1 = time.perf_counter()
-    # The skeleton is pre-ordered from the mesh; diagonal pivots.
+    # The skeleton is pre-ordered from the mesh, and pinned it is negative
+    # definite, which diagonal pivots need.
     try:
         lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
@@ -577,9 +579,11 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     del apply, elims, T1, inv1, T2, inv2
     if np.any(lu.U.diagonal() >= 0.0):
         raise SolverError("the pinned skeleton is not negative definite")
-    L, u, p, _ = np.split(best, np.cumsum(system.dims))
+    nW, nU, nP = system.dims
     return DiscreteSolution(
-        L=DiscreteField("W", L), u=DiscreteField("U", u), p=DiscreteField("P", p),
+        L=DiscreteField("W", best[:nW].copy()),
+        u=DiscreteField("U", best[nW:nW + nU].copy()),
+        p=DiscreteField("P", best[nW + nU:nW + nU + nP].copy()),
         multiplier=float(best[-1]),
         residual=best_res,
         skeleton=ns,
