@@ -357,6 +357,13 @@ def _real(value) -> float:
     return float(value)
 
 
+def _text(value) -> str:
+    """A string; str() would make a file name of null or 5."""
+    if not isinstance(value, str):
+        raise TypeError(type(value).__name__)
+    return value
+
+
 def _parse_levels(value) -> tuple[int, ...]:
     if isinstance(value, str):
         return tuple(_integer(part) for part in value.split(",") if part.strip())
@@ -364,9 +371,9 @@ def _parse_levels(value) -> tuple[int, ...]:
 
 
 _CONFIG_KEYS = {
-    "k": _integer, "epsilon": _real, "alpha": _real, "mesh": str, "mesh_file": str,
-    "levels": _parse_levels, "delta": _real, "seed": _integer, "case": str,
-    "quad_degree": _integer, "out_csv": str, "out_svg": str,
+    "k": _integer, "epsilon": _real, "alpha": _real, "mesh": _text, "mesh_file": _text,
+    "levels": _parse_levels, "delta": _real, "seed": _integer, "case": _text,
+    "quad_degree": _integer, "out_csv": _text, "out_svg": _text,
 }
 
 

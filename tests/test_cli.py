@@ -358,10 +358,13 @@ def test_main_invalid_values_are_config_errors(argv, problem, capsys):
     ('{"quad_degree": 8.5}', "config key 'quad_degree'"),
     ('{"levels": [4, 8.5]}', "config key 'levels'"),
     ('{"epsilon": false}', "config key 'epsilon'"),
+    ('{"out_csv": null}', "config key 'out_csv' has an invalid value None"),
+    ('{"mesh_file": 5}', "config key 'mesh_file' has an invalid value 5"),
 ])
 def test_main_malformed_config_values_are_config_errors(text, problem, tmp_path, capsys):
     # A value its key cannot hold is refused, not truncated (2.7 read as k=2,
-    # true as k=1) and not left to fail later as a runtime error.
+    # true as k=1), not made a file name (null as "None") and not left to
+    # fail later as a runtime error.
     cfg = tmp_path / "run.json"
     cfg.write_text(text)
     assert cli.main(["mesh", "check", "--config", str(cfg)]) == 2
