@@ -105,6 +105,7 @@ class RunReport:
     h: float  # nominal 1/level on a grid family, as in the paper; mesh.h on a file
     ndof: int
     dims: tuple[int, int, int]
+    cond_max: float  # worst 1-norm condition number of a local DOF system of W, U or P
     skeleton: int
     lu_fill: int
     residuals: list[float]
@@ -120,7 +121,8 @@ class RunReport:
         lines = [
             f"mesh {self.config.mesh} {h}  k={self.config.k}"
             f"  epsilon={self.config.epsilon:g}  alpha={self.config.alpha:g}",
-            f"unknowns {self.ndof} (gradient {nW}, velocity {nU}, pressure {nP})",
+            f"unknowns {self.ndof} (gradient {nW}, velocity {nU}, pressure {nP})"
+            f"  cond_max {self.cond_max:.3e}",
             f"skeleton {self.skeleton}  lu_fill {self.lu_fill}  residuals "
             + " ".join(f"{r:.2e}" for r in self.residuals) + "  "
             + " ".join(f"{k}={v:.3f}s" for k, v in self.solve_timings.items()),
@@ -194,6 +196,7 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
         h=mesh.h if level is None else 1.0 / level,
         ndof=system.num_unknowns,
         dims=system.dims,
+        cond_max=max(float(s.conds.max()) for s in (spaces.W, spaces.U, spaces.P)),
         skeleton=solution.skeleton,
         lu_fill=solution.lu_fill,
         residuals=solution.residuals,

@@ -26,21 +26,33 @@ the only dense stacks the solve makes over the whole mesh are the
 eliminations that refinement reads back. The local Schur complements sum
 into the primal-edge skeleton, the W and P moments of every primal edge;
 with the edge-mean P moment of one edge pinned to zero it is negative
-definite, and SuperLU factorizes it with diagonal pivots.
+definite.
+
+The skeleton is factored by a multifrontal Cholesky (Liu, SIAM Review 34,
+1992) on a nested dissection of the polygons (George, SIAM J. Numer. Anal.
+10, 1973). The polygons are bisected at the median of their interior points,
+along the longer extent of the current set, down to leaves of at most
+LEAF_POLYGONS. Each primal edge is eliminated by the lowest node of the tree
+whose subdomain holds all of its polygons, so the edges a node eliminates
+separate its two subtrees, and the skeleton lists the edges node by node in
+postorder. A node's front holds the edges it eliminates and those its
+subdomain's polygons touch that an ancestor eliminates. The local Schur
+complements fill the leaf fronts; each node eliminates its own block by a
+Cholesky of its negation, a pivot that is not negative raising SolverError,
+and adds what remains (the update matrix) to its parent's front. Nodes of
+one height with fronts of one shape are eliminated as one batch, and the
+factor is kept as the inverse of each own block's Cholesky factor and the
+rows below it, so that the triangular sweeps are matrix products.
 
 What depends only on the mesh and k is computed once per assembly, in a
 CondensationPlan: the triangles of every polygon, one local layout per
 polygon size (taken from its first polygon, checked on the others) with the
-place of each triangle's unknowns in it, a fill-reducing order of the
-skeleton taken from the mesh (minimum degree on the graph of primal edges
-that share a polygon), and the skeleton's sparsity pattern with the data
-slot of every local Schur entry. Only the primal-edge moments couple two
-polygons, so that pattern is the same graph in the skeleton order, each edge
-expanded into its 3(k+1) moments; it and the slots are read off the graph
-with arithmetic and one search per pair of a polygon's edges, with no sort
-of the entries. A new viscosity redoes only stages 1 and 2 and the sparse
-LU. Iterative refinement applies the saddle operator element by element
-from the original stacks, so no global saddle matrix is formed.
+place of each triangle's unknowns in it, the dissection tree, the skeleton
+order, the fronts with the place of every local Schur entry in its leaf's
+front and of every update entry in its parent's front. A new viscosity
+redoes only stages 1 and 2 and the Cholesky. Iterative refinement applies
+the saddle operator element by element from the original stacks, so no
+global saddle matrix is formed.
 """
 
 from __future__ import annotations
@@ -50,8 +62,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import forms
 from .spaces import DiscreteField, StaggeredSpaces
@@ -73,6 +83,26 @@ class _SizeClass:
 
 
 @dataclass
+class _FrontGroup:
+    """Nodes of the dissection tree of one height whose fronts share a shape,
+    whose parents share a height and are distinct. A front lists the node's
+    own unknowns, which it eliminates, then those of its other edges, which
+    an ancestor eliminates. The fronts are dense blocks of the buffer of
+    their height."""
+
+    height: int
+    nodes: np.ndarray  # (G,) nodes of the tree, in postorder
+    own: np.ndarray  # (G, no) skeleton places of the unknowns each node eliminates
+    update: np.ndarray  # (G, nu) skeleton places of the rest of its front
+    base: int  # offset of the first front in the buffer of this height
+    parent: int  # height of the parents, -1 at the root
+    # Extend-add: entry (i, j) of node g's update matrix adds to entry
+    # rows[g, i] + cols[g, j] of the buffer of the parents' height.
+    rows: np.ndarray  # (G, nu)
+    cols: np.ndarray  # (G, nu)
+
+
+@dataclass
 class CondensationPlan:
     """Layout of the condensation; depends only on mesh and k.
 
@@ -81,6 +111,14 @@ class CondensationPlan:
     stage keeps it; the skeleton is what all keep. Each triangle's reduced
     local unknowns are its U cell moments, the num_inner that stage 1
     eliminates, then its W edge moments, U edge moments and P cell_dofs.
+
+    The skeleton is ordered by a nested dissection of the polygons: `parent`
+    is the tree, numbered in postorder, each primal edge is eliminated by the
+    lowest node whose subdomain holds all of its polygons, and the skeleton
+    lists the edges node by node. `fronts` groups the nodes for the
+    multifrontal Cholesky, heights in increasing order; `front_sizes` is the
+    size of the front buffer of each height, and `slots` places every local
+    Schur entry in the buffer of the leaves, height 0.
     """
 
     triangle: np.ndarray  # (n,)
@@ -89,12 +127,13 @@ class CondensationPlan:
     num_inner: int
     local: np.ndarray  # (nT, nloc) reduced unknowns of each triangle
     classes: list[_SizeClass]
-    skeleton: np.ndarray  # (ns,) saddle unknowns in factorization order
-    slots: np.ndarray  # data slot of every local Schur entry, classes in turn
-    indices: np.ndarray  # CSC pattern of the skeleton matrix
-    indptr: np.ndarray
+    skeleton: np.ndarray  # (ns,) saddle unknowns in elimination order
+    parent: np.ndarray  # (nodes,) parent of each node of the dissection tree, -1 at the root
+    fronts: list[_FrontGroup]
+    front_sizes: list[int]
+    slots: np.ndarray  # place of every local Schur entry, classes in turn, in the leaf buffer
     pin: int  # skeleton place of the moment pinned to zero
-    pinned: np.ndarray  # data slots of its row and column off the diagonal
+    pinned: np.ndarray  # local Schur entries of its row and column off the diagonal
 
     @property
     def size(self) -> int:
@@ -113,43 +152,90 @@ def _owners(n: int, dofs: np.ndarray, owner: np.ndarray, what: str) -> np.ndarra
     return out
 
 
-def _edge_order(mesh) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:
-    """Primal edges in a fill-reducing elimination order: SuperLU's minimum
-    degree on the graph in which two primal edges are adjacent when they
-    bound a common polygon (each node stands for the 3(k+1) skeleton moments
-    of one edge), read from a diagonally dominant matrix with that graph.
-
-    Returns the ordered edges, the place of every mesh edge in that order
-    (-1 off the primal edges) and the graph renumbered by place, in CSC with
-    sorted rows; it is symmetric, and every node is adjacent to itself."""
-    prim = mesh.primal_edge_ids
-    node = np.full(len(mesh.edge_kind), -1)
-    node[prim] = np.arange(len(prim))
-    inc = sp.csr_matrix((np.ones(mesh.num_triangles), (mesh.tri_poly, node[mesh.tri_edges[:, 0]])),
-                        shape=(mesh.primal.num_polygons, len(prim)))
-    graph = inc.T @ inc
-    graph = (graph + sp.diags(np.asarray(graph.sum(axis=0)).ravel())).tocsc()
-    rank = spla.splu(graph, permc_spec="MMD_AT_PLUS_A").perm_c
-    order = np.argsort(rank)
-    place = np.full(len(mesh.edge_kind), -1)
-    place[prim] = rank
-    graph = graph[order][:, order]
-    graph.sort_indices()
-    return prim[order], place, graph
+# Largest number of polygons in a leaf of the dissection tree. At square
+# h = 1/64, k = 2, leaves of 16 polygons take 1.8 times the Cholesky work of
+# leaves of 4.
+LEAF_POLYGONS = 4
 
 
-def _skeleton_pattern(graph: sp.csc_matrix, k3: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSC pattern of the skeleton: the edge graph in skeleton order, each
-    node expanded into the k3 moments of its edge. Column (a, s) lists the k3
-    rows of every edge adjacent to edge a, in order."""
-    gptr, deg = graph.indptr, np.diff(graph.indptr)
-    runs = np.repeat(deg, k3)  # adjacent edges of each column
-    indptr = np.concatenate([[0], np.cumsum(runs * k3)]).astype(np.int32)
-    # A column is a sequence of runs of k3 consecutive rows, one per adjacent
-    # edge. The place in the graph of each run's edge, column after column:
-    adj = np.arange(runs.sum()) + np.repeat(np.repeat(gptr[:-1], k3) - indptr[:-1] // k3, runs)
-    indices = graph.indices[adj, None] * k3 + np.arange(k3, dtype=np.int32)
-    return indices.ravel(), indptr
+def _dissect(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nested dissection of the polygons at `points`: bisect them at the
+    median along the longer extent of the current set, down to leaves of at
+    most LEAF_POLYGONS. Returns the parent of every node, numbered in
+    postorder (-1 at the root), and the leaf of every polygon."""
+    parent, leaf = [], np.empty(len(points), dtype=int)
+
+    def split(polys: np.ndarray) -> int:
+        children = ()
+        if len(polys) > LEAF_POLYGONS:
+            pts = points[polys]
+            polys = polys[np.argsort(pts[:, np.argmax(np.ptp(pts, axis=0))], kind="stable")]
+            half = len(polys) // 2
+            children = split(polys[:half]), split(polys[half:])
+        else:
+            leaf[polys] = len(parent)
+        parent.append(-1)
+        for child in children:
+            parent[child] = len(parent) - 1
+        return len(parent) - 1
+
+    split(np.arange(len(points)))
+    return np.array(parent), leaf
+
+
+def _fronts(parent: np.ndarray, owner: np.ndarray, touch: tuple[np.ndarray, np.ndarray],
+            k3: int) -> tuple[list[_FrontGroup], list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The fronts of the multifrontal Cholesky, in edges of k3 unknowns. Node
+    v's front lists the edges it eliminates (owner == v, in skeleton order),
+    then the edges that the polygons of its subtree touch and an ancestor
+    eliminates, in skeleton order; `touch` gives the leaf and the skeleton
+    edge of every pair of a polygon and its primal edge.
+
+    Returns the groups in increasing height, the buffer size of each height,
+    and for every node its front's offset in the buffer of its height and
+    its number of edges, and the sorted keys node * ne + edge of all fronts,
+    which locate an edge in a front."""
+    nn, ne = len(parent), len(owner)
+    keys = [owner * ne + np.arange(ne)]
+    v, e = touch
+    while True:  # up from each polygon's leaf to the node that eliminates the edge
+        up = v != owner[e]
+        v, e = v[up], e[up]
+        if not len(v):
+            break
+        keys.append(v * ne + e)
+        v = parent[v]
+    keys = np.unique(np.concatenate(keys))
+    fptr = np.searchsorted(keys, np.arange(nn + 1) * ne)
+    nfe, noe = np.diff(fptr), np.bincount(owner, minlength=nn)
+    height = np.zeros(nn, dtype=int)
+    for node, up in enumerate(parent[:-1]):  # children come before parents
+        height[up] = max(height[up], height[node] + 1)
+    # The two children of a node, the second just before it in postorder,
+    # fall in two groups, so that a group's updates add to distinct fronts.
+    up_height = np.where(parent >= 0, height[parent], -1)
+    second = parent == np.arange(1, nn + 1)
+    shapes, group = np.unique(np.stack([height, up_height, second, noe, nfe], axis=1), axis=0,
+                              return_inverse=True)
+    sizes = [0] * (height.max() + 1)
+    fbase = np.empty(nn, dtype=int)
+    members = []
+    for q, (h, _, _, _, m) in enumerate(shapes):
+        members.append(np.flatnonzero(group == q))
+        fbase[members[-1]] = sizes[h] + np.arange(len(members[-1])) * (m * k3) ** 2
+        sizes[h] += len(members[-1]) * (m * k3) ** 2
+    groups = []
+    for (h, hp, _, no, m), nodes in zip(shapes, members):
+        edges = keys[fptr[nodes, None] + np.arange(m)] % ne
+        own, update = ((x[:, :, None] * k3 + np.arange(k3)).reshape(len(nodes), -1)
+                       for x in (edges[:, :no], edges[:, no:]))
+        # Place of each update unknown in the parent's front; the root has none.
+        up = parent[nodes]
+        at = np.searchsorted(keys, up[:, None] * ne + edges[:, no:]) - fptr[up, None]
+        cols = (at[:, :, None] * k3 + np.arange(k3)).reshape(len(nodes), -1)
+        groups.append(_FrontGroup(int(h), nodes, own, update, int(fbase[nodes[0]]), int(hp),
+                                  fbase[up, None] + cols * (nfe[up, None] * k3), cols))
+    return groups, sizes, fbase, nfe, keys
 
 
 def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
@@ -170,23 +256,35 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     triangle = _owners(n, np.hstack([gradient, local[:, :ni]]), np.arange(nT), "triangle")
     polygon = _owners(n, local[:, stage2], tri_poly, "polygon")
 
-    # Skeleton order: the W then P moments of each primal edge, edges in the
-    # mesh-derived order.
-    edges, place, graph = _edge_order(mesh)
-    k3, ne = 3 * k1, len(edges)
+    # Skeleton order: the primal edges node by node of the dissection tree,
+    # in mesh order within a node; per edge its W then its P moments. Each
+    # edge is eliminated by the lowest node whose subtree, a postorder range
+    # of nodes, holds the leaves of all its polygons: up from the first leaf
+    # until the node passes the last.
+    prim, k3 = mesh.primal_edge_ids, 3 * k1
+    parent, leaf = _dissect(mesh.primal.interior_points)
+    edge = np.full(len(mesh.edge_kind), -1)
+    edge[prim] = np.arange(len(prim))
+    tri_edge, tri_leaf = edge[mesh.tri_edges[:, 0]], leaf[tri_poly]
+    owner, last = np.full(len(prim), len(parent)), np.zeros(len(prim), dtype=int)
+    np.minimum.at(owner, tri_edge, tri_leaf)
+    np.maximum.at(last, tri_edge, tri_leaf)
+    while np.any(owner < last):
+        owner = np.where(owner < last, parent[owner], owner)
+    order = np.argsort(owner, kind="stable")
+    place = np.empty(len(prim), dtype=int)
+    place[order] = np.arange(len(prim))
+    tri_edge = place[tri_edge]
+    edges = prim[order]
     skeleton = np.hstack([W.edge_offsets[edges, None] + np.arange(2 * k1),
                           nW + nU + P.edge_offsets[edges, None] + np.arange(k1)]).ravel()
     ns = len(skeleton)
     where = np.full(n, -1)
     where[skeleton] = np.arange(ns)
-    indices, indptr = _skeleton_pattern(graph, k3)
+    fronts, front_sizes, fbase, nfe, keys = _fronts(parent, owner[order], (tri_leaf, tri_edge), k3)
     # The constant pressure, the skeleton's kernel, has a nonzero edge mean;
-    # pin that moment of the last edge. Its diagonal is in its row and column.
+    # pin that moment of the last edge.
     pin = ns - k1
-    pinned = np.setxor1d(np.arange(indptr[pin], indptr[pin + 1]), np.flatnonzero(indices == pin))
-    # Graph entries keyed by (column, row); they are sorted that way.
-    gkeys = np.repeat(np.arange(ne), np.diff(graph.indptr)) * ne + graph.indices
-    tri_edge = place[mesh.tri_edges[:, 0]]
 
     # One local layout per polygon size, taken from its first polygon: the
     # stage-2 unknowns, then the skeleton unknowns, each in increasing saddle
@@ -214,36 +312,35 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
         classes.append(_SizeClass(tris, position, layout[:, :n2], layout[:, n2:]))
     # Every class's local Schur entries in turn, polygon by polygon, (row,
     # column) in the order of its kept unknowns, the order of solve's stacks.
-    slots = np.empty(sum(c.kept.size * c.kept.shape[1] for c in classes), dtype=np.int32)
-    at = 0
+    slots = np.empty(sum(c.kept.size * c.kept.shape[1] for c in classes), dtype=int)
+    pinned, at = [], 0
     for cls in classes:
         (count, m), n2, nkept = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
-        # The triangle of each skeleton place and each triangle's skeleton edge.
+        # The triangle of each skeleton place; its unknowns must lie on that
+        # triangle's primal edge, which the polygon's leaf front holds.
         tri_of = np.empty(nkept, dtype=int)
         outer = cls.position >= n2
         tri_of[cls.position[outer] - n2] = np.nonzero(outer)[0]
-        edge = tri_edge[cls.triangles]
         rows = where[cls.kept]
-        if np.any(rows // k3 != edge[:, tri_of]):
+        if np.any(rows // k3 != tri_edge[cls.triangles][:, tri_of]):
             raise SolverError(f"{m}-gon polygons list skeleton unknowns off their primal edges")
-        # Entry (i, j) lands in column rows[j] at row rows[i]: in the column
-        # after offset[t_i, t_j] entries of the runs before row i's, then
-        # rows[i] % k3 into its run, with t the triangles of the places.
-        col, row = edge[:, None, :], edge[:, :, None]
-        offset = k3 * (np.searchsorted(gkeys, col * ne + row) - graph.indptr[col])
+        # Entry (i, j) lands at row pos[i] and column pos[j] of the leaf's
+        # front, or past the leaf buffer if that is above the diagonal.
+        node = tri_leaf[cls.triangles[:, 0], None]
+        pos = (np.searchsorted(keys, node * len(prim) + rows // k3) - np.searchsorted(
+            keys, node * len(prim))) * k3 + rows % k3
         out = slots[at:at + count * nkept * nkept].reshape(count, nkept, nkept)
-        # mode="clip" writes to out directly; "raise" would buffer it.
-        np.take(offset.astype(np.int32).reshape(count, -1), tri_of[:, None] * m + tri_of,
-                axis=1, out=out, mode="clip")
-        out += indptr[rows][:, None, :]
-        out += (rows % k3).astype(np.int32)[:, :, None]
+        np.add(fbase[node, None] + pos[:, :, None] * (nfe[node, None] * k3), pos[:, None, :],
+               out=out)
+        out[pos[:, :, None] < pos[:, None, :]] = front_sizes[0]
+        pinned.append(at + np.flatnonzero((rows == pin)[:, :, None] != (rows == pin)[:, None, :]))
         at += out.size
-    return CondensationPlan(triangle, polygon, gradient, ni, local, classes, skeleton,
-                            slots, indices, indptr, pin, pinned)
+    return CondensationPlan(triangle, polygon, gradient, ni, local, classes, skeleton, parent,
+                            fronts, front_sizes, slots, pin, np.concatenate(pinned))
 
 
 def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
-    def get(blocks: SystemBlocks) -> sp.csr_matrix:
+    def get(blocks: SystemBlocks) -> scipy.sparse.csr_matrix:
         s = blocks.spaces
         X = forms.scatter(s.space(test), s.space(trial), getattr(blocks.elements, stack))
         # The dual-basis products leave roundoff residue of analytically zero
@@ -341,10 +438,10 @@ class DiscreteSolution:
     u: DiscreteField
     p: DiscreteField
     multiplier: float
-    residual: float
+    residual: float  # ||K x - b|| / max(||b||, 1) of the returned x
     skeleton: int  # size of the factorized matrix
-    lu_fill: int  # entries SuperLU stores for L and U, explicit zeros included
-    residuals: list[float]  # relative residual after each refinement step
+    lu_fill: int  # entries of its Cholesky factor
+    residuals: list[float]  # componentwise backward error after the solve and each refinement
     timings: dict[str, float]  # seconds: condense, factorize, refine
 
 
@@ -372,14 +469,23 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
 # Iterative refinement: cheap re-solves with the existing factorization that
 # recover the digits lost to cancellation in ill-conditioned regimes (small
 # viscosity), where a single factorized solve can be several digits short.
+# It stops once the componentwise backward error max_i |r_i| / (|K||x| + |b|)_i
+# (Skeel; Arioli, Demmel and Duff) is a few ulps, or stops falling. A
+# normwise target would leave the gradient rows loose at small viscosity,
+# since their terms are O(sqrt(eps)) beside an O(1) right-hand side.
 REFINE_STEPS = 5
-REFINE_TARGET = 1e-12
+REFINE_TARGET = 4 * 2.0**-53
 # Byte budget of the reduced local matrices of one batch of polygons. Their
 # stage-1 remainders, the places of these in the polygon matrices and the
 # polygon matrices, which the batch holds next, take 2.4-2.7 times as many
 # bytes at k = 2 and 3 on quadrilaterals. Every problem on an h = 1/4 grid,
 # k <= 3, eliminates each size class in one batch.
 BATCH_BYTES = 3 << 20
+# Byte budget of the update matrices that one extend-add adds to their
+# parents' fronts, so that they are added while in cache: at square h = 1/64,
+# k = 2, the factorization took a median 0.93 s this way and 1.02 s with
+# whole groups (five runs each, 1 BLAS thread).
+EXTEND_BYTES = 1 << 19
 
 
 def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
@@ -426,26 +532,86 @@ def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray
     return np.subtract(K[:, ni:, ni:], S, out=S)
 
 
-def _operator(system: SaddleSystem):
+def _factor(plan: CondensationPlan, schur: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Multifrontal Cholesky of the negated skeleton, A = -S = L L^T.
+
+    The local Schur complements fill the leaf fronts. Each group of fronts,
+    heights in increasing order, eliminates its own block, F11 = -L11 L11^T,
+    and adds its update matrix F22 + L21 L21^T to the parents' fronts, with
+    L21 = -F21 L11^{-T}. Returns L11^{-1} and L21 of every group, what the
+    triangular sweeps of `_skeleton_solve` read."""
+    # The fronts hold their lower triangles, which is all that LAPACK's
+    # Cholesky (potrf) reads; entries above the diagonal go past the leaves.
+    buffers = {0: np.bincount(plan.slots, schur, minlength=plan.front_sizes[0] + 1)[:-1]}
+    factor = []
+    for q, grp in enumerate(plan.fronts):
+        (count, no), nf = grp.own.shape, grp.own.shape[1] + grp.update.shape[1]
+        F = buffers[grp.height][grp.base:grp.base + count * nf * nf].reshape(count, nf, nf)
+        try:
+            inv = np.linalg.inv(np.linalg.cholesky(-F[:, :no, :no]))
+        except np.linalg.LinAlgError:
+            raise SolverError("the pinned skeleton is not negative definite") from None
+        L21 = np.matmul(F[:, no:, :no], np.swapaxes(inv, 1, 2))
+        np.negative(L21, out=L21)
+        if grp.parent >= 0:
+            if grp.parent not in buffers:
+                buffers[grp.parent] = np.zeros(plan.front_sizes[grp.parent])
+            step = max(1, EXTEND_BYTES // (8 * (nf - no) ** 2))
+            i, j = np.tril_indices(nf - no)
+            for a in range(0, count, step):
+                s = slice(a, a + step)
+                update = F[s, no:, no:] + L21[s] @ np.swapaxes(L21[s], 1, 2)
+                buffers[grp.parent][grp.rows[s][:, i] + grp.cols[s][:, j]] += update[:, i, j]
+        if q + 1 == len(plan.fronts) or plan.fronts[q + 1].height != grp.height:
+            del buffers[grp.height], F
+        factor.append((inv, L21))
+    return factor
+
+
+def _skeleton_solve(plan: CondensationPlan, factor, b: np.ndarray) -> np.ndarray:
+    """S^{-1} b, with S = -L L^T from `_factor`: the forward sweep in the
+    order of elimination, the backward sweep in reverse, one group of fronts
+    at a time."""
+    y = -b
+    for grp, (inv, L21) in zip(plan.fronts, factor):
+        w = (inv @ y[grp.own][:, :, None])[:, :, 0]
+        y[grp.own] = w
+        np.subtract.at(y, grp.update, (L21 @ w[:, :, None])[:, :, 0])
+    for grp, (inv, L21) in zip(reversed(plan.fronts), reversed(factor)):
+        w = y[grp.own] - (y[grp.update][:, None, :] @ L21)[:, 0]
+        y[grp.own] = (w[:, None, :] @ inv)[:, 0]
+    return y
+
+
+def _operator(system: SaddleSystem, absolute: bool = False):
     """x -> K x, with K the saddle matrix summed element by element from the
-    stacks that the condensation factorizes."""
+    stacks that the condensation factorizes; with `absolute`, the sum of the
+    elements' absolute values, which bounds |K| entrywise. The absolute
+    values are taken in batches of triangles of at most BATCH_BYTES, so that
+    no copy of the stacks is made."""
     s, el, se = system.blocks.spaces, system.blocks.elements, math.sqrt(system.eps)
     nW, nU = s.W.ndof, s.U.ndof
     dofs = np.hstack([s.W.dofmap.cell_dofs, nW + s.U.dofmap.cell_dofs,
                       nW + nU + s.P.dofmap.cell_dofs])
-    nw, nu = el.M.shape[1], el.A.shape[1]
+    (nT, nw, _), nu = el.M.shape, el.A.shape[1]
+    stacks, sign = (el.M, el.B, el.A, el.D, el.c), 1.0 if absolute else -1.0
+    step = max(1, BATCH_BYTES // sum(X[0].nbytes for X in stacks)) if absolute else nT
     mv = lambda X, v: (X @ v[:, :, None])[:, :, 0]  # X[t] v[t] for every t
     mtv = lambda X, v: (v[:, None, :] @ X)[:, 0]  # X[t]^T v[t]
 
     def apply(x: np.ndarray) -> np.ndarray:
         local = x[dofs]
-        w, u, p = local[:, :nw], local[:, nw:nw + nu], local[:, nw + nu:]
-        y = np.bincount(dofs.ravel(), np.hstack([
-            se * mtv(el.B, u) - mv(el.M, w),
-            se * mv(el.B, w) + mv(el.A, u) + mtv(el.D, p),
-            mv(el.D, u) - x[-1] * el.c]).ravel(), minlength=len(x))
-        y[-1] = -np.sum(el.c * p)
-        return y
+        y = np.empty_like(local)  # each triangle's terms
+        for a in range(0, nT, step):
+            t = slice(a, a + step)
+            M, B, A, D, c = (np.abs(X[t]) if absolute else X[t] for X in stacks)
+            w, u, p = local[t, :nw], local[t, nw:nw + nu], local[t, nw + nu:]
+            y[t, :nw] = se * mtv(B, u) + sign * mv(M, w)
+            y[t, nw:nw + nu] = se * mv(B, w) + mv(A, u) + mtv(D, p)
+            y[t, nw + nu:] = mv(D, u) + sign * x[-1] * c
+        out = np.bincount(dofs.ravel(), y.ravel(), minlength=len(x))
+        out[-1] = sign * np.sum((np.abs(el.c) if absolute else el.c) * local[:, nw + nu:])
+        return out
 
     return apply
 
@@ -495,21 +661,16 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
             _condense(Kp.reshape(-1, N, N), n2, "polygon", T2[a:b], inv2[a:b], out=S2[a:b])
         elims.append((plan.local[cls.triangles.ravel()], T1, inv1, T2, inv2))
         at += S2.size
-    del work, K, Kp, place
+    del work, K, Kp, place, S2
     ns = len(plan.skeleton)
-    data = np.bincount(plan.slots, schur, minlength=len(plan.indices))
-    del schur, S2
-    data[plan.pinned] = 0.0
-    S = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(ns, ns))
+    schur[plan.pinned] = 0.0
     t1 = time.perf_counter()
-    # The skeleton is pre-ordered from the mesh, and pinned it is negative
-    # definite, which diagonal pivots need.
-    try:
-        lu = spla.splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    del S, data
+    # Pinned, the skeleton is negative definite; its Cholesky finds out.
+    factor = _factor(plan, schur)
+    del schur
+    # Entries of L: the lower triangle of each own block and the rows below.
+    fill = sum(len(inv) * inv.shape[1] * (inv.shape[1] + 1 + 2 * L21.shape[1]) // 2
+               for inv, L21 in factor)
     t2 = time.perf_counter()
 
     # Stage 0 rebuilds the W cell moments from M_ii^{-1} and views of the
@@ -545,7 +706,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         rs = r[plan.skeleton]
         rs[plan.pin] = 0.0
         x = np.empty(n + 1)
-        x[plan.skeleton] = lu.solve(rs)
+        x[plan.skeleton] = _skeleton_solve(plan, factor, rs)
         for cls, (local, T1, inv1, T2, _), c1, c2 in zip(plan.classes, elims, b1, y2):
             x[cls.interior] = c2 - np.einsum("pik,pk->pi", T2, x[cls.kept])
             x[local[:, :ni]] = (np.einsum("tij,tj->ti", inv1, c1)
@@ -559,35 +720,35 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     x = apply(system.rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite values")
-    K = _operator(system)
-    bnorm = max(float(np.linalg.norm(system.rhs)), 1.0)
-    best, best_r = x, system.rhs - K(x)
-    best_res = float(np.linalg.norm(best_r)) / bnorm
-    residuals = [best_res]
+    K, absK, b = _operator(system), _operator(system, absolute=True), system.rhs
+
+    def backward_error(x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The residual and max_i |r_i| / (|K||x| + |b|)_i, 0 where both vanish."""
+        r = b - K(x)
+        scale = absK(np.abs(x)) + np.abs(b)
+        return r, float(np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale > 0).max())
+
+    best = x
+    best_r, omega = backward_error(x)
+    residuals = [omega]
     for _ in range(REFINE_STEPS):
-        if best_res <= REFINE_TARGET:
+        if omega <= REFINE_TARGET:
             break
         x = best + apply(best_r)
-        r = system.rhs - K(x)
-        res = float(np.linalg.norm(r)) / bnorm
-        residuals.append(res)
-        if not np.isfinite(res) or res >= best_res:
+        r, w = backward_error(x)
+        residuals.append(w)
+        if not w < omega:  # no progress, or not finite
             break
-        best, best_r, best_res = x, r, res
-    # SuperLU gives its pivots as the diagonal of U, with a copy of both
-    # factors, so they are read once the eliminations are freed.
-    del apply, elims, T1, inv1, T2, inv2
-    if np.any(lu.U.diagonal() >= 0.0):
-        raise SolverError("the pinned skeleton is not negative definite")
+        best, best_r, omega = x, r, w
     nW, nU, nP = system.dims
     return DiscreteSolution(
         L=DiscreteField("W", best[:nW].copy()),
         u=DiscreteField("U", best[nW:nW + nU].copy()),
         p=DiscreteField("P", best[nW + nU:nW + nU + nP].copy()),
         multiplier=float(best[-1]),
-        residual=best_res,
+        residual=float(np.linalg.norm(best_r)) / max(float(np.linalg.norm(b)), 1.0),
         skeleton=ns,
-        lu_fill=lu.nnz,
+        lu_fill=fill,
         residuals=residuals,
         timings={"condense": t1 - t0, "factorize": t2 - t1,
                  "refine": time.perf_counter() - t2},

@@ -2,15 +2,20 @@
 
 import json
 import math
+import os
 import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from sdgflow import cli
+import sdgflow
+from sdgflow import cases, cli
 from sdgflow import mesh as mm
 from sdgflow.cli import ConfigError, RunConfig
+from sdgflow.spaces import StaggeredSpaces
 from sdgflow.verify import ConvergenceRow, ConvergenceTable
 
 
@@ -107,6 +112,34 @@ def test_run_single_reports_errors_and_sizes():
     text = report.summary()
     assert "err_u" in text and "unknowns" in text
     assert f"skeleton {report.skeleton}  lu_fill {report.lu_fill}  residuals" in text
+
+
+def test_run_single_reports_the_worst_local_condition_number():
+    # The worst 1-norm condition number of a local DOF system over W, U and
+    # P, on the size line.
+    report = cli.run_single(RunConfig(k=2, mesh="distorted", levels=(4,)))
+    spaces = StaggeredSpaces(cases.build_mesh("distorted", 4, delta=0.25, seed=42), 2)
+    conds = [float(s.conds.max()) for s in (spaces.W, spaces.U, spaces.P)]
+    assert report.cond_max == max(conds) >= 1.0
+    sizes = next(line for line in report.summary().splitlines() if line.startswith("unknowns"))
+    assert sizes.endswith(f"  cond_max {report.cond_max:.3e}")
+
+
+def test_solve_loads_no_scipy_linalg():
+    # The solver is numpy only: `sdgflow solve` loads neither SuperLU
+    # (scipy.sparse.linalg) nor scipy.linalg. A fresh process, since the
+    # tests' direct oracle loads SuperLU into this one.
+    code = ("import sys\n"
+            "from sdgflow import cli\n"
+            "assert cli.main(['solve', '--mesh', 'distorted', '--levels', '4']) == 0\n"
+            "linalg = ('scipy.sparse.linalg', 'scipy.linalg')\n"
+            "print(sorted(m for m in linalg if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(sdgflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0].startswith("mesh distorted h=1/4")
+    assert out[-1] == "[]"
 
 
 def test_run_single_reports_peak_memory():
