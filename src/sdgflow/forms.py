@@ -28,11 +28,14 @@ other independently as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .spaces import StaggeredSpaces, _Space
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def _volume_derivative_blocks(spaces: StaggeredSpaces) -> np.ndarray:
@@ -45,6 +48,10 @@ def _volume_derivative_blocks(spaces: StaggeredSpaces) -> np.ndarray:
 def scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
     """Sum the element matrices local[t] (test x trial local DOFs) into the
     global matrix at the rows and columns of each triangle's cell_dofs."""
+    # Imported here, the only place that builds a sparse matrix, so that
+    # `import sdgflow` does not pay for scipy.sparse (about half its time).
+    import scipy.sparse as sp
+
     # int32 indices, the CSR's own index type: int64 ones take twice the
     # bytes per entry and are copied again in the conversion.
     index = np.int32 if max(test.ndof, trial.ndof) <= np.iinfo(np.int32).max else np.int64

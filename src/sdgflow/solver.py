@@ -60,11 +60,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import forms
 from .spaces import DiscreteField, StaggeredSpaces
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class SolverError(RuntimeError):
@@ -340,7 +344,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
 
 
 def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
-    def get(blocks: SystemBlocks) -> scipy.sparse.csr_matrix:
+    def get(blocks: SystemBlocks) -> sp.csr_matrix:
         s = blocks.spaces
         X = forms.scatter(s.space(test), s.space(trial), getattr(blocks.elements, stack))
         # The dual-basis products leave roundoff residue of analytically zero

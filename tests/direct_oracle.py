@@ -2,8 +2,9 @@
 
 It assembles the global saddle matrix from the element stacks with
 forms.scatter, factorizes it with SuperLU's default column ordering and no
-elimination, then refines against the same matrix, so it shares nothing with
-the two-stage condensation but the element stacks.
+elimination, then refines against the same matrix to the solver's
+componentwise target, so it shares nothing with the two-stage condensation
+but the element stacks and that target.
 """
 
 import math
@@ -12,10 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sdgflow import forms
+from sdgflow import forms, solver
 
 REFINE_STEPS = 5
-REFINE_TARGET = 1e-12
 
 
 def saddle_matrix(system) -> sp.csc_matrix:
@@ -38,14 +38,27 @@ def residual(system, x) -> float:
     return float(np.linalg.norm(K @ x - b)) / max(float(np.linalg.norm(b)), 1.0)
 
 
+def backward_error(K, x, b) -> float:
+    """Componentwise backward error max_i |r_i| / (|K||x| + |b|)_i of x,
+    0 where both vanish."""
+    r, scale = np.abs(K @ x - b), abs(K) @ np.abs(x) + np.abs(b)
+    return float(np.divide(r, scale, out=np.zeros_like(r), where=scale > 0).max())
+
+
 def direct_solve(system) -> np.ndarray:
-    """Stacked solution (L, u, p, multiplier) of a solver.SaddleSystem."""
+    """Stacked solution (L, u, p, multiplier) of a solver.SaddleSystem,
+    refined until its backward error meets solver.REFINE_TARGET or stops
+    falling."""
     K, b = saddle_matrix(system), system.rhs
     lu = spla.splu(K)
     x = lu.solve(b)
-    bnorm = max(float(np.linalg.norm(b)), 1.0)
+    omega = backward_error(K, x, b)
     for _ in range(REFINE_STEPS):
-        if np.linalg.norm(K @ x - b) / bnorm <= REFINE_TARGET:
+        if omega <= solver.REFINE_TARGET:
             break
-        x = x + lu.solve(b - K @ x)
+        y = x + lu.solve(b - K @ x)
+        w = backward_error(K, y, b)
+        if not w < omega:  # no progress, or not finite
+            break
+        x, omega = y, w
     return x

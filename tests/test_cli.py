@@ -142,6 +142,30 @@ def test_solve_loads_no_scipy_linalg():
     assert out[-1] == "[]"
 
 
+def test_commands_load_no_scipy_until_a_global_block_is_read():
+    # Only forms.scatter builds sparse matrices, and it imports scipy.sparse
+    # itself: importing every submodule and running `solve` and `converge`
+    # load no scipy at all. Reading a global block then loads it.
+    code = ("import importlib, pkgutil, sys, sdgflow\n"
+            "for m in pkgutil.iter_modules(sdgflow.__path__):\n"
+            "    importlib.import_module('sdgflow.' + m.name)\n"
+            "from sdgflow import cases, cli, solver\n"
+            "from sdgflow.spaces import StaggeredSpaces\n"
+            "assert cli.main(['solve', '--mesh', 'distorted', '--levels', '4']) == 0\n"
+            "assert cli.main(['converge', '--k', '1', '--levels', '4,8']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "spaces = StaggeredSpaces(cases.build_mesh('distorted', 4, delta=0.25, seed=42), 1)\n"
+            "M = solver.assemble_blocks(spaces, 1.0).M\n"
+            "print(sys.modules['scipy.sparse'].issparse(M), M.shape == (spaces.W.ndof,) * 2)\n")
+    src = os.path.dirname(os.path.dirname(sdgflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0].startswith("mesh distorted h=1/4")
+    assert any(line.startswith("8,0.125,") for line in out)
+    assert out[-2:] == ["[]", "True True"]
+
+
 def test_run_single_reports_peak_memory():
     # ru_maxrss is in kilobytes on Linux; the report gives megabytes.
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from direct_oracle import direct_solve, residual, saddle_matrix
+from direct_oracle import backward_error, direct_solve, residual, saddle_matrix
 
 from sdgflow import forms, mesh as mm, solver, verify
 from sdgflow.solver import (
@@ -92,10 +92,8 @@ def test_refinement_reaches_a_componentwise_backward_error_of_ulps(family, k, ep
     _spaces, _case, system = make_system(k=k, n=4, eps=eps, family=family)
     sol = solve(system)
     x = np.concatenate([sol.L.coeffs, sol.u.coeffs, sol.p.coeffs, [sol.multiplier]])
-    K, b = saddle_matrix(system), system.rhs
-    r, scale = np.abs(K @ x - b), abs(K) @ np.abs(x) + np.abs(b)
     assert sol.residuals[0] > solver.REFINE_TARGET >= sol.residuals[-1]
-    assert np.max(r / scale) <= 8 * 2.0**-53
+    assert backward_error(saddle_matrix(system), x, system.rhs) <= 8 * 2.0**-53
 
 
 def test_build_system_validates_inputs():
@@ -144,10 +142,13 @@ def test_condensed_matches_direct(family, k, eps):
     x = direct_solve(system)
     sol = solve(system)
     nW, nU, _nP = system.dims
+    # Both sides are refined to the same componentwise target; the worst
+    # deviation over these cases is 2.6e-15 (p, square k=1) and 4.4e-16 in
+    # the multiplier.
     for a, b in ((x[:nW], sol.L), (x[nW:nW + nU], sol.u), (x[nW + nU:-1], sol.p)):
         scale = max(1.0, np.abs(a).max())
-        assert np.abs(a - b.coeffs).max() < 1e-9 * scale
-    assert abs(x[-1] - sol.multiplier) < 1e-9
+        assert np.abs(a - b.coeffs).max() < 1e-13 * scale
+    assert abs(x[-1] - sol.multiplier) < 1e-13
     # Refinement reaches a componentwise backward error of a few ulps, and
     # the returned solution's normwise residual meets the benchmark's gate.
     assert min(sol.residuals) <= solver.REFINE_TARGET
@@ -166,7 +167,8 @@ def test_first_solve_takes_any_right_hand_side(family, k, monkeypatch):
     sol = solve(system)
     y = np.concatenate([sol.L.coeffs, sol.u.coeffs, sol.p.coeffs, [sol.multiplier]])
     assert len(sol.residuals) == 1
-    assert np.abs(x - y).max() < 1e-9 * np.abs(x).max()
+    # The unrefined solve deviates by at most 3.2e-13 here (hanging k=3).
+    assert np.abs(x - y).max() < 1e-11 * np.abs(x).max()
 
 
 def test_zero_data_gives_zero_solution():
