@@ -40,9 +40,11 @@ def residual(system, x) -> float:
 
 def backward_error(K, x, b) -> float:
     """Componentwise backward error max_i |r_i| / (|K||x| + |b|)_i of x,
-    0 where both vanish."""
+    0 where both vanish and NaN where x is not finite."""
     r, scale = np.abs(K @ x - b), abs(K) @ np.abs(x) + np.abs(b)
-    return float(np.divide(r, scale, out=np.zeros_like(r), where=scale > 0).max())
+    # `!= 0` rather than `> 0`: a NaN scale must divide, so that a non-finite
+    # x gives a NaN error and fails every comparison with a bound.
+    return float(np.divide(r, scale, out=np.zeros_like(r), where=scale != 0).max())
 
 
 def direct_solve(system) -> np.ndarray:

@@ -93,6 +93,7 @@ def test_refinement_reaches_a_componentwise_backward_error_of_ulps(family, k, ep
     sol = solve(system)
     x = np.concatenate([sol.L.coeffs, sol.u.coeffs, sol.p.coeffs, [sol.multiplier]])
     assert sol.residuals[0] > solver.REFINE_TARGET >= sol.residuals[-1]
+    assert np.isfinite(x).all()
     assert backward_error(saddle_matrix(system), x, system.rhs) <= 8 * 2.0**-53
 
 
