@@ -106,6 +106,8 @@ class RunReport:
     ndof: int
     dims: tuple[int, int, int]
     cond_max: float  # worst 1-norm condition number of a local DOF system of W, U or P
+    triangles: int
+    classes: int  # classes of triangles whose local bases and stacks are built once
     skeleton: int
     lu_fill: int
     residuals: list[float]
@@ -120,7 +122,8 @@ class RunReport:
         h = f"h={self.h:.4g}" if self.level is None else f"h=1/{self.level}"
         lines = [
             f"mesh {self.config.mesh} {h}  k={self.config.k}"
-            f"  epsilon={self.config.epsilon:g}  alpha={self.config.alpha:g}",
+            f"  epsilon={self.config.epsilon:g}  alpha={self.config.alpha:g}"
+            f"  triangles {self.triangles} in {self.classes} classes",
             f"unknowns {self.ndof} (gradient {nW}, velocity {nU}, pressure {nP})"
             f"  cond_max {self.cond_max:.3e}",
             f"skeleton {self.skeleton}  lu_fill {self.lu_fill}  residuals "
@@ -197,6 +200,8 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
         ndof=system.num_unknowns,
         dims=system.dims,
         cond_max=max(float(s.conds.max()) for s in (spaces.W, spaces.U, spaces.P)),
+        triangles=mesh.num_triangles,
+        classes=spaces.num_classes,
         skeleton=solution.skeleton,
         lu_fill=solution.lu_fill,
         residuals=solution.residuals,

@@ -4,10 +4,12 @@ The continuity constraints live in the basis: on each triangle the global
 basis functions are the local dual basis (`dual_coeffs`, C below) in
 orthonormal modal coefficients, so every form is a sum of small dense
 per-triangle blocks C_test^T X C_trial, where X is the form on the broken
-modal space of that triangle. The blocks of all triangles come from one
-batched product (`element_matrices` returns them); the solver condenses and
-applies them triangle by triangle, and `scatter` sums them into a global
-matrix through `cell_dofs` where one is wanted.
+modal space of that triangle. Both depend only on the triangle's inputs that
+`StaggeredSpaces` groups into classes, so the blocks of the first triangle
+of every class come from one batched product (`element_matrices` returns
+them) and `StaggeredSpaces.by_triangle` spreads them to the other members;
+the solver condenses and applies them triangle by triangle, and `scatter`
+sums them into a global matrix through `cell_dofs` where one is wanted.
 
 X is a volume term plus edge terms on the triangle's own three sides. The
 edge terms of the forms are averages {G n}, {(G n) . t} and {v . n} of a
@@ -39,10 +41,10 @@ if TYPE_CHECKING:
 
 
 def _volume_derivative_blocks(spaces: StaggeredSpaces) -> np.ndarray:
-    """D[t, a, i, j] = integral over triangle t of m_i * d_a m_j."""
-    inv = spaces.invJT  # (nT, 2, 2)
+    """D[t, a, i, j] = integral over class t's triangles of m_i * d_a m_j."""
+    inv, detJ = spaces.by_class(spaces.invJT), spaces.by_class(spaces.detJ)  # (nC, 2, 2), (nC,)
     ref = np.stack([spaces.ref_dr, spaces.ref_ds])  # (2, nk, nk)
-    return spaces.detJ[:, None, None, None] * np.einsum("tab,bij->taij", inv, ref)
+    return detJ[:, None, None, None] * np.einsum("tab,bij->taij", inv, ref)
 
 
 def scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
@@ -63,18 +65,18 @@ def scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
 
 def _mass(spaces: StaggeredSpaces, space: _Space, scale: float) -> np.ndarray:
     # The modal basis is orthonormal on the reference triangle.
-    C = space.dual_coeffs
-    return (scale * spaces.detJ)[:, None, None] * (np.swapaxes(C, 1, 2) @ C)
+    C = spaces.by_class(space.dual_coeffs)
+    return (scale * spaces.by_class(spaces.detJ))[:, None, None] * (np.swapaxes(C, 1, 2) @ C)
 
 
 def _side_terms(spaces: StaggeredSpaces):
-    """Per (triangle, side): the own-trace product S[t, s, m, n] = int m_m m_n ds,
+    """Per (class, side): the own-trace product S[t, s, m, n] = int m_m m_n ds,
     the triangle's jump sign, the edge's normal and tangent, and whether it
     is a primal edge."""
     mesh = spaces.mesh
-    te = mesh.tri_edges
+    te = spaces.by_class(mesh.tri_edges)
     S = (mesh.edge_length[te] / 2.0)[:, :, None, None] * spaces.side_products
-    return (S, mesh.side_sign, mesh.edge_normal[te], mesh.edge_tangent[te],
+    return (S, spaces.by_class(mesh.side_sign), mesh.edge_normal[te], mesh.edge_tangent[te],
             mesh.edge_primal[te])
 
 
@@ -85,8 +87,8 @@ def _reaction(spaces: StaggeredSpaces, alpha: float) -> np.ndarray:
 
 
 def _coupling_B(spaces: StaggeredSpaces) -> np.ndarray:
-    nk, nT = spaces.nk, spaces.mesh.num_triangles
-    D = _volume_derivative_blocks(spaces)  # (nT, 2, nk, nk)
+    nk, nC = spaces.nk, spaces.num_classes
+    D = _volume_derivative_blocks(spaces)  # (nC, 2, nk, nk)
     S, sign, n, tg, primal = _side_terms(spaces)
     # -[v] . {G n} over primal edges (one-sided on the boundary) and
     # -[v . t] {(G n) . t} over dual edges: rows (a, m), cols (r, c, n).
@@ -94,26 +96,28 @@ def _coupling_B(spaces: StaggeredSpaces) -> np.ndarray:
     coef = -sign[:, :, None, None, None] * frame[..., None] * n[:, :, None, None, :]
     # Plus the volume term int G_{ac} d_c v_a: rows (a, m), cols (a, c, n).
     X = (np.einsum("ar,tcnm->tamrcn", np.eye(2), D)
-         + np.einsum("tsarc,tsmn->tamrcn", coef, S)).reshape(nT, 2 * nk, 4 * nk)
-    return np.swapaxes(spaces.U.dual_coeffs, 1, 2) @ X @ spaces.W.dual_coeffs
+         + np.einsum("tsarc,tsmn->tamrcn", coef, S)).reshape(nC, 2 * nk, 4 * nk)
+    return (np.swapaxes(spaces.by_class(spaces.U.dual_coeffs), 1, 2) @ X
+            @ spaces.by_class(spaces.W.dual_coeffs))
 
 
 def _divergence_D(spaces: StaggeredSpaces) -> np.ndarray:
-    nk, nT = spaces.nk, spaces.mesh.num_triangles
+    nk, nC = spaces.nk, spaces.num_classes
     Dv = _volume_derivative_blocks(spaces)
     S, sign, n, _tg, primal = _side_terms(spaces)
     # int v_a d_a q - {v . n} [q] over dual edges: rows q index, cols (a, m).
     coef = np.where(primal, 0.0, -sign)[:, :, None] * n
     X = (np.einsum("tamq->tqam", Dv)
-         + np.einsum("tsa,tsqm->tqam", coef, S)).reshape(nT, nk, 2 * nk)
-    return np.swapaxes(spaces.P.dual_coeffs, 1, 2) @ X @ spaces.U.dual_coeffs
+         + np.einsum("tsa,tsqm->tqam", coef, S)).reshape(nC, nk, 2 * nk)
+    return (np.swapaxes(spaces.by_class(spaces.P.dual_coeffs), 1, 2) @ X
+            @ spaces.by_class(spaces.U.dual_coeffs))
 
 
 @dataclass
 class ElementMatrices:
-    """Per-triangle element stacks C_test^T X C_trial of the four forms, in the
-    local DOF order of cell_dofs and laid out like the global blocks, and each
-    triangle's share of the pressure means."""
+    """Element stacks C_test^T X C_trial of the four forms, in the local DOF
+    order of cell_dofs and laid out like the global blocks, and the share of
+    the pressure means, one row per triangle (or per class of triangles)."""
 
     M: np.ndarray  # (nT, nW_loc, nW_loc)
     B: np.ndarray  # (nT, nU_loc, nW_loc)
@@ -123,29 +127,32 @@ class ElementMatrices:
 
 
 def element_matrices(spaces: StaggeredSpaces, alpha: float) -> ElementMatrices:
+    """The stacks of the first triangle of each class of `spaces`, one row per
+    class; `spaces.by_triangle` spreads a stack to the triangles."""
     return ElementMatrices(_mass(spaces, spaces.W, 1.0), _coupling_B(spaces),
                            _reaction(spaces, alpha), _divergence_D(spaces),
-                           _element_load(spaces.P, _mean_loads(spaces)))
+                           _element_load(spaces.by_class(spaces.P.dual_coeffs),
+                                         _mean_loads(spaces)))
 
 
 def assemble_B(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    return scatter(spaces.U, spaces.W, _coupling_B(spaces))
+    return scatter(spaces.U, spaces.W, spaces.by_triangle(_coupling_B(spaces)))
 
 
 def assemble_D(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    return scatter(spaces.P, spaces.U, _divergence_D(spaces))
+    return scatter(spaces.P, spaces.U, spaces.by_triangle(_divergence_D(spaces)))
 
 
-def _element_load(space: _Space, local: np.ndarray) -> np.ndarray:
-    """C^T local[t] per triangle, from the broken loads local[t] against the
-    modal functions."""
-    return np.einsum("tij,ti->tj", space.dual_coeffs, local.reshape(len(local), -1))
+def _element_load(C: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """C[t]^T local[t] per row t, from the dual bases C and the broken loads
+    local against the modal functions."""
+    return np.einsum("tij,ti->tj", C, local.reshape(len(local), -1))
 
 
 def _load(space: _Space, local: np.ndarray) -> np.ndarray:
     """Global load vector: C^T local[t] summed through each triangle's cell_dofs."""
-    return np.bincount(space.dofmap.cell_dofs.ravel(), _element_load(space, local).ravel(),
-                       minlength=space.ndof)
+    return np.bincount(space.dofmap.cell_dofs.ravel(),
+                       _element_load(space.dual_coeffs, local).ravel(), minlength=space.ndof)
 
 
 def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]:
@@ -161,4 +168,5 @@ def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]
 
 
 def _mean_loads(spaces: StaggeredSpaces) -> np.ndarray:
-    return spaces.detJ[:, None] * (spaces.data_vals @ spaces.data_quad.weights)[None, :]
+    return (spaces.by_class(spaces.detJ)[:, None]
+            * (spaces.data_vals @ spaces.data_quad.weights)[None, :])

@@ -10,9 +10,10 @@ closed form.
 
 The solve condenses element by element in three stages. The gradient's cell
 moments couple to each other only through the mass block, which does not
-depend on the viscosity, so stage 0 eliminates them once per assembly:
-per triangle, with i the W cell moments, o the W edge moments and u all U
-moments, `assemble_blocks` stores M_ii^{-1} and the reduced stacks
+depend on the viscosity, so stage 0 eliminates them once per assembly,
+on the first triangle of each class of triangles with equal local inputs
+(see `spaces`): with i the W cell moments, o the W edge moments and u all U
+moments, `assemble_blocks` stores per triangle M_ii^{-1} and the reduced stacks
 M' = M_oo - M_oi M_ii^{-1} M_io, B' = B_uo - B_ui M_ii^{-1} M_io and
 E = B_ui M_ii^{-1} B_ui^T (`GradientCells`). For each viscosity the solve
 then runs one batch of polygons of one size at a time. Each triangle's
@@ -411,13 +412,15 @@ class SystemBlocks:
 
 
 def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
+    # The element stacks and stage 0 of each class of triangles, then spread
+    # to every triangle of the class.
     el = forms.element_matrices(spaces, alpha)
+    gradient = _eliminate_gradient_cells(el, 4 * (spaces.k + 1))
+    el, gradient = (type(x)(*map(spaces.by_triangle, vars(x).values())) for x in (el, gradient))
     P = spaces.P.dofmap
     c = np.bincount(P.cell_dofs.ravel(), el.c.ravel(), minlength=P.ndof)
     z = spaces.interpolate("P", lambda x: np.ones(len(x))).coeffs
-    return SystemBlocks(spaces, alpha, el, c, z,
-                        _eliminate_gradient_cells(el, 4 * (spaces.k + 1)),
-                        _condensation_plan(spaces))
+    return SystemBlocks(spaces, alpha, el, c, z, gradient, _condensation_plan(spaces))
 
 
 @dataclass
@@ -730,7 +733,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         """The residual and max_i |r_i| / (|K||x| + |b|)_i, 0 where both vanish."""
         r = b - K(x)
         scale = absK(np.abs(x)) + np.abs(b)
-        return r, float(np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale > 0).max())
+        return r, float(np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale != 0).max())
 
     best = x
     best_r, omega = backward_error(x)

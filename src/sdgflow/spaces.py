@@ -20,6 +20,17 @@ these two per-triangle arrays: the forms and load vectors element by element,
 and the broken per-triangle modal coefficients of a field as the dual basis
 applied to its coefficients gathered through `cell_dofs`.
 
+Triangles are sorted into classes whose inputs to the local builders are
+equal byte for byte: the Jacobian, `side_flip` and `mesh.side_sign`, and the
+length, normal, tangent and kind of each side's edge (one `np.unique` over
+the raw bytes of these rows, classes numbered by their first triangle,
+`tri_class` and `class_tris`). Uniform grids repeat a few triangles (6
+classes on a square grid at any h), so the dual bases, here, and the element
+stacks and stage-0 eliminations, in `forms` and `solver`, are computed once
+per class (`by_class`) and spread to every member (`by_triangle`), bit for bit
+what the per-triangle computation gives. Where every triangle is its own
+class, as on distorted grids, both are the identity and copy nothing.
+
 The dual basis inverts each triangle's local DOF matrix in the modal basis
 of `polybasis` (numpy only). Each cell moment is detJ times one modal
 coefficient of degree below k, so the matrix is block triangular once its
@@ -119,6 +130,7 @@ class StaggeredSpaces:
 
         self._build_geometry()
         self._build_edge_tables()
+        self._classify_triangles()
         self.W = self._build_space_W()
         self.U = self._build_space_U()
         self.P = self._build_space_P()
@@ -174,6 +186,39 @@ class StaggeredSpaces:
         half = mesh.edge_length[mesh.tri_edges] / 2.0
         self.side_moments = half[:, :, None, None] * ref_moments[np.arange(3), self.side_flip]
 
+    def _classify_triangles(self) -> None:
+        # One row of every per-triangle input of the local builders (the
+        # integer and boolean ones cast exactly to float), compared as raw
+        # bytes: rounded keys could merge triangles whose inputs differ, and
+        # 0.0 and -0.0 fall in different classes.
+        mesh, te, nT = self.mesh, self.mesh.tri_edges, self.mesh.num_triangles
+        key = np.hstack([self.jac.reshape(nT, -1), self.side_flip, mesh.side_sign,
+                         mesh.edge_length[te], mesh.edge_normal[te].reshape(nT, -1),
+                         mesh.edge_tangent[te].reshape(nT, -1), mesh.edge_primal[te]])
+        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        # Classes numbered by first occurrence, so that each is named by its
+        # lowest triangle and the identity numbering needs no gather.
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.tri_class = rank[inverse]  # (nT,) class of each triangle
+        self.class_tris = first[order]  # (nC,) first triangle of each class
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.class_tris)
+
+    def by_class(self, x: np.ndarray) -> np.ndarray:
+        """Rows of the per-triangle array x at each class's first triangle;
+        x itself where every triangle is its own class."""
+        return x if self.num_classes == len(self.tri_class) else x[self.class_tris]
+
+    def by_triangle(self, x: np.ndarray) -> np.ndarray:
+        """Rows of the per-class array x spread to every triangle of each
+        class; x itself where every triangle is its own class."""
+        return x if self.num_classes == len(self.tri_class) else x[self.tri_class]
+
     def _reference_traces(self, rule) -> np.ndarray:
         """T[s, f, i, q]: modal function i at point q of reference side s, read
         from its start vertex (f=0) or from its end vertex (f=1)."""
@@ -199,7 +244,7 @@ class StaggeredSpaces:
                      edge_rows: np.ndarray) -> _Space:
         """Number one space's DOFs and invert its local DOF matrices.
 
-        edge_rows (nT, nedge, ncomp*nk) holds each triangle's edge functionals
+        edge_rows (nC, nedge, ncomp*nk) holds each class's edge functionals
         in modal coefficients: per_primal rows for its primal side, then
         per_dual rows for each dual side. The ncomp*nk1 cell moments follow,
         ordered (j, component), with component c of modal function j.
@@ -220,7 +265,7 @@ class StaggeredSpaces:
         # with the columns split into these low modes and the remaining high
         # ones, V = [[E_l, E_h], [detJ I, 0]] and only the edge block E_h
         # needs inverting: V^-1 = [[0, I/detJ], [E_h^-1, -E_h^-1 E_l/detJ]].
-        nloc, nedge, detJ = ncomp * nk, edge_rows.shape[1], self.detJ
+        (nC, nedge, nloc), detJ = edge_rows.shape, self.by_class(self.detJ)
         j, c = np.divmod(np.arange(per_cell), ncomp)
         low, cell = c * nk + j, nedge + np.arange(per_cell)
         high = np.setdiff1d(np.arange(nloc), low)
@@ -228,12 +273,12 @@ class StaggeredSpaces:
             inv_h = np.linalg.inv(edge_rows[:, :, high])
         except np.linalg.LinAlgError:
             # cond(V) >= cond(E_h), so the check below names the triangle.
-            vmats = np.zeros((nT, nloc, nloc))
+            vmats = np.zeros((nC, nloc, nloc))
             vmats[:, :nedge] = edge_rows
             vmats[:, cell, low] = detJ[:, None]
             conds = np.linalg.cond(vmats, 1)  # infinite where a matrix is singular
         else:
-            dual = np.zeros((nT, nloc, nloc))
+            dual = np.zeros((nC, nloc, nloc))
             dual[:, low, cell] = 1.0 / detJ[:, None]
             dual[:, high, :nedge] = inv_h
             dual[:, high, nedge:] = -(inv_h @ edge_rows[:, :, low]) / detJ[:, None, None]
@@ -243,6 +288,8 @@ class StaggeredSpaces:
             colsum = np.abs(edge_rows).sum(axis=1)
             colsum[:, low] += detJ[:, None]
             conds = colsum.max(axis=1) * np.abs(dual).sum(axis=1).max(axis=1)
+            dual = self.by_triangle(dual)
+        conds = self.by_triangle(conds)
         bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
         if bad.any():
             t = int(np.argmax(bad))
@@ -260,28 +307,29 @@ class StaggeredSpaces:
         return _Space(dofmap, dual, conds, ncomp)
 
     def _build_space_W(self) -> _Space:
-        k1, nT, te = self.k + 1, self.mesh.num_triangles, self.mesh.tri_edges
-        EM = self.side_moments
+        k1, nC, te = self.k + 1, self.num_classes, self.by_class(self.mesh.tri_edges)
+        EM = self.by_class(self.side_moments)
         n, tg = self.mesh.edge_normal[te], self.mesh.edge_tangent[te]
         # Primal side: both components c of G n, rows (m, c), cols (a, b, i).
         primal = np.einsum("ca,tb,tmi->tmcabi", np.eye(2), n[:, 0], EM[:, 0])
         # Dual sides: the tangential component t . G n, rows (side, m).
         frame = tg[:, 1:, :, None] * n[:, 1:, None, :]
         dual = frame[:, :, None, :, :, None] * EM[:, 1:, :, None, None, :]
-        edge_rows = np.concatenate([primal.reshape(nT, 2 * k1, -1),
-                                    dual.reshape(nT, 2 * k1, -1)], axis=1)
+        edge_rows = np.concatenate([primal.reshape(nC, 2 * k1, -1),
+                                    dual.reshape(nC, 2 * k1, -1)], axis=1)
         return self._build_space("W", 4, 2 * k1, k1, edge_rows)
 
     def _build_space_U(self) -> _Space:
-        k1, nT = self.k + 1, self.mesh.num_triangles
-        EM, n = self.side_moments, self.mesh.edge_normal[self.mesh.tri_edges]
+        k1, nC = self.k + 1, self.num_classes
+        EM = self.by_class(self.side_moments)
+        n = self.mesh.edge_normal[self.by_class(self.mesh.tri_edges)]
         # Dual sides: the normal component v . n, rows (side, m), cols (a, i).
         dual = n[:, 1:, None, :, None] * EM[:, 1:, :, None, :]
-        return self._build_space("U", 2, 0, k1, dual.reshape(nT, 2 * k1, -1))
+        return self._build_space("U", 2, 0, k1, dual.reshape(nC, 2 * k1, -1))
 
     def _build_space_P(self) -> _Space:
         k1 = self.k + 1
-        return self._build_space("P", 1, k1, 0, self.side_moments[:, 0])
+        return self._build_space("P", 1, k1, 0, self.by_class(self.side_moments)[:, 0])
 
     # -- access helpers --------------------------------------------------
 

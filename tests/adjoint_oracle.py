@@ -69,7 +69,7 @@ def assemble_B_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
     nk = spaces.nk
     nT = spaces.mesh.num_triangles
     acc = ([], [], [])
-    D = _volume_derivative_blocks(spaces)
+    D = spaces.by_triangle(_volume_derivative_blocks(spaces))
     for t in range(nT):
         blk = np.zeros((2 * nk, 4 * nk))
         for a in range(2):
@@ -101,7 +101,7 @@ def assemble_D_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
     nk = spaces.nk
     nT = spaces.mesh.num_triangles
     acc = ([], [], [])
-    Dv = _volume_derivative_blocks(spaces)
+    Dv = spaces.by_triangle(_volume_derivative_blocks(spaces))
     for t in range(nT):
         blk = np.zeros((nk, 2 * nk))
         for a in range(2):

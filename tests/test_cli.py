@@ -125,6 +125,15 @@ def test_run_single_reports_the_worst_local_condition_number():
     assert sizes.endswith(f"  cond_max {report.cond_max:.3e}")
 
 
+@pytest.mark.parametrize("family,classes", [("square", 6), ("distorted", 64)])
+def test_run_single_reports_the_triangle_classes(family, classes):
+    # A square grid repeats six triangles; on a distorted grid each triangle
+    # is its own class. The counts end the mesh line.
+    report = cli.run_single(RunConfig(k=1, mesh=family, levels=(4,)))
+    assert (report.triangles, report.classes) == (64, classes)
+    assert report.summary().splitlines()[0].endswith(f"  triangles 64 in {classes} classes")
+
+
 def test_solve_loads_no_scipy_linalg():
     # The solver is numpy only: `sdgflow solve` loads neither SuperLU
     # (scipy.sparse.linalg) nor scipy.linalg. A fresh process, since the

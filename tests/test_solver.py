@@ -97,6 +97,25 @@ def test_refinement_reaches_a_componentwise_backward_error_of_ulps(family, k, ep
     assert backward_error(saddle_matrix(system), x, system.rhs) <= 8 * 2.0**-53
 
 
+def test_refinement_keeps_the_last_finite_iterate(monkeypatch):
+    # A refinement step that comes out non-finite has a NaN backward error,
+    # which stops the refinement; the solve returns the iterate before it.
+    _spaces, _case, system = make_system(k=2, n=4, eps=1e-8, family="distorted")
+    calls = []
+    skeleton_solve = solver._skeleton_solve
+
+    def second_is_nan(*args):
+        calls.append(1)
+        y = skeleton_solve(*args)
+        return np.full_like(y, np.nan) if len(calls) == 2 else y
+
+    monkeypatch.setattr(solver, "_skeleton_solve", second_is_nan)
+    sol = solve(system)
+    assert len(calls) == 2 and len(sol.residuals) == 2 and np.isnan(sol.residuals[-1])
+    assert all(np.isfinite(f.coeffs).all() for f in (sol.L, sol.u, sol.p))
+    assert np.isfinite(sol.multiplier) and sol.residual <= 1e-12
+
+
 def test_build_system_validates_inputs():
     spaces, case, system = make_system()
     F, G = forms.assemble_rhs(spaces, case.f, case.g)
@@ -499,6 +518,36 @@ def test_gradient_cells_are_the_element_schur_complement(family, k):
                             [se * g.B, el.A + eps * g.E, Dt],
                             [np.swapaxes(Zw[:, :no], 1, 2), el.D, Z]])
         assert np.abs(reduced - schur).max() <= 1e-12 * np.abs(K).max()
+
+
+@pytest.mark.parametrize("family", ["square", "hanging", "distorted"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_classes_change_nothing(family, k, monkeypatch):
+    # Dual bases, element stacks and stage 0 built once per class of
+    # triangles and spread are, bit for bit, those built on every triangle.
+    def solved(spaces):
+        blocks = assemble_blocks(spaces, 1.0)
+        case = verify.trig_case(1e-4, 1.0)
+        F, G = forms.assemble_rhs(spaces, case.f, case.g)
+        sol = solve(build_system(blocks, 1e-4, 1.0, F, G))
+        return ([getattr(spaces.space(t), a) for t in "WUP" for a in ("dual_coeffs", "conds")]
+                + list(vars(blocks.elements).values()) + list(vars(blocks.gradient).values())
+                + [sol.L.coeffs, sol.u.coeffs, sol.p.coeffs])
+
+    spaces = make_spaces(k, 8, family)
+    grouped = solved(spaces)
+
+    def one_class_each(self):
+        self.tri_class = self.class_tris = np.arange(self.mesh.num_triangles)
+
+    monkeypatch.setattr(StaggeredSpaces, "_classify_triangles", one_class_each)
+    alone = StaggeredSpaces(spaces.mesh, k)
+    assert alone.num_classes == spaces.mesh.num_triangles
+    assert spaces.num_classes < alone.num_classes or family == "distorted"
+    each = solved(alone)
+    assert len(grouped) == len(each) == 6 + 5 + 4 + 3
+    for a, b in zip(grouped, each):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("family", ["distorted", "hanging"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdgflow import cases
 from sdgflow import mesh as mm
 from sdgflow import spaces as spaces_mod
 from sdgflow.mesh import PRIMAL_BOUNDARY, PRIMAL_INTERIOR
@@ -83,6 +84,54 @@ def test_singular_local_system_names_its_triangle():
     rows[[2, 5]] = 0.0
     with pytest.raises(SpaceError, match="space P: .* triangle 2 is singular .*cond=inf"):
         spaces._build_space("P", 1, 2, 0, rows)
+    # The edge rows are one per class: on a square grid, singular rows of
+    # classes 4 and 5 fail first on the lowest triangle of either.
+    spaces = StaggeredSpaces(mm.build_staggered(mm.build_square_grid(8)), 1)
+    rows = spaces.by_class(spaces.side_moments)[:, 0].copy()
+    rows[[4, 5]] = 0.0
+    first = int(np.flatnonzero(spaces.tri_class >= 4)[0])
+    assert first > 5
+    with pytest.raises(SpaceError, match=f"space P: .* triangle {first} is singular .*cond=inf"):
+        spaces._build_space("P", 1, 2, 0, rows)
+
+
+def test_condition_limits_name_the_first_triangle_of_a_class(monkeypatch):
+    # On a square grid the condition numbers are computed once per class of
+    # many triangles; a limit still fails on the first triangle above it and
+    # the warning gives the worst.
+    sm = mm.build_staggered(mm.build_square_grid(8))
+    conds = StaggeredSpaces(sm, 2).W.conds
+    limit = float(np.median(conds))
+    first = int(np.argmax(conds > limit))
+    assert np.count_nonzero(conds == conds[first]) > 1
+    monkeypatch.setattr(spaces_mod, "COND_LIMIT", limit)
+    with pytest.raises(SpaceError, match=f"triangle {first} .*cond={conds[first]:.3g}"):
+        StaggeredSpaces(sm, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(spaces_mod, "COND_WARN", limit)
+    with pytest.warns(UserWarning, match=f"space W: worst .* {conds.max():.3g}"):
+        StaggeredSpaces(sm, 2)
+
+
+@pytest.mark.parametrize("family,n,classes", [
+    ("square", 8, 6), ("square", 16, 6), ("square", 32, 6), ("hanging", 8, 20),
+    ("distorted", 8, 256)])
+def test_triangle_classes(family, n, classes):
+    # A class is the triangles whose inputs to the local builders are equal
+    # byte for byte, numbered by their first triangle. Uniform grids repeat a
+    # few triangles; on a distorted grid every triangle is its own class.
+    sm = cases.build_mesh(family, n, seed=42)
+    spaces = StaggeredSpaces(sm, 1)
+    assert spaces.num_classes == classes
+    assert np.array_equal(spaces.class_tris, np.unique(spaces.tri_class, return_index=True)[1])
+    assert np.array_equal(spaces.tri_class[spaces.class_tris], np.arange(classes))
+    assert np.all(np.diff(spaces.class_tris) > 0)
+    te = sm.tri_edges
+    inputs = [spaces.jac, spaces.side_flip, sm.side_sign, sm.edge_length[te],
+              sm.edge_normal[te], sm.edge_tangent[te], sm.edge_primal[te]]
+    for x in inputs:
+        first = x[spaces.class_tris][spaces.tri_class]
+        assert first.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("name", ["square3", "distorted", "hanging"])
