@@ -62,18 +62,21 @@ def test_unknown_space_tag():
 
 
 def test_local_condition_limits(monkeypatch):
-    sm = MESHES["distorted"]
-    conds = StaggeredSpaces(sm, 2).W.conds
-    # A limit below some triangles' condition numbers fails on the first of them.
-    limit = float(np.median(conds))
-    first = int(np.argmax(conds > limit))
-    monkeypatch.setattr(spaces_mod, "COND_LIMIT", limit)
-    with pytest.raises(SpaceError, match=f"triangle {first} .*cond={conds[first]:.3g}"):
-        StaggeredSpaces(sm, 2)
-    monkeypatch.undo()
-    monkeypatch.setattr(spaces_mod, "COND_WARN", limit)
-    with pytest.warns(UserWarning, match=f"space W: worst .* {conds.max():.3g}"):
-        StaggeredSpaces(sm, 2)
+    # On the square grid each condition number is computed once for a class
+    # of many triangles.
+    for sm in (MESHES["distorted"], mm.build_staggered(mm.build_square_grid(8))):
+        conds = StaggeredSpaces(sm, 2).W.conds
+        # A limit below some triangles' condition numbers fails on the first of them.
+        limit = float(np.median(conds))
+        first = int(np.argmax(conds > limit))
+        monkeypatch.setattr(spaces_mod, "COND_LIMIT", limit)
+        with pytest.raises(SpaceError, match=f"triangle {first} .*cond={conds[first]:.3g}"):
+            StaggeredSpaces(sm, 2)
+        monkeypatch.undo()
+        monkeypatch.setattr(spaces_mod, "COND_WARN", limit)
+        with pytest.warns(UserWarning, match=f"space W: worst .* {conds.max():.3g}"):
+            StaggeredSpaces(sm, 2)
+        monkeypatch.undo()
 
 
 def test_singular_local_system_names_its_triangle():
@@ -93,24 +96,6 @@ def test_singular_local_system_names_its_triangle():
     assert first > 5
     with pytest.raises(SpaceError, match=f"space P: .* triangle {first} is singular .*cond=inf"):
         spaces._build_space("P", 1, 2, 0, rows)
-
-
-def test_condition_limits_name_the_first_triangle_of_a_class(monkeypatch):
-    # On a square grid the condition numbers are computed once per class of
-    # many triangles; a limit still fails on the first triangle above it and
-    # the warning gives the worst.
-    sm = mm.build_staggered(mm.build_square_grid(8))
-    conds = StaggeredSpaces(sm, 2).W.conds
-    limit = float(np.median(conds))
-    first = int(np.argmax(conds > limit))
-    assert np.count_nonzero(conds == conds[first]) > 1
-    monkeypatch.setattr(spaces_mod, "COND_LIMIT", limit)
-    with pytest.raises(SpaceError, match=f"triangle {first} .*cond={conds[first]:.3g}"):
-        StaggeredSpaces(sm, 2)
-    monkeypatch.undo()
-    monkeypatch.setattr(spaces_mod, "COND_WARN", limit)
-    with pytest.warns(UserWarning, match=f"space W: worst .* {conds.max():.3g}"):
-        StaggeredSpaces(sm, 2)
 
 
 @pytest.mark.parametrize("family,n,classes", [
