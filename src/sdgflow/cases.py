@@ -18,7 +18,6 @@ class ExperimentPreset:
     orders: tuple[int, ...]
     eps: float
     alpha: float = 1.0
-    case: str = "trig"
     delta: float = 0.25
     seed: int = 42
 

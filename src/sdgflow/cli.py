@@ -39,15 +39,13 @@ class RunConfig:
     levels: tuple[int, ...] = (8,)
     delta: float = 0.25
     seed: int = 42
-    case: str = "trig"
-    quad_degree: int | None = None
     out_csv: str | None = None
     out_svg: str | None = None
 
     def validate(self) -> None:
         problems = []
-        if not 0 <= self.k <= 3:
-            problems.append(f"k must be in 0..3, got {self.k}")
+        if not 1 <= self.k <= 3:
+            problems.append(f"k must be in 1..3, got {self.k}")
         if not 0.0 < self.epsilon < math.inf:
             problems.append(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.alpha < math.inf:
@@ -65,18 +63,14 @@ class RunConfig:
             problems.append("at least one level is required")
         elif any(n < 1 for n in self.levels):
             problems.append(f"levels must be positive, got {self.levels}")
-        elif list(self.levels) != sorted(self.levels):
-            problems.append(f"levels must be increasing, got {self.levels}")
+        elif any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            problems.append(f"levels must be strictly increasing, got {self.levels}")
         if self.mesh == "hanging" and any(n % 2 for n in self.levels):
             problems.append(f"hanging grid needs even levels, got {self.levels}")
         if not 0.0 <= self.delta < 0.5:
             problems.append(f"delta must lie in [0, 0.5), got {self.delta}")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
-        if self.case not in ("trig", "zero"):
-            problems.append(f"unknown case {self.case!r} (expected 'trig' or 'zero')")
-        if self.quad_degree is not None and not 1 <= self.quad_degree <= 20:
-            problems.append(f"quad_degree must be in 1..20, got {self.quad_degree}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -92,7 +86,6 @@ def config_from_preset(preset: cases.ExperimentPreset, k: int | None = None,
         levels=tuple(preset.levels),
         delta=preset.delta,
         seed=preset.seed,
-        case=preset.case,
     )
 
 
@@ -149,26 +142,17 @@ def _build_mesh(config: RunConfig, n: int) -> meshmod.StaggeredMesh:
     return cases.build_mesh(config.mesh, n, delta=config.delta, seed=config.seed)
 
 
-def _get_case(config: RunConfig):
-    base = verify.trig_case(config.epsilon, config.alpha)
-    if config.case == "zero":
-        zero_v = lambda x: np.zeros((len(x), 2))
-        zero_s = lambda x: np.zeros(len(x))
-        return replace(base, f=zero_v, g=zero_s)
-    return base
-
-
 def run_single(config: RunConfig, n: int | None = None) -> RunReport:
     """Solve one resolution and report errors, norms, sizes and timings."""
     config.validate()
     level = None if config.mesh == "file" else (config.levels[0] if n is None else n)
-    case = _get_case(config)
+    case = verify.trig_case(config.epsilon, config.alpha)
     timings = {}
     t0 = time.perf_counter()
     mesh = _build_mesh(config, level)
     timings["mesh"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    spaces = StaggeredSpaces(mesh, config.k, quad_degree=config.quad_degree)
+    spaces = StaggeredSpaces(mesh, config.k)
     timings["spaces"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     blocks = assemble_blocks(spaces, config.alpha)
@@ -217,7 +201,7 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
 def run_convergence(config: RunConfig) -> ConvergenceTable:
     """Run all configured levels and collect errors with observed orders."""
     config.validate()
-    table = ConvergenceTable(k=config.k, eps=config.epsilon, family=config.mesh)
+    table = ConvergenceTable(k=config.k)
     for n in config.levels:
         report = run_single(config, n=n)
         table.add(ConvergenceRow(
@@ -246,8 +230,9 @@ def table_to_csv(table: ConvergenceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_to_svg(table: ConvergenceTable, width: int = 640, height: int = 480) -> str:
+def table_to_svg(table: ConvergenceTable) -> str:
     """Self-contained log-log error plot with reference slope guide lines."""
+    width, height = 640, 480
     series = [("u", "#1f77b4"), ("L", "#d62728"), ("p", "#2ca02c")]
     hs = [row.h for row in table.rows]
     margin = 60
@@ -337,7 +322,7 @@ def emit_outputs(table: ConvergenceTable, out_csv: str | None,
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--preset", help="named experiment preset, e.g. table1")
-    sub.add_argument("--k", help="polynomial order 0..3")
+    sub.add_argument("--k", help="polynomial order 1..3")
     sub.add_argument("--epsilon", help="viscosity coefficient")
     sub.add_argument("--alpha", help="reaction coefficient")
     sub.add_argument("--mesh", help="square|distorted|hanging|file")
@@ -345,8 +330,6 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--levels", help="comma-separated h^-1 values, e.g. 2,4,8")
     sub.add_argument("--delta", help="distortion amplitude")
     sub.add_argument("--seed", help="distortion seed")
-    sub.add_argument("--case", help="manufactured case id (trig or zero)")
-    sub.add_argument("--quad-degree", help="data quadrature degree")
     sub.add_argument("--out-csv", help="CSV output path")
     sub.add_argument("--out-svg", help="SVG plot output path")
 
@@ -380,8 +363,8 @@ def _parse_levels(value) -> tuple[int, ...]:
 
 _CONFIG_KEYS = {
     "k": _integer, "epsilon": _real, "alpha": _real, "mesh": _text, "mesh_file": _text,
-    "levels": _parse_levels, "delta": _real, "seed": _integer, "case": _text,
-    "quad_degree": _integer, "out_csv": _text, "out_svg": _text,
+    "levels": _parse_levels, "delta": _real, "seed": _integer,
+    "out_csv": _text, "out_svg": _text,
 }
 
 
@@ -462,8 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             report = run_single(config)
             print(report.summary())
-            single = ConvergenceTable(k=config.k, eps=config.epsilon,
-                                      family=config.mesh)
+            single = ConvergenceTable(k=config.k)
             single.add(ConvergenceRow(level=report.level, h=report.h,
                                       ndof=report.ndof,
                                       errors=dict(report.errors)))

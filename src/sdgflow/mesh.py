@@ -21,6 +21,7 @@ import numpy as np
 
 PRIMAL_INTERIOR, PRIMAL_BOUNDARY, DUAL = 0, 1, 2
 EDGE_KINDS = ("primal-interior", "primal-boundary", "dual")  # names by kind
+RHO = 0.05  # shortest admissible polygon side, relative to the polygon's diameter
 
 
 class MeshError(ValueError):
@@ -90,7 +91,7 @@ class PrimalMesh:
     def area(self) -> float:
         return float(self._signed_areas(*self._cycles()).sum())
 
-    def validate(self, rho: float = 0.05) -> None:
+    def validate(self) -> None:
         """Check orientation, star-shapedness and edge-length regularity.
 
         Raises first for a malformed cycle layout, then for the first
@@ -126,7 +127,7 @@ class PrimalMesh:
         d = self.vertices[ids[first]] - self.vertices[ids[second]]
         h_s = np.zeros(P)
         np.maximum.at(h_s, poly[first], np.sqrt((d ** 2).sum(-1)))
-        side_bad = (tri_area <= 0.0) | (h_e < rho * h_s[poly])
+        side_bad = (tri_area <= 0.0) | (h_e < RHO * h_s[poly])
         bad = (sizes < 3) | repeats | (area <= 0.0) | (np.bincount(poly, side_bad, minlength=P) > 0)
         if not bad.any():
             return
@@ -145,7 +146,7 @@ class PrimalMesh:
                 f"(side {i} subdivision triangle has area {tri_area[j]:g})"
             )
         raise MeshError(
-            f"polygon {p} side {i} too short: h_e={h_e[j]:g} < {rho}*h_S={rho * h_s[p]:g}"
+            f"polygon {p} side {i} too short: h_e={h_e[j]:g} < {RHO}*h_S={RHO * h_s[p]:g}"
         )
 
 
@@ -369,6 +370,9 @@ def import_polygon_mesh(text: str) -> PrimalMesh:
         nv, npoly = int(header[0]), int(header[1])
     except ValueError:
         raise MeshFormatError("header fields must be integers", lineno) from None
+    if nv < 3 or npoly < 1:
+        raise MeshFormatError(
+            f"header needs NV >= 3 vertices and NP >= 1 polygons, got {nv} {npoly}", lineno)
     if len(rows) != 1 + nv + npoly:
         raise MeshFormatError(
             f"expected {1 + nv + npoly} content lines, found {len(rows)}", rows[-1][0]

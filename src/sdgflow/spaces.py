@@ -22,14 +22,16 @@ applied to its coefficients gathered through `cell_dofs`.
 
 Triangles are sorted into classes whose inputs to the local builders are
 equal byte for byte: the Jacobian, `side_flip` and `mesh.side_sign`, and the
-length, normal, tangent and kind of each side's edge (one `np.unique` over
-the raw bytes of these rows, classes numbered by their first triangle,
-`tri_class` and `class_tris`). Uniform grids repeat a few triangles (6
-classes on a square grid at any h), so the dual bases, here, and the element
-stacks and stage-0 eliminations, in `forms` and `solver`, are computed once
-per class (`by_class`) and spread to every member (`by_triangle`), bit for bit
-what the per-triangle computation gives. Where every triangle is its own
-class, as on distorted grids, both are the identity and copy nothing.
+length and normal of each side's edge (one `np.unique` over the raw bytes of
+these rows, classes numbered by their first triangle, `tri_class` and
+`class_tris`). The other edge inputs follow from these: the tangent is the
+normal turned by 90 degrees, and side 0 is the primal side, 1 and 2 dual.
+Uniform grids repeat a few triangles (6 classes on a square grid at any h),
+so the dual bases, here, and the element stacks and stage-0 eliminations, in
+`forms` and `solver`, are computed once per class (`by_class`) and spread to
+every member (`by_triangle`), bit for bit what the per-triangle computation
+gives. Where every triangle is its own class, as on distorted grids, both are
+the identity and copy nothing.
 
 The dual basis inverts each triangle's local DOF matrix in the modal basis
 of `polybasis` (numpy only). Each cell moment is detJ times one modal
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import StaggeredMesh
+from .mesh import StaggeredMesh, _first_appearance
 from .polybasis import (
     edge_basis,
     edge_quadrature,
@@ -68,6 +70,7 @@ from .polybasis import (
 
 COND_WARN = 1e6
 COND_LIMIT = 1e8
+DATA_QUAD_DEGREE = 12  # quadrature of non-polynomial data: loads, interpolation, errors
 
 
 class SpaceError(RuntimeError):
@@ -111,22 +114,17 @@ class _Space:
 
 
 class StaggeredSpaces:
-    """All three staggered spaces plus shared geometry/quadrature tables.
+    """All three staggered spaces plus shared geometry/quadrature tables."""
 
-    `quad_degree` is the quadrature degree for non-polynomial data (right-hand
-    side, interpolation, errors); None picks max(2k+6, 12).
-    """
-
-    def __init__(self, mesh: StaggeredMesh, k: int, quad_degree: int | None = None):
-        if not 0 <= k <= 3:
-            raise ValueError("supported polynomial orders are 0..3 (k=0 experimental)")
+    def __init__(self, mesh: StaggeredMesh, k: int):
+        if not 1 <= k <= 3:
+            raise ValueError(f"supported polynomial orders are 1..3, got {k}")
         self.mesh = mesh
         self.k = k
         self.nk = tri_dim(k)
-        self.nk1 = tri_dim(k - 1) if k >= 1 else 0
+        self.nk1 = tri_dim(k - 1)
         self.basis = tri_basis(k)
         self.edge_basis = edge_basis(k)
-        self.quad_degree = max(2 * k + 6, 12) if quad_degree is None else quad_degree
 
         self._build_geometry()
         self._build_edge_tables()
@@ -151,7 +149,7 @@ class StaggeredSpaces:
         self.invJT = np.stack([np.stack([d, -c], axis=1), np.stack([-b, a], axis=1)],
                               axis=1) / self.detJ[:, None, None]
 
-        self.form_quad = tri_quadrature(max(2 * self.k + 2, 2))
+        self.form_quad = tri_quadrature(2 * self.k + 2)
         self.vol_vals = self.basis.eval(self.form_quad.points)  # (nk, nq)
         self.vol_grads = self.basis.grad(self.form_quad.points)  # (nk, nq, 2)
         # Reference derivative Gram blocks: int m_i d_r m_j and int m_i d_s m_j.
@@ -159,11 +157,10 @@ class StaggeredSpaces:
         self.ref_dr = (self.vol_vals * w) @ self.vol_grads[:, :, 0].T
         self.ref_ds = (self.vol_vals * w) @ self.vol_grads[:, :, 1].T
 
-        deg = min(self.quad_degree, 20)
-        self.data_quad = tri_quadrature(deg)
+        self.data_quad = tri_quadrature(DATA_QUAD_DEGREE)
         self.data_vals = self.basis.eval(self.data_quad.points)
         self.data_grads = self.basis.grad(self.data_quad.points)
-        self.data_edge_quad = edge_quadrature(deg)
+        self.data_edge_quad = edge_quadrature(DATA_QUAD_DEGREE)
 
     def _build_edge_tables(self) -> None:
         mesh = self.mesh
@@ -171,7 +168,7 @@ class StaggeredSpaces:
         # is flipped when that vertex is not the edge's v0.
         self.side_flip = (mesh.triangles != mesh.edge_v0[mesh.tri_edges]).astype(int)
 
-        self.form_edge_quad = edge_quadrature(max(2 * self.k + 2, 2))
+        self.form_edge_quad = edge_quadrature(2 * self.k + 2)
         self.form_traces = self._reference_traces(self.form_edge_quad)
         self.data_traces = self._reference_traces(self.data_edge_quad)
         # side_products[s] = int over reference side s of T T^T per unit
@@ -188,22 +185,16 @@ class StaggeredSpaces:
 
     def _classify_triangles(self) -> None:
         # One row of every per-triangle input of the local builders (the
-        # integer and boolean ones cast exactly to float), compared as raw
-        # bytes: rounded keys could merge triangles whose inputs differ, and
-        # 0.0 and -0.0 fall in different classes.
+        # integer ones cast exactly to float), compared as raw bytes: rounded
+        # keys could merge triangles whose inputs differ, and 0.0 and -0.0
+        # fall in different classes. Classes are numbered by first occurrence,
+        # so that each is named by its lowest triangle and the identity
+        # numbering needs no gather.
         mesh, te, nT = self.mesh, self.mesh.tri_edges, self.mesh.num_triangles
         key = np.hstack([self.jac.reshape(nT, -1), self.side_flip, mesh.side_sign,
-                         mesh.edge_length[te], mesh.edge_normal[te].reshape(nT, -1),
-                         mesh.edge_tangent[te].reshape(nT, -1), mesh.edge_primal[te]])
+                         mesh.edge_length[te], mesh.edge_normal[te].reshape(nT, -1)])
         rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        # Classes numbered by first occurrence, so that each is named by its
-        # lowest triangle and the identity numbering needs no gather.
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self.tri_class = rank[inverse]  # (nT,) class of each triangle
-        self.class_tris = first[order]  # (nC,) first triangle of each class
+        self.class_tris, self.tri_class = _first_appearance(rows)
 
     @property
     def num_classes(self) -> int:

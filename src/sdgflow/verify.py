@@ -139,9 +139,7 @@ def error_Z2(spaces: StaggeredSpaces, u_h: DiscreteField, case: ManufacturedCase
 
 
 def lagrange_nodes(k: int) -> np.ndarray:
-    """Uniform degree-k interpolation nodes on the reference triangle."""
-    if k == 0:
-        return np.array([[1.0 / 3.0, 1.0 / 3.0]])
+    """Uniform degree-k interpolation nodes on the reference triangle, k >= 1."""
     return np.array(
         [(i / k, j / k) for j in range(k + 1) for i in range(k + 1 - j)],
         dtype=float,
@@ -189,8 +187,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     k: int
-    eps: float
-    family: str
     rows: list[ConvergenceRow] = field(default_factory=list)
 
     def add(self, row: ConvergenceRow) -> None:

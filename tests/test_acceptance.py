@@ -194,12 +194,12 @@ def _structural_checks():
         if len(sm.dual_edge_ids) != sm.num_triangles:
             failures.append(f"dual-edge count on {name}")
 
-    # Space dimension formulas, all meshes x k in 0..3.
+    # Space dimension formulas, all meshes x k in 1..3.
     for name, sm in meshes.items():
-        for k in range(4):
+        for k in range(1, 4):
             sp = StaggeredSpaces(sm, k)
             np_, nd = len(sm.primal_edge_ids), len(sm.dual_edge_ids)
-            nk1 = tri_dim(k - 1) if k >= 1 else 0
+            nk1 = tri_dim(k - 1)
             nT = sm.num_triangles
             if sp.W.ndof != 2 * (k + 1) * np_ + (k + 1) * nd + 4 * nk1 * nT:
                 failures.append(f"dim W on {name} k={k}")

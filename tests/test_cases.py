@@ -21,7 +21,6 @@ def test_preset_families_and_eps_ladder():
             assert pr.levels == (2, 4, 8, 16, 32)
             assert pr.orders == (1, 2, 3)
             assert pr.alpha == 1.0
-            assert pr.case == "trig"
 
 
 def test_unknown_preset_lists_alternatives():

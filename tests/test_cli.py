@@ -1,5 +1,6 @@
 """Tests for the command-line driver: configs, subcommands, CSV/SVG output."""
 
+import dataclasses
 import json
 import math
 import os
@@ -201,14 +202,6 @@ def test_run_single_times_the_solve_phases():
     assert all(f"{key}=" in skeleton_line for key in report.solve_timings)
 
 
-def test_run_single_zero_case():
-    # Zero data: solution norms vanish, error norms equal the exact norms.
-    report = cli.run_single(RunConfig(k=1, levels=(4,), case="zero"))
-    assert report.norms["u"] < 1e-10
-    assert report.norms["p"] < 1e-10
-    assert report.errors["u"] > 0.1  # == norm of the exact solution
-
-
 def test_run_single_is_deterministic():
     config = RunConfig(k=1, levels=(4,), mesh="distorted")
     a = cli.run_single(config)
@@ -216,18 +209,8 @@ def test_run_single_is_deterministic():
     assert a.errors == b.errors
 
 
-def test_run_single_quad_degree_does_not_leak():
-    # A run with its own quadrature degree leaves later default runs unchanged.
-    default = RunConfig(k=1, levels=(4,))
-    first = cli.run_single(default)
-    coarse = cli.run_single(RunConfig(k=1, levels=(4,), quad_degree=3))
-    again = cli.run_single(default)
-    assert coarse.errors != first.errors
-    assert again.errors == first.errors
-
-
 def test_run_single_ignores_quad_degree_environment(monkeypatch):
-    # The quadrature degree comes from the config only, never the environment.
+    # The quadrature degree is fixed, never read from the environment.
     config = RunConfig(k=1, levels=(4,))
     plain = cli.run_single(config)
     monkeypatch.setenv("SDG_QUAD_DEGREE", "3")
@@ -245,7 +228,7 @@ def test_run_convergence_orders():
 
 
 def _demo_table():
-    table = ConvergenceTable(k=1, eps=1.0, family="square")
+    table = ConvergenceTable(k=1)
     for i, n in enumerate((4, 8)):
         table.add(ConvergenceRow(
             level=n, h=1.0 / n, ndof=10 * n,
@@ -268,7 +251,7 @@ def test_csv_round_trip():
 
 
 def test_empty_table_outputs():
-    table = ConvergenceTable(k=1, eps=1.0, family="square")
+    table = ConvergenceTable(k=1)
     assert cli.table_to_csv(table) == cli.CSV_COLUMNS + "\n"
     svg = cli.table_to_svg(table)
     assert svg.startswith("<svg") and "empty table" in svg
@@ -395,6 +378,32 @@ def test_main_config_error_exit_code(capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--quad-degree", "12"), ("--case", "trig")])
+def test_main_rejects_removed_flags(flag, value, capsys):
+    # The data quadrature and the manufactured case are fixed: no flag sets them.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_main_rejects_removed_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"quad_degree": 12, "case": "trig"}))
+    assert cli.main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'quad_degree'; unknown config key 'case'" in err
+
+
+def test_run_flags_config_keys_and_fields_agree():
+    # Every setting is a RunConfig field, a config key and a flag (--config
+    # and --preset choose where settings come from and are no setting).
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(cli._CONFIG_KEYS) == fields
+    flags = vars(_parse(["solve"]))
+    assert sorted(flags) == sorted(fields + ["command", "config", "preset"])
+
+
 @pytest.mark.parametrize("argv,problem", [
     (["solve", "--mesh", "hanging", "--levels", "3"], "hanging grid needs even levels"),
     (["mesh", "check", "--mesh", "hanging", "--levels", "5"], "hanging grid needs even levels"),
@@ -403,6 +412,8 @@ def test_main_config_error_exit_code(capsys):
     (["solve", "--mesh", "distorted", "--seed", "-1"], "seed must be non-negative"),
     (["solve", "--epsilon", "inf"], "epsilon must be positive and finite"),
     (["solve", "--alpha", "inf"], "alpha must be positive and finite"),
+    (["solve", "--k", "0"], "k must be in 1..3, got 0"),
+    (["converge", "--levels", "2,2"], "levels must be strictly increasing, got (2, 2)"),
 ])
 def test_main_invalid_values_are_config_errors(argv, problem, capsys):
     # Caught by RunConfig.validate before any mesh is built: no numpy warning
@@ -459,6 +470,14 @@ def test_main_mesh_error_exit_code(tmp_path, capsys):
                      "--mesh-file", str(bad), "--levels", "2"])
     assert code == 3
     assert "mesh" in capsys.readouterr().err
+
+
+def test_main_bad_header_counts_are_mesh_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0\n")
+    code = cli.main(["mesh", "check", "--mesh", "file", "--mesh-file", str(bad)])
+    assert code == 3
+    assert "error: mesh: line 1: header needs NV >= 3" in capsys.readouterr().err
 
 
 def test_main_empty_polygon_is_a_mesh_error_without_warnings(tmp_path, capsys):

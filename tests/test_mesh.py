@@ -375,10 +375,13 @@ def test_validate_needs_one_interior_point_per_polygon():
     [
         ("", "empty"),
         ("2\n0 0\n1 1\n", "header"),
-        ("1 1\n0 zero\n3 0 0 0\n", "numbers"),
+        ("3 1\n0 zero\n1 0\n0 1\n3 0 1 2\n", "numbers"),
         ("3 1\n0 0\n1 0\n0 1\n4 0 1 2\n", "m i1"),
         ("3 1\n0 0\n1 0\n0 1\n3 0 1 5\n", "out of range"),
         ("3 1\n0 0\n1 0\n0 1\n", "content lines"),
+        ("-1 2\n0 0\n", "line 1: header needs NV >= 3"),
+        ("3 -1\n0 0\n1 0\n", "line 1: header needs NV >= 3"),
+        ("0 0\n", "line 1: header needs NV >= 3"),
     ],
 )
 def test_import_polygon_mesh_rejects_malformed(text, match):

@@ -29,7 +29,7 @@ def expected_dims(sm, k):
     nT = sm.num_triangles
     n_primal = len(sm.primal_edge_ids)
     n_dual = len(sm.dual_edge_ids)
-    nk1 = tri_dim(k - 1) if k >= 1 else 0
+    nk1 = tri_dim(k - 1)
     dim_W = 2 * (k + 1) * n_primal + (k + 1) * n_dual + 4 * nk1 * nT
     dim_U = (k + 1) * n_dual + 2 * nk1 * nT
     dim_P = (k + 1) * n_primal + nk1 * nT
@@ -37,7 +37,7 @@ def expected_dims(sm, k):
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_space_dimensions(name, k):
     sm = MESHES[name]
     spaces = StaggeredSpaces(sm, k)
@@ -51,6 +51,8 @@ def test_order_range_enforced():
     sm = MESHES["square2"]
     with pytest.raises(ValueError):
         StaggeredSpaces(sm, 4)
+    with pytest.raises(ValueError, match="1..3"):
+        StaggeredSpaces(sm, 0)
     with pytest.raises(ValueError):
         StaggeredSpaces(sm, -1)
 
@@ -119,6 +121,31 @@ def test_triangle_classes(family, n, classes):
         assert first.tobytes() == x.tobytes()
 
 
+_MIXED_MESH = "7 3\n0 0\n1 0\n2 0\n2 1\n1 1\n0 1\n1 0.5\n5 0 1 6 4 5\n3 1 2 6\n4 6 2 3 4\n"
+
+
+@pytest.mark.parametrize("family", ["square", "distorted", "hanging", "mixed"])
+def test_triangle_classes_need_no_tangent_or_edge_kind(family):
+    # The key leaves out each side's tangent (its normal turned by 90
+    # degrees) and edge kind (side 0 primal, 1 and 2 dual): keyed with them
+    # too, the classes are the same.
+    if family == "mixed":
+        meshes = [mm.build_staggered(mm.import_polygon_mesh(_MIXED_MESH))]
+    else:
+        meshes = [cases.build_mesh(family, n, seed=42) for n in (4, 8, 16, 32)]
+    for sm in meshes:
+        spaces = StaggeredSpaces(sm, 1)
+        te, nT = sm.tri_edges, sm.num_triangles
+        assert np.array_equal(sm.edge_primal[te], np.tile([True, False, False], (nT, 1)))
+        key = np.hstack([spaces.jac.reshape(nT, -1), spaces.side_flip, sm.side_sign,
+                         sm.edge_length[te], sm.edge_normal[te].reshape(nT, -1),
+                         sm.edge_tangent[te].reshape(nT, -1), sm.edge_primal[te]])
+        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
+        class_tris, tri_class = mm._first_appearance(rows)
+        assert np.array_equal(spaces.class_tris, class_tris)
+        assert np.array_equal(spaces.tri_class, tri_class)
+
+
 @pytest.mark.parametrize("name", ["square3", "distorted", "hanging"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_trace_tables_match_basis_at_edge_points(name, k):
@@ -174,7 +201,7 @@ DUAL_MESHES = {
 
 
 @pytest.mark.parametrize("name", sorted(DUAL_MESHES))
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_dual_basis_inverts_every_local_system(name, k):
     # The reported condition numbers are those of the dual basis itself, and
     # local dual function l, taken as a polynomial on the whole plane, has
