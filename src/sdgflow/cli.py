@@ -319,21 +319,6 @@ def emit_outputs(table: ConvergenceTable, out_csv: str | None,
 
 # -- argument handling --------------------------------------------------
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--preset", help="named experiment preset, e.g. table1")
-    sub.add_argument("--k", help="polynomial order 1..3")
-    sub.add_argument("--epsilon", help="viscosity coefficient")
-    sub.add_argument("--alpha", help="reaction coefficient")
-    sub.add_argument("--mesh", help="square|distorted|hanging|file")
-    sub.add_argument("--mesh-file", help="polygon mesh file (with --mesh file)")
-    sub.add_argument("--levels", help="comma-separated h^-1 values, e.g. 2,4,8")
-    sub.add_argument("--delta", help="distortion amplitude")
-    sub.add_argument("--seed", help="distortion seed")
-    sub.add_argument("--out-csv", help="CSV output path")
-    sub.add_argument("--out-svg", help="SVG plot output path")
-
-
 def _integer(value) -> int:
     """An integral number, not a bool; a string is read by int()."""
     if not isinstance(value, str) and (isinstance(value, bool) or not float(value).is_integer()):
@@ -361,11 +346,26 @@ def _parse_levels(value) -> tuple[int, ...]:
     return tuple(_integer(v) for v in value)
 
 
+# Every run setting: its parser (of a JSON value or a string) and the help of its flag.
 _CONFIG_KEYS = {
-    "k": _integer, "epsilon": _real, "alpha": _real, "mesh": _text, "mesh_file": _text,
-    "levels": _parse_levels, "delta": _real, "seed": _integer,
-    "out_csv": _text, "out_svg": _text,
+    "k": (_integer, "polynomial order 1..3"),
+    "epsilon": (_real, "viscosity coefficient"),
+    "alpha": (_real, "reaction coefficient"),
+    "mesh": (_text, "square|distorted|hanging|file"),
+    "mesh_file": (_text, "polygon mesh file (with --mesh file)"),
+    "levels": (_parse_levels, "comma-separated h^-1 values, e.g. 2,4,8"),
+    "delta": (_real, "distortion amplitude"),
+    "seed": (_integer, "distortion seed"),
+    "out_csv": (_text, "CSV output path"),
+    "out_svg": (_text, "SVG plot output path"),
 }
+
+
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="JSON config file")
+    sub.add_argument("--preset", help="named experiment preset, e.g. table1")
+    for key, (_, text) in _CONFIG_KEYS.items():
+        sub.add_argument(f"--{key.replace('_', '-')}", help=text)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -396,7 +396,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             problems.append(f"unknown config key {key!r}")
             continue
         try:
-            config = replace(config, **{key: _CONFIG_KEYS[key](value)})
+            config = replace(config, **{key: _CONFIG_KEYS[key][0](value)})
         except (TypeError, ValueError):
             problems.append(f"{source} has an invalid value {value!r}")
     if problems:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spaces import StaggeredSpaces, _Space
+from .spaces import StaggeredSpaces, Space
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -47,7 +47,7 @@ def _volume_derivative_blocks(spaces: StaggeredSpaces) -> np.ndarray:
     return detJ[:, None, None, None] * np.einsum("tab,bij->taij", inv, ref)
 
 
-def scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
+def scatter(test: Space, trial: Space, local: np.ndarray) -> sp.csr_matrix:
     """Sum the element matrices local[t] (test x trial local DOFs) into the
     global matrix at the rows and columns of each triangle's cell_dofs."""
     # Imported here, the only place that builds a sparse matrix, so that
@@ -57,13 +57,13 @@ def scatter(test: _Space, trial: _Space, local: np.ndarray) -> sp.csr_matrix:
     # int32 indices, the CSR's own index type: int64 ones take twice the
     # bytes per entry and are copied again in the conversion.
     index = np.int32 if max(test.ndof, trial.ndof) <= np.iinfo(np.int32).max else np.int64
-    rows = np.broadcast_to(test.dofmap.cell_dofs.astype(index)[:, :, None], local.shape)
-    cols = np.broadcast_to(trial.dofmap.cell_dofs.astype(index)[:, None, :], local.shape)
+    rows = np.broadcast_to(test.cell_dofs.astype(index)[:, :, None], local.shape)
+    cols = np.broadcast_to(trial.cell_dofs.astype(index)[:, None, :], local.shape)
     return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(test.ndof, trial.ndof))
 
 
-def _mass(spaces: StaggeredSpaces, space: _Space, scale: float) -> np.ndarray:
+def _mass(spaces: StaggeredSpaces, space: Space, scale: float) -> np.ndarray:
     # The modal basis is orthonormal on the reference triangle.
     C = spaces.by_class(space.dual_coeffs)
     return (scale * spaces.by_class(spaces.detJ))[:, None, None] * (np.swapaxes(C, 1, 2) @ C)
@@ -149,9 +149,9 @@ def _element_load(C: np.ndarray, local: np.ndarray) -> np.ndarray:
     return np.einsum("tij,ti->tj", C, local.reshape(len(local), -1))
 
 
-def _load(space: _Space, local: np.ndarray) -> np.ndarray:
+def _load(space: Space, local: np.ndarray) -> np.ndarray:
     """Global load vector: C^T local[t] summed through each triangle's cell_dofs."""
-    return np.bincount(space.dofmap.cell_dofs.ravel(),
+    return np.bincount(space.cell_dofs.ravel(),
                        _element_load(space.dual_coeffs, local).ravel(), minlength=space.ndof)
 
 

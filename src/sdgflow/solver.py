@@ -21,13 +21,14 @@ reduced local matrix [[-M', se B'^T], [se B', A + eps E]], bordered by D
 (se = sqrt(eps)), has its cell U moments eliminated by a batched dense solve
 (stage 1). The remainders are summed per polygon, and each polygon's
 dual-edge W/U moments and cell P moments are eliminated by a second batched
-solve (stage 2). A batch's local matrices stay within BATCH_BYTES, and one
-work buffer per solve holds them and then the batch's polygon matrices, so
-the only dense stacks the solve makes over the whole mesh are the
-eliminations that refinement reads back. The local Schur complements sum
-into the primal-edge skeleton, the W and P moments of every primal edge;
-with the edge-mean P moment of one edge pinned to zero it is negative
-definite.
+solve (stage 2). Each stage takes its unknowns by the column ranges that
+the spaces' records name (`primal`, `dual`, `cell` of `spaces.Space`). A
+batch's local matrices stay within BATCH_BYTES, and one work buffer per
+solve holds them and then the batch's polygon matrices, so the only dense
+stacks the solve makes over the whole mesh are the eliminations that
+refinement reads back. The local Schur complements sum into the
+primal-edge skeleton, the W and P moments of every primal edge; with the
+edge-mean P moment of one edge pinned to zero it is negative definite.
 
 The skeleton is factored by a multifrontal Cholesky (Liu, SIAM Review 34,
 1992) on a nested dissection of the polygons (George, SIAM J. Numer. Anal.
@@ -66,7 +67,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import forms
-from .spaces import DiscreteField, StaggeredSpaces
+from .spaces import DiscreteField, Space, StaggeredSpaces
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -115,7 +116,8 @@ class CondensationPlan:
     0 and 1 (a triangle's W and U cell moments) and in stage 2, -1 where that
     stage keeps it; the skeleton is what all keep. Each triangle's reduced
     local unknowns are its U cell moments, the num_inner that stage 1
-    eliminates, then its W edge moments, U edge moments and P cell_dofs.
+    eliminates, then per space its `primal` and `dual` columns, and the P
+    `cell` ones: W edge moments, U edge moments and P cell_dofs.
 
     The skeleton is ordered by a nested dissection of the polygons: `parent`
     is the tree, numbered in postorder, each primal edge is eliminated by the
@@ -244,20 +246,23 @@ def _fronts(parent: np.ndarray, owner: np.ndarray, touch: tuple[np.ndarray, np.n
 
 
 def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
-    mesh, k1, nk = spaces.mesh, spaces.k + 1, spaces.nk
-    W, U, P = spaces.W.dofmap, spaces.U.dofmap, spaces.P.dofmap
+    mesh, W, U, P = spaces.mesh, spaces.W, spaces.U, spaces.P
     nW, nU, nT = W.ndof, U.ndof, mesh.num_triangles
     n = nW + nU + P.ndof
     tri_poly = mesh.tri_poly
-    # Local DOF order of each space: primal side, the two dual sides, cell
-    # (U has no primal side). Stage 0 removes the W cell moments, the last of
-    # W's 4nk; the U cell moments, which stage 1 removes, go first.
-    gradient = W.cell_dofs[:, 4 * k1:]
-    local = np.hstack([nW + U.cell_dofs[:, 2 * k1:], W.cell_dofs[:, :4 * k1],
-                       nW + U.cell_dofs[:, :2 * k1], nW + nU + P.cell_dofs])
-    ni = 2 * (nk - k1)
-    # Stage 2: the W dual sides, the U dual sides and the P cell moments.
-    stage2 = ni + np.r_[2 * k1:6 * k1, 7 * k1:6 * k1 + nk]
+    spaced = ((W, 0), (U, nW), (P, nW + nU))  # each space and its first unknown
+    # Stage 0 removes the W cell moments. Each triangle's reduced unknowns
+    # are its U cell moments, which stage 1 removes, then per space its
+    # primal-side unknowns, which the skeleton (0) keeps, and its dual-side
+    # ones, which stage 2 removes with the P cell moments.
+    gradient = W.cell_dofs[:, W.cell]
+    parts = [(nW + U.cell_dofs[:, U.cell], 1)]
+    for X, at in spaced:
+        parts += [(at + X.cell_dofs[:, X.primal], 0), (at + X.cell_dofs[:, X.dual], 2)]
+    parts.append((nW + nU + P.cell_dofs[:, P.cell], 2))
+    local = np.hstack([dofs for dofs, _ in parts])
+    stage = np.repeat([st for _, st in parts], [dofs.shape[1] for dofs, _ in parts])
+    ni, stage2 = int(np.count_nonzero(stage == 1)), np.flatnonzero(stage == 2)
     triangle = _owners(n, np.hstack([gradient, local[:, :ni]]), np.arange(nT), "triangle")
     polygon = _owners(n, local[:, stage2], tri_poly, "polygon")
 
@@ -266,7 +271,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     # edge is eliminated by the lowest node whose subtree, a postorder range
     # of nodes, holds the leaves of all its polygons: up from the first leaf
     # until the node passes the last.
-    prim, k3 = mesh.primal_edge_ids, 3 * k1
+    prim = mesh.primal_edge_ids
     parent, leaf = _dissect(mesh.primal.interior_points)
     edge = np.full(len(mesh.edge_kind), -1)
     edge[prim] = np.arange(len(prim))
@@ -281,15 +286,16 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     place[order] = np.arange(len(prim))
     tri_edge = place[tri_edge]
     edges = prim[order]
-    skeleton = np.hstack([W.edge_offsets[edges, None] + np.arange(2 * k1),
-                          nW + nU + P.edge_offsets[edges, None] + np.arange(k1)]).ravel()
+    skeleton = np.hstack([at + X.edge_offsets[edges, None] + np.arange(X.per_primal)
+                          for X, at in spaced]).ravel()
+    k3 = sum(X.per_primal for X, _ in spaced)  # skeleton unknowns per primal edge
     ns = len(skeleton)
     where = np.full(n, -1)
     where[skeleton] = np.arange(ns)
     fronts, front_sizes, fbase, nfe, keys = _fronts(parent, owner[order], (tri_leaf, tri_edge), k3)
     # The constant pressure, the skeleton's kernel, has a nonzero edge mean;
     # pin that moment of the last edge.
-    pin = ns - k1
+    pin = ns - P.per_primal
 
     # One local layout per polygon size, taken from its first polygon: the
     # stage-2 unknowns, then the skeleton unknowns, each in increasing saddle
@@ -415,10 +421,9 @@ def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
     # The element stacks and stage 0 of each class of triangles, then spread
     # to every triangle of the class.
     el = forms.element_matrices(spaces, alpha)
-    gradient = _eliminate_gradient_cells(el, 4 * (spaces.k + 1))
+    gradient = _eliminate_gradient_cells(el, spaces.W.cell.start)
     el, gradient = (type(x)(*map(spaces.by_triangle, vars(x).values())) for x in (el, gradient))
-    P = spaces.P.dofmap
-    c = np.bincount(P.cell_dofs.ravel(), el.c.ravel(), minlength=P.ndof)
+    c = np.bincount(spaces.P.cell_dofs.ravel(), el.c.ravel(), minlength=spaces.P.ndof)
     z = spaces.interpolate("P", lambda x: np.ones(len(x))).coeffs
     return SystemBlocks(spaces, alpha, el, c, z, gradient, _condensation_plan(spaces))
 
@@ -463,7 +468,7 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
     if alpha != blocks.alpha:
         raise ValueError(f"alpha {alpha:g} differs from the blocks' alpha {blocks.alpha:g}")
     s, el = blocks.spaces, blocks.elements
-    W, U, P = (x.dofmap.cell_dofs.shape for x in (s.W, s.U, s.P))
+    W, U, P = (x.cell_dofs.shape for x in (s.W, s.U, s.P))
     shapes = (el.M.shape, el.B.shape, el.A.shape, el.D.shape, el.c.shape, blocks.c.shape)
     if shapes != (W + W[1:], U + W[1:], U + U[1:], P + U[1:], P, (s.P.ndof,)):
         raise ValueError("block dimensions are inconsistent")
@@ -495,20 +500,20 @@ BATCH_BYTES = 3 << 20
 EXTEND_BYTES = 1 << 19
 
 
-def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float,
+def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float, U: Space,
                     tris: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The reduced saddle matrices of triangles `tris`, rows and columns in
     the plan's local order: U cell moments, W edge moments, U edge moments,
     P cell_dofs. They are written to K, which holds one per triangle."""
     (nu, no), npr, se = g.B.shape[1:], el.D.shape[1], math.sqrt(eps)
-    nl, ue = nu + no + npr, no // 2  # U's edge moments come first in its stacks
+    nl, ni = nu + no + npr, nu - U.cell.start
     K.fill(0.0)
     # A run of consecutive triangles reads views of the stacks, not copies.
     if np.all(np.diff(tris) == 1):
         tris = slice(tris[0], tris[-1] + 1)
     # (local, stack) slices of each field; the U cell moments are moved first.
-    w = ((slice(nu - ue, nu - ue + no), slice(None)),)
-    u = ((slice(0, nu - ue), slice(ue, nu)), (slice(nu - ue + no, nu + no), slice(0, ue)))
+    w = ((slice(ni, ni + no), slice(None)),)
+    u = ((slice(0, ni), U.cell), (slice(ni + no, nu + no), U.edges))
     p = ((slice(nu + no, nl), slice(None)),)
     Bt, Dt = np.swapaxes(g.B, 1, 2), np.swapaxes(el.D, 1, 2)
     # Copy the blocks by slices; fancy indexing is several times slower.
@@ -598,8 +603,7 @@ def _operator(system: SaddleSystem, absolute: bool = False):
     no copy of the stacks is made."""
     s, el, se = system.blocks.spaces, system.blocks.elements, math.sqrt(system.eps)
     nW, nU = s.W.ndof, s.U.ndof
-    dofs = np.hstack([s.W.dofmap.cell_dofs, nW + s.U.dofmap.cell_dofs,
-                      nW + nU + s.P.dofmap.cell_dofs])
+    dofs = np.hstack([s.W.cell_dofs, nW + s.U.cell_dofs, nW + nU + s.P.cell_dofs])
     (nT, nw, _), nu = el.M.shape, el.A.shape[1]
     stacks, sign = (el.M, el.B, el.A, el.D, el.c), 1.0 if absolute else -1.0
     step = max(1, BATCH_BYTES // sum(X[0].nbytes for X in stacks)) if absolute else nT
@@ -629,6 +633,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     refinement against the original element stacks."""
     plan, n = system.blocks.interior, len(system.blocks.interior.triangle)
     el, g, se = system.blocks.elements, system.blocks.gradient, math.sqrt(system.eps)
+    W, U = system.blocks.spaces.W, system.blocks.spaces.U
     t0 = time.perf_counter()
     nl, ni = plan.local.shape[1], plan.num_inner
     # Every class's local Schur complements in turn, the order of plan.slots.
@@ -656,7 +661,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
                  + cls.position[:, :, None] * N + cls.position[:, None, :]).ravel()
         for a in range(0, count, step):
             b = min(a + step, count)
-            K = _local_matrices(el, g, system.eps, cls.triangles[a:b].ravel(),
+            K = _local_matrices(el, g, system.eps, U, cls.triangles[a:b].ravel(),
                                 work[:(b - a) * m * nl * nl].reshape(-1, nl, nl))
             S1 = _condense(K, ni, "triangle", T1[a * m:b * m], inv1[a * m:b * m])
             # Sum the remainders into the batch's polygon matrices, each
@@ -682,11 +687,10 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
 
     # Stage 0 rebuilds the W cell moments from M_ii^{-1} and views of the
     # original stacks.
-    spaces, no = system.blocks.spaces, g.M.shape[1]
     g0 = plan.gradient
-    go, gu = spaces.W.dofmap.cell_dofs[:, :no], spaces.W.ndof + spaces.U.dofmap.cell_dofs
+    go, gu = W.cell_dofs[:, W.edges], W.ndof + U.cell_dofs
     gou = np.hstack([go, gu]).ravel()
-    Moi, Mio, Bui = el.M[:, :no, no:], el.M[:, no:, :no], el.B[:, :, no:]
+    Moi, Mio, Bui = el.M[:, W.edges, W.cell], el.M[:, W.cell, W.edges], el.B[:, :, W.cell]
     c, z = system.blocks.c, system.blocks.z
     pressure, cz = slice(n - len(z), n), c @ z
 

@@ -12,13 +12,14 @@ different trace component:
 * P: scalar P^k fields continuous across interior primal edges (the
   pressure space; the zero-mean condition is imposed at solve time).
 
-Each space is represented by an integer DOF layout (a DofMap: edge
-moments first, at per-edge offsets, then the cell moments as one
-contiguous range) and, per triangle, a dual basis expressed in the
-orthonormal modal basis (`dual_coeffs`). Everything else is built from
-these two per-triangle arrays: the forms and load vectors element by element,
-and the broken per-triangle modal coefficients of a field as the dual basis
-applied to its coefficients gathered through `cell_dofs`.
+The edge functionals of each space are declared once, in `FUNCTIONALS`;
+the dual bases apply them to the modal traces, `interpolate` to a callable.
+Each space is one record (`Space`): an integer DOF layout (edge moments
+first, at per-edge offsets, then the cell moments as one contiguous range;
+each triangle's row of `cell_dofs` in the column ranges `primal`, `dual`
+and `cell`, which is all the solver reads of it) and, per triangle, a dual
+basis in the orthonormal modal basis (`dual_coeffs`). The forms, the loads
+and a field's broken modal coefficients are built from these two arrays.
 
 Triangles are sorted into classes whose inputs to the local builders are
 equal byte for byte: the Jacobian, `side_flip` and `mesh.side_sign`, and the
@@ -37,8 +38,9 @@ The dual basis inverts each triangle's local DOF matrix in the modal basis
 of `polybasis` (numpy only). Each cell moment is detJ times one modal
 coefficient of degree below k, so the matrix is block triangular once its
 columns are split into these low modes and the rest: only the square block
-of the edge moments on the remaining modes is inverted, with 4(k+1),
-2(k+1) and k+1 rows for W, U and P.
+of the edge moments on the remaining modes is inverted, with (k+1) times
+the frame rows of its three sides: 4(k+1), 2(k+1) and k+1 rows for W, U
+and P.
 
 Edge traces come from reference tables: the affine map of a submesh
 triangle [a, b, nu] sends its sides (a, b), (b, nu), (nu, a) onto the three
@@ -54,6 +56,7 @@ triangles is formed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,40 +80,67 @@ class SpaceError(RuntimeError):
     """Local DOF system failure (singular or badly conditioned)."""
 
 
-@dataclass
-class DofMap:
-    """Integer DOF layout of one space.
+# Per space: the shape of a value, then the frame of its primal edges and of
+# its dual edges (None: no DOF). A frame (n, t) -> (..., r, *shape) holds the
+# r rows taking a value to the traces whose moments against the Legendre
+# polynomials P_0..P_k are the DOFs of an edge of unit normal n, tangent t.
+FUNCTIONALS = {
+    "W": ((2, 2), lambda n, t: np.einsum("ca,...b->...cab", np.eye(2), n),  # G n
+          lambda n, t: t[..., None, :, None] * n[..., None, None, :]),  # t . G n
+    "U": ((2,), None, lambda n, t: n[..., None, :]),  # v . n
+    "P": ((), lambda n, t: np.ones(n.shape[:-1] + (1,)), None),  # q
+}
 
-    Edge DOFs come first: edge e owns the range that starts at
-    edge_offsets[e] (-1 where the space has no DOF on e). The cell DOFs
-    follow as one contiguous range, per_cell per triangle in triangle order;
-    they are the last per_cell entries of each row of cell_dofs.
+
+def frame_rows(tag: str, primal: bool, n: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The frame of space `tag` on primal or dual edges of unit normal n and
+    tangent t (..., 2), values flattened: (..., r, size of a value)."""
+    shape, *frames = FUNCTIONALS[tag]
+    frame = frames[0 if primal else 1]
+    rows = frame(n, t) if frame else np.zeros(n.shape[:-1] + (0,) + shape)
+    return rows.reshape(rows.shape[:n.ndim] + (math.prod(shape),))
+
+
+@dataclass
+class Space:
+    """One staggered space: its DOF layout and its local dual bases.
+
+    Edge e owns the DOFs from edge_offsets[e] on (-1 where none), k+1 per
+    frame row of its kind; the cell DOFs follow, in triangle order. Row t of
+    cell_dofs lists triangle t's DOFs in the column ranges `primal`, `dual`
+    (its two dual sides in turn) and `cell`; `edges` is the first two.
     """
 
     tag: str
-    k: int
+    shape: tuple[int, ...]  # of a value: () for P, (2,) for U, (2, 2) for W
     ndof: int
     cell_dofs: np.ndarray  # (nT, nloc) global ids in local functional order
     edge_offsets: np.ndarray  # (nE,) first DOF of each edge, -1 where none
     num_edge_dofs: int
+    primal: slice
+    dual: slice
+    cell: slice
+    dual_coeffs: np.ndarray  # (nT, nloc, nloc)
+    conds: np.ndarray  # (nT,) 1-norm condition numbers of the local DOF matrices
+
+    @property
+    def edges(self) -> slice:
+        return slice(0, self.cell.start)
+
+    @property
+    def per_primal(self) -> int:
+        """DOFs of a primal edge, the columns of the primal side."""
+        return self.primal.stop
+
+    def shaped(self, vals: np.ndarray) -> np.ndarray:
+        """Values (size, npts, ...) of a field as (npts, *shape, ...)."""
+        return np.moveaxis(vals, 0, 1).reshape(vals.shape[1], *self.shape, *vals.shape[2:])
 
 
 @dataclass
 class DiscreteField:
     tag: str
     coeffs: np.ndarray
-
-
-class _Space:
-    def __init__(self, dofmap: DofMap, dual_coeffs: np.ndarray, conds: np.ndarray, ncomp: int):
-        self.dofmap = dofmap
-        self.dual_coeffs = dual_coeffs  # (nT, nloc, nloc)
-        self.conds = conds
-        self.ncomp = ncomp
-
-    @property
-    def ndof(self) -> int:
-        return self.dofmap.ndof
 
 
 class StaggeredSpaces:
@@ -129,9 +159,7 @@ class StaggeredSpaces:
         self._build_geometry()
         self._build_edge_tables()
         self._classify_triangles()
-        self.W = self._build_space_W()
-        self.U = self._build_space_U()
-        self.P = self._build_space_P()
+        self.W, self.U, self.P = map(self._build_space, "WUP")
 
     # -- geometry and quadrature tables ---------------------------------
 
@@ -229,26 +257,40 @@ class StaggeredSpaces:
         """Data-quadrature points on all triangles, shape (nT, nq, 2)."""
         return self.physical(self.data_quad.points)
 
+    def data_edge_points(self) -> np.ndarray:
+        """Data edge-rule points on all edges, from v0 to v1, shape (nE, nq, 2)."""
+        mesh, frac = self.mesh, (self.data_edge_quad.points + 1.0) / 2.0
+        lo, hi = mesh.vertices[mesh.edge_v0], mesh.vertices[mesh.edge_v1]
+        return lo[:, None] + frac[:, None] * (hi - lo)[:, None]
+
     # -- space construction ---------------------------------------------
 
-    def _build_space(self, tag: str, ncomp: int, per_primal: int, per_dual: int,
-                     edge_rows: np.ndarray) -> _Space:
+    def _build_space(self, tag: str, edge_rows: np.ndarray | None = None) -> Space:
         """Number one space's DOFs and invert its local DOF matrices.
 
-        edge_rows (nC, nedge, ncomp*nk) holds each class's edge functionals
-        in modal coefficients: per_primal rows for its primal side, then
-        per_dual rows for each dual side. The ncomp*nk1 cell moments follow,
-        ordered (j, component), with component c of modal function j.
+        The edge rows (nC, nedge, size*nk) of each class, unless given, are
+        the space's frames applied to `side_moments`: its primal side, then
+        each dual side, rows (moment, frame row), columns (component, modal
+        function). The size*nk1 cell moments follow, ordered (j, component),
+        with component c of modal function j.
         """
-        mesh, nk, nk1 = self.mesh, self.nk, self.nk1
-        nT = mesh.num_triangles
-        counts = np.where(mesh.edge_primal, per_primal, per_dual)
+        mesh, nk, nk1, nT = self.mesh, self.nk, self.nk1, self.mesh.num_triangles
+        te = self.by_class(mesh.tri_edges)
+        n, t, EM = mesh.edge_normal[te], mesh.edge_tangent[te], self.by_class(self.side_moments)
+        # Side 0 is the primal side, 1 and 2 the dual ones.
+        frames = [frame_rows(tag, s == 0, n[:, s], t[:, s]) for s in range(3)]
+        size = frames[0].shape[-1]
+        if edge_rows is None:
+            edge_rows = np.concatenate([(F[:, None, :, :, None] * EM[:, s, :, None, None, :])
+                                        .reshape(len(te), -1, size * nk)
+                                        for s, F in enumerate(frames)], axis=1)
+        per_side = [EM.shape[2] * F.shape[1] for F in frames]  # k+1 per frame row
+        counts = np.where(mesh.edge_primal, per_side[0], per_side[1])
         offsets = np.where(counts > 0, np.cumsum(counts) - counts, -1)
         num_edge = int(counts.sum())
-        per_cell = ncomp * nk1
+        per_cell = size * nk1
         ndof = num_edge + nT * per_cell
-        cols = [offsets[mesh.tri_edges[:, s], None] + np.arange(n)
-                for s, n in enumerate((per_primal, per_dual, per_dual)) if n]
+        cols = [offsets[mesh.tri_edges[:, s], None] + np.arange(m) for s, m in enumerate(per_side)]
         cols.append(num_edge + np.arange(nT * per_cell).reshape(nT, per_cell))
         cell_dofs = np.hstack(cols)
 
@@ -257,7 +299,7 @@ class StaggeredSpaces:
         # ones, V = [[E_l, E_h], [detJ I, 0]] and only the edge block E_h
         # needs inverting: V^-1 = [[0, I/detJ], [E_h^-1, -E_h^-1 E_l/detJ]].
         (nC, nedge, nloc), detJ = edge_rows.shape, self.by_class(self.detJ)
-        j, c = np.divmod(np.arange(per_cell), ncomp)
+        j, c = np.divmod(np.arange(per_cell), size)
         low, cell = c * nk + j, nedge + np.arange(per_cell)
         high = np.setdiff1d(np.arange(nloc), low)
         try:
@@ -294,77 +336,42 @@ class StaggeredSpaces:
                 f"space {tag}: worst local DOF condition number {worst:.3g}",
                 stacklevel=3,
             )
-        dofmap = DofMap(tag, self.k, ndof, cell_dofs, offsets, num_edge)
-        return _Space(dofmap, dual, conds, ncomp)
-
-    def _build_space_W(self) -> _Space:
-        k1, nC, te = self.k + 1, self.num_classes, self.by_class(self.mesh.tri_edges)
-        EM = self.by_class(self.side_moments)
-        n, tg = self.mesh.edge_normal[te], self.mesh.edge_tangent[te]
-        # Primal side: both components c of G n, rows (m, c), cols (a, b, i).
-        primal = np.einsum("ca,tb,tmi->tmcabi", np.eye(2), n[:, 0], EM[:, 0])
-        # Dual sides: the tangential component t . G n, rows (side, m).
-        frame = tg[:, 1:, :, None] * n[:, 1:, None, :]
-        dual = frame[:, :, None, :, :, None] * EM[:, 1:, :, None, None, :]
-        edge_rows = np.concatenate([primal.reshape(nC, 2 * k1, -1),
-                                    dual.reshape(nC, 2 * k1, -1)], axis=1)
-        return self._build_space("W", 4, 2 * k1, k1, edge_rows)
-
-    def _build_space_U(self) -> _Space:
-        k1, nC = self.k + 1, self.num_classes
-        EM = self.by_class(self.side_moments)
-        n = self.mesh.edge_normal[self.by_class(self.mesh.tri_edges)]
-        # Dual sides: the normal component v . n, rows (side, m), cols (a, i).
-        dual = n[:, 1:, None, :, None] * EM[:, 1:, :, None, :]
-        return self._build_space("U", 2, 0, k1, dual.reshape(nC, 2 * k1, -1))
-
-    def _build_space_P(self) -> _Space:
-        k1 = self.k + 1
-        return self._build_space("P", 1, k1, 0, self.by_class(self.side_moments)[:, 0])
+        sides = per_side[0], sum(per_side)  # where the dual sides and the cell start
+        return Space(tag, FUNCTIONALS[tag][0], ndof, cell_dofs, offsets, num_edge,
+                     slice(0, sides[0]), slice(*sides), slice(sides[1], None), dual, conds)
 
     # -- access helpers --------------------------------------------------
 
-    def space(self, tag: str) -> _Space:
+    def space(self, tag: str) -> Space:
         try:
             return {"W": self.W, "U": self.U, "P": self.P}[tag]
         except KeyError:
             raise ValueError(f"unknown space tag {tag!r}") from None
 
     def broken(self, field: DiscreteField) -> np.ndarray:
-        """Per-triangle modal coefficients, shape (nT, ncomp, nk)."""
+        """Per-triangle modal coefficients, shape (nT, size of a value, nk)."""
         s = self.space(field.tag)
-        local = np.asarray(field.coeffs, dtype=float)[s.dofmap.cell_dofs]
-        return np.einsum("tij,tj->ti", s.dual_coeffs, local).reshape(-1, s.ncomp, self.nk)
+        local = np.asarray(field.coeffs, dtype=float)[s.cell_dofs]
+        return np.einsum("tij,tj->ti", s.dual_coeffs, local).reshape(len(local), -1, self.nk)
 
     def eval_field(self, field: DiscreteField, tri: int, points, gradients: bool = False):
         """Evaluate a field at physical points inside triangle `tri`.
 
-        Returns values shaped (npts,), (npts, 2) or (npts, 2, 2) according
-        to the space; with gradients=True also returns the gradient array
-        with one extra trailing axis for the derivative direction.
+        Returns values shaped (npts, *shape) for the space's value shape;
+        with gradients=True also returns the gradient array with one extra
+        trailing axis for the derivative direction.
         """
         s = self.space(field.tag)
-        local = np.asarray(field.coeffs, dtype=float)[s.dofmap.cell_dofs[tri]]
-        coeffs = (s.dual_coeffs[tri] @ local).reshape(s.ncomp, self.nk)
+        local = np.asarray(field.coeffs, dtype=float)[s.cell_dofs[tri]]
+        coeffs = (s.dual_coeffs[tri] @ local).reshape(-1, self.nk)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ref = (pts - self.origin[tri]) @ self.invJT[tri]
-        vals = coeffs @ self.basis.eval(ref)  # (ncomp, npts)
-        out = self._shape_values(field.tag, vals)
+        out = s.shaped(coeffs @ self.basis.eval(ref))
         if not gradients:
             return out
         ref_g = self.basis.grad(ref)  # (nk, npts, 2)
         phys_g = np.einsum("ab,npb->npa", self.invJT[tri], ref_g)
-        grads = np.einsum("ck,kpa->cpa", coeffs, phys_g)
-        return out, self._shape_values(field.tag, grads, extra=True)
-
-    def _shape_values(self, tag: str, vals: np.ndarray, extra: bool = False):
-        npts = vals.shape[1]
-        trail = vals.shape[2:] if extra else ()
-        if tag == "P":
-            return vals[0]
-        if tag == "U":
-            return np.moveaxis(vals, 0, 1)
-        return np.moveaxis(vals, 0, 1).reshape(npts, 2, 2, *trail)
+        return out, s.shaped(np.einsum("ck,kpa->cpa", coeffs, phys_g))
 
     # -- interpolation by direct DOF evaluation --------------------------
 
@@ -372,43 +379,32 @@ class StaggeredSpaces:
         """Interpolate a callable by applying the space's DOF functionals.
 
         `fn(points)` takes (npts, 2) physical points and returns values
-        shaped (npts,) for P, (npts, 2) for U, (npts, 2, 2) for W.
+        shaped (npts, *shape): (npts,) for P, (npts, 2) for U, (npts, 2, 2)
+        for W.
         """
-        s = self.space(tag)
-        dm, mesh = s.dofmap, self.mesh
-        k1 = self.k + 1
+        s, mesh = self.space(tag), self.mesh
         coeffs = np.empty(s.ndof)
 
-        # Edge moments against Legendre polynomials on every edge with DOFs.
-        eids = np.flatnonzero(dm.edge_offsets >= 0)
-        off, n = dm.edge_offsets[eids], mesh.edge_normal[eids]
-        xi, wq = self.data_edge_quad.points, self.data_edge_quad.weights
-        lo = mesh.vertices[mesh.edge_v0[eids]]
-        hi = mesh.vertices[mesh.edge_v1[eids]]
-        pts = lo[:, None] + ((xi + 1.0) / 2.0)[:, None] * (hi - lo)[:, None]
-        vals = np.asarray(fn(pts.reshape(-1, 2))).reshape(len(eids), len(xi), -1)
-        if tag == "P":
-            traces = vals
-        elif tag == "U":
-            traces = np.einsum("eqa,ea->eq", vals, n)[..., None]
-        else:
-            traces = np.einsum("eqab,eb->eqa", vals.reshape(len(eids), len(xi), 2, 2), n)
-        leg = self.edge_basis.eval(xi) * wq
-        mom = (mesh.edge_length[eids] / 2.0)[:, None, None] * np.einsum("mq,eqr->emr", leg, traces)
-        if tag == "W":
-            # Primal edges carry both components of G n, dual edges t . G n.
-            prim = mesh.edge_primal[eids]
-            coeffs[off[prim, None] + np.arange(2 * k1)] = mom[prim].reshape(-1, 2 * k1)
-            coeffs[off[~prim, None] + np.arange(k1)] = np.einsum(
-                "emr,er->em", mom[~prim], mesh.edge_tangent[eids[~prim]])
-        else:
-            coeffs[off[:, None] + np.arange(k1)] = mom[..., 0]
+        # Edge moments of the framed traces against the Legendre polynomials,
+        # one edge kind at a time.
+        X = self.data_edge_points()
+        leg = self.edge_basis.eval(self.data_edge_quad.points) * self.data_edge_quad.weights
+        for primal in (True, False):
+            eids = np.flatnonzero(mesh.edge_primal == primal)
+            rows = frame_rows(tag, primal, mesh.edge_normal[eids], mesh.edge_tangent[eids])
+            if not rows.shape[1]:
+                continue
+            vals = np.asarray(fn(X[eids].reshape(-1, 2))).reshape(len(eids), X.shape[1], -1)
+            traces = np.einsum("erc,eqc->eqr", rows, vals)
+            half = mesh.edge_length[eids] / 2.0
+            mom = half[:, None, None] * np.einsum("mq,eqr->emr", leg, traces)
+            coeffs[s.edge_offsets[eids, None] + np.arange(mom[0].size)] = mom.reshape(len(eids), -1)
 
         # Cell moments of each component against the P^{k-1} modal functions.
         X = self.data_points()
         nT, nq, _ = X.shape
-        vals = np.asarray(fn(X.reshape(-1, 2))).reshape(nT, nq, s.ncomp)
+        vals = np.asarray(fn(X.reshape(-1, 2))).reshape(nT, nq, -1)
         w_vals = self.data_vals[:self.nk1] * self.data_quad.weights
         cell = self.detJ[:, None, None] * np.einsum("jq,tqc->tjc", w_vals, vals)
-        coeffs[dm.num_edge_dofs:] = cell.ravel()
+        coeffs[s.num_edge_dofs:] = cell.ravel()
         return DiscreteField(tag, coeffs)

@@ -102,10 +102,8 @@ def _edge_jumps(spaces: StaggeredSpaces, broken: np.ndarray, exact) -> np.ndarra
     te, nE = mesh.tri_edges, len(mesh.edge_length)
     T = spaces.data_traces[np.arange(3), spaces.side_flip]  # (nT, 3, nk, nq)
     tr = np.einsum("tck,tskq->tscq", broken, T)
-    rule = spaces.data_edge_quad
-    lo, hi = mesh.vertices[mesh.edge_v0], mesh.vertices[mesh.edge_v1]
-    pts = lo[:, None] + ((rule.points + 1.0) / 2.0)[:, None] * (hi - lo)[:, None]
-    ev = np.asarray(exact(pts.reshape(-1, 2))).reshape(nE, len(rule.points), -1)
+    pts = spaces.data_edge_points()
+    ev = np.asarray(exact(pts.reshape(-1, 2))).reshape(pts.shape[:2] + (-1,))
     tr = mesh.side_sign[..., None, None] * (tr - np.swapaxes(ev, 1, 2)[te])
     per = tr[0, 0].size
     idx = (te[..., None] * per + np.arange(per)).ravel()

@@ -12,13 +12,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from sdgflow.forms import _volume_derivative_blocks
-from sdgflow.spaces import StaggeredSpaces, _Space
+from sdgflow.spaces import StaggeredSpaces, Space
 
 
-def embedding(space: _Space) -> sp.csr_matrix:
+def embedding(space: Space) -> sp.csr_matrix:
     """(nT*nloc, ndof) map from global coefficients to broken per-triangle modal
     coefficients: row t*nloc + i holds row i of triangle t's dual basis."""
-    C, dofs = space.dual_coeffs, space.dofmap.cell_dofs
+    C, dofs = space.dual_coeffs, space.cell_dofs
     nT, nloc = dofs.shape
     rows, cols = np.broadcast_arrays(np.arange(nT * nloc).reshape(nT, nloc, 1), dofs[:, None, :])
     return sp.csr_matrix((C.ravel(), (rows.ravel(), cols.ravel())), shape=(nT * nloc, space.ndof))

@@ -209,14 +209,6 @@ def test_run_single_is_deterministic():
     assert a.errors == b.errors
 
 
-def test_run_single_ignores_quad_degree_environment(monkeypatch):
-    # The quadrature degree is fixed, never read from the environment.
-    config = RunConfig(k=1, levels=(4,))
-    plain = cli.run_single(config)
-    monkeypatch.setenv("SDG_QUAD_DEGREE", "3")
-    assert cli.run_single(config).errors == plain.errors
-
-
 def test_run_convergence_orders():
     table = cli.run_convergence(RunConfig(k=1, levels=(4, 8, 16)))
     assert len(table.rows) == 3
@@ -432,7 +424,7 @@ def test_main_invalid_values_are_config_errors(argv, problem, capsys):
     ('{"k": 2.7}', "config key 'k' has an invalid value 2.7"),
     ('{"k": true}', "config key 'k' has an invalid value True"),
     ('{"seed": 4.5}', "config key 'seed'"),
-    ('{"quad_degree": 8.5}', "config key 'quad_degree'"),
+    ('{"delta": [0.25]}', "config key 'delta' has an invalid value"),
     ('{"levels": [4, 8.5]}', "config key 'levels'"),
     ('{"epsilon": false}', "config key 'epsilon'"),
     ('{"out_csv": null}', "config key 'out_csv' has an invalid value None"),

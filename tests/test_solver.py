@@ -33,14 +33,6 @@ def make_spaces(k=1, n=3, family="square"):
     return StaggeredSpaces(mm.build_staggered(primal), k)
 
 
-def cell_entries(dm):
-    """(nT, per_cell) cell DOFs of each triangle of a DofMap: the last
-    per_cell entries of each row of its cell_dofs."""
-    nT, nloc = dm.cell_dofs.shape
-    per_cell = (dm.ndof - dm.num_edge_dofs) // nT
-    return dm.cell_dofs[:, nloc - per_cell:]
-
-
 def make_system(k=1, n=3, eps=1.0, alpha=1.0, family="square"):
     spaces = make_spaces(k, n, family)
     case = verify.trig_case(eps, alpha)
@@ -231,7 +223,7 @@ def test_interior_groups_layout(family, k):
     spaces = make_spaces(k, 4, family)
     groups = assemble_blocks(spaces, 1.0).interior
     mesh, k1 = spaces.mesh, k + 1
-    W, U, P = spaces.W.dofmap, spaces.U.dofmap, spaces.P.dofmap
+    W, U, P = spaces.W, spaces.U, spaces.P
     nW, nU = W.ndof, U.ndof
     n = nW + nU + P.ndof
     assert groups.triangle.shape == groups.polygon.shape == (n,)
@@ -239,7 +231,7 @@ def test_interior_groups_layout(family, k):
 
     # Stage 1: triangle t owns its cell W entries and its cell U entries, and
     # the groups cover each of the two cell ranges once.
-    cells = np.hstack([cell_entries(W), nW + cell_entries(U)])
+    cells = np.hstack([W.cell_dofs[:, W.cell], nW + U.cell_dofs[:, U.cell]])
     for t in range(mesh.num_triangles):
         assert np.array_equal(np.flatnonzero(groups.triangle == t), np.sort(cells[t]))
     cell_ranges = np.concatenate([np.arange(W.num_edge_dofs, nW),
@@ -255,7 +247,7 @@ def test_interior_groups_layout(family, k):
         expected = np.concatenate(
             [W.edge_offsets[duals, None] + np.arange(k1),
              nW + U.edge_offsets[duals, None] + np.arange(k1)], axis=None)
-        expected = np.concatenate([expected, nW + nU + cell_entries(P)[tris].ravel()])
+        expected = np.concatenate([expected, nW + nU + P.cell_dofs[tris, P.cell].ravel()])
         assert np.array_equal(np.flatnonzero(groups.polygon == p), np.sort(expected))
 
     # Skeleton: 2(k+1) W and k+1 P moments per primal edge.
@@ -362,7 +354,7 @@ def test_dissection_separates_sibling_subtrees(family, k):
     plan = assemble_blocks(spaces, 1.0).interior
     mesh, k3, parent = spaces.mesh, 3 * (k + 1), plan.parent
     prim = mesh.primal_edge_ids
-    offsets = spaces.W.dofmap.edge_offsets[prim]
+    offsets = spaces.W.edge_offsets[prim]
     assert np.array_equal(np.sort(plan.skeleton[::k3]), np.sort(offsets))
     node = np.full(len(prim), -1)  # the node that eliminates each skeleton edge
     for grp in plan.fronts:
@@ -398,7 +390,7 @@ def test_plan_peak_memory_is_bounded_by_what_it_keeps():
     finally:
         tracemalloc.stop()
     arrays = [plan.triangle, plan.polygon, plan.local, plan.skeleton, plan.parent, plan.slots,
-              plan.pinned]  # plan.gradient is a view of the W dofmap
+              plan.pinned]  # plan.gradient is a view of W's cell_dofs
     for cls in plan.classes:
         arrays += [cls.triangles, cls.position, cls.interior, cls.kept]
     for grp in plan.fronts:
@@ -411,13 +403,13 @@ def test_skeleton_unknowns_must_lie_on_their_primal_edges():
     # primal edge of polygon 2: its polygons still share one layout, but the
     # edge graph would slot its entries into the wrong columns.
     spaces = make_spaces(k=1, n=3, family="distorted")
-    W, mesh = spaces.W.dofmap, spaces.mesh
+    W, mesh = spaces.W, spaces.mesh
     mine = np.flatnonzero(mesh.tri_poly == 1)
     theirs = np.flatnonzero((mesh.tri_poly == 2)
                             & ~np.isin(mesh.tri_edges[:, 0], mesh.tri_edges[mine, 0]))
     w = W.cell_dofs.copy()
-    w[mine[0], :2 * (spaces.k + 1)] = w[theirs[0], :2 * (spaces.k + 1)]
-    spaces.W.dofmap = replace(W, cell_dofs=w)
+    w[mine[0], W.primal] = w[theirs[0], W.primal]
+    spaces.W = replace(W, cell_dofs=w)
     with pytest.raises(SolverError, match="skeleton unknowns off their primal edges"):
         assemble_blocks(spaces, 1.0)
 
@@ -429,20 +421,20 @@ def test_polygons_of_one_size_share_one_layout(change):
     # two, or a skeleton place that lists polygon 2's stage-2 unknowns) must
     # be refused, not eliminated with the wrong local matrices.
     spaces = make_spaces(k=1, n=3, family="distorted")
-    W, U, k1 = spaces.W.dofmap, spaces.U.dofmap, spaces.k + 1
+    W, U, k1 = spaces.W, spaces.U, spaces.k + 1
     tri_poly = spaces.mesh.tri_poly
     t, t2 = np.flatnonzero(tri_poly == 1)[0], np.flatnonzero(tri_poly == 2)[0]
     w, u = W.cell_dofs.copy(), U.cell_dofs.copy()
     if change == "swap":  # its two U dual-side blocks exchanged
-        u[t, :2 * k1] = np.roll(u[t, :2 * k1], k1)
+        u[t, U.dual] = np.roll(u[t, U.dual], k1)
     elif change == "merge":  # one dual edge's U unknowns read as another's
         mine = tri_poly[:, None] == 1
         for a, b in zip(u[t, k1:2 * k1], u[t, :k1]):
             u[mine & (u == a)] = b
     else:  # its primal side's W unknowns replaced by a dual side of polygon 2
-        w[t, :2 * k1] = w[t2, 2 * k1:4 * k1]
-    spaces.W.dofmap = replace(W, cell_dofs=w)
-    spaces.U.dofmap = replace(U, cell_dofs=u)
+        w[t, W.primal] = w[t2, W.dual]
+    spaces.W = replace(W, cell_dofs=w)
+    spaces.U = replace(U, cell_dofs=u)
     with pytest.raises(SolverError, match="4-gon polygons have different local layouts"):
         assemble_blocks(spaces, 1.0)
 
@@ -451,11 +443,11 @@ def test_invalid_eliminations_raise_solver_error():
     # A triangle of polygon 1 that lists a dual-edge unknown of polygon 0: the
     # polygon-by-polygon elimination would split one unknown in two.
     spaces = make_spaces(k=1, n=3, family="distorted")
-    U, tri_poly = spaces.U.dofmap, spaces.mesh.tri_poly
+    U, tri_poly = spaces.U, spaces.mesh.tri_poly
     t0, t1 = np.flatnonzero(tri_poly == 0)[0], np.flatnonzero(tri_poly == 1)[0]
     cell_dofs = U.cell_dofs.copy()
     cell_dofs[t1, 0] = cell_dofs[t0, 0]
-    spaces.U.dofmap = replace(U, cell_dofs=cell_dofs)
+    spaces.U = replace(U, cell_dofs=cell_dofs)
     with pytest.raises(SolverError, match="couple across polygons"):
         assemble_blocks(spaces, 1.0)
     # Polygon 0's divergence element blocks zeroed: its cell P rows vanish

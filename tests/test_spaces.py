@@ -1,5 +1,7 @@
 """Tests for the staggered spaces: dimensions, continuity, interpolation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ def test_singular_local_system_names_its_triangle():
     rows = spaces.side_moments[:, 0].copy()
     rows[[2, 5]] = 0.0
     with pytest.raises(SpaceError, match="space P: .* triangle 2 is singular .*cond=inf"):
-        spaces._build_space("P", 1, 2, 0, rows)
+        spaces._build_space("P", rows)
     # The edge rows are one per class: on a square grid, singular rows of
     # classes 4 and 5 fail first on the lowest triangle of either.
     spaces = StaggeredSpaces(mm.build_staggered(mm.build_square_grid(8)), 1)
@@ -97,7 +99,7 @@ def test_singular_local_system_names_its_triangle():
     first = int(np.flatnonzero(spaces.tri_class >= 4)[0])
     assert first > 5
     with pytest.raises(SpaceError, match=f"space P: .* triangle {first} is singular .*cond=inf"):
-        spaces._build_space("P", 1, 2, 0, rows)
+        spaces._build_space("P", rows)
 
 
 @pytest.mark.parametrize("family,n,classes", [
@@ -146,6 +148,52 @@ def test_triangle_classes_need_no_tangent_or_edge_kind(family):
         assert np.array_equal(spaces.tri_class, tri_class)
 
 
+@pytest.mark.parametrize("family", ["square", "distorted", "hanging", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_space_record_names_its_layout(family, k):
+    # The ranges `primal`, `dual` and `cell` partition the columns of
+    # cell_dofs and list the DOFs of the triangle's primal edge, of its two
+    # dual edges and of its cell; an edge of each kind carries (k+1) DOFs per
+    # frame row of the space, and a field's values have the space's shape.
+    if family == "mixed":
+        sm = mm.build_staggered(mm.import_polygon_mesh(_MIXED_MESH))
+    else:
+        sm = cases.build_mesh(family, 4, seed=42)
+    spaces = StaggeredSpaces(sm, k)
+    te, nT = sm.tri_edges, sm.num_triangles
+    pts = spaces.physical(np.array([[0.2, 0.3], [0.5, 0.25]]))[0]
+    for tag in "WUP":
+        s = spaces.space(tag)
+        nloc = s.cell_dofs.shape[1]
+        cols = np.arange(nloc)
+        assert np.array_equal(np.concatenate([cols[s.primal], cols[s.dual], cols[s.cell]]), cols)
+        assert np.array_equal(cols[s.edges], np.concatenate([cols[s.primal], cols[s.dual]]))
+
+        per_primal, per_dual = len(cols[s.primal]), len(cols[s.dual]) // 2
+        assert per_primal == s.per_primal
+        assert np.array_equal(s.cell_dofs[:, s.primal],
+                              s.edge_offsets[te[:, 0], None] + np.arange(per_primal))
+        assert np.array_equal(s.cell_dofs[:, s.dual].reshape(nT, 2, -1),
+                              s.edge_offsets[te[:, 1:], None] + np.arange(per_dual))
+        cell = s.cell_dofs[:, s.cell]
+        assert cell.min() >= s.num_edge_dofs
+        assert np.array_equal(np.sort(cell, axis=None), np.arange(s.num_edge_dofs, s.ndof))
+
+        has = s.edge_offsets >= 0
+        per_edge = np.zeros(len(has), dtype=int)
+        per_edge[has] = np.diff(np.append(s.edge_offsets[has], s.num_edge_dofs))
+        for primal, count in ((True, per_primal), (False, per_dual)):
+            kind = sm.edge_primal == primal
+            rows = spaces_mod.frame_rows(tag, primal, sm.edge_normal[kind], sm.edge_tangent[kind])
+            assert count == (k + 1) * rows.shape[1]
+            assert np.all(per_edge[kind] == count)
+
+        f = random_field(spaces, tag)
+        vals, grads = spaces.eval_field(f, 0, pts, gradients=True)
+        assert vals.shape == (len(pts),) + s.shape == spaces.eval_field(f, 0, pts).shape
+        assert grads.shape == (len(pts),) + s.shape + (2,)
+
+
 @pytest.mark.parametrize("name", ["square3", "distorted", "hanging"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_trace_tables_match_basis_at_edge_points(name, k):
@@ -173,7 +221,7 @@ def test_local_dual_basis_inverts_dof_matrix():
     dual = spaces.U.dual_coeffs[t]
     assert dual.shape == (nloc, nloc)
     assert spaces.U.conds[t] < 1e6
-    dofs = spaces.U.dofmap.cell_dofs[t]
+    dofs = spaces.U.cell_dofs[t]
     for l in range(nloc):
         coeffs = dual[:, l].reshape(2, spaces.nk)
 
@@ -210,18 +258,18 @@ def test_dual_basis_inverts_every_local_system(name, k):
     nT = spaces.mesh.num_triangles
     for tag in "WUP":
         s = spaces.space(tag)
-        nloc = s.ncomp * spaces.nk
+        nloc = math.prod(s.shape) * spaces.nk
         assert s.dual_coeffs.shape == (nT, nloc, nloc)
         cond = np.linalg.cond(s.dual_coeffs, 1)
         assert (np.abs(s.conds - cond) <= 1e-10 * cond).all()
         for t in (0, nT // 2, nT - 1):
-            dofs = s.dofmap.cell_dofs[t]
+            dofs = s.cell_dofs[t]
             for l in range(nloc):
-                coeffs = s.dual_coeffs[t, :, l].reshape(s.ncomp, spaces.nk)
+                coeffs = s.dual_coeffs[t, :, l].reshape(-1, spaces.nk)
 
                 def fn(pts, t=t, coeffs=coeffs):
                     ref = (pts - spaces.origin[t]) @ spaces.invJT[t]
-                    return spaces._shape_values(tag, coeffs @ spaces.basis.eval(ref))
+                    return s.shaped(coeffs @ spaces.basis.eval(ref))
 
                 got = spaces.interpolate(tag, fn).coeffs[dofs]
                 assert np.abs(got - np.eye(nloc)[l]).max() < 1e-10
