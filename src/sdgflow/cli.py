@@ -75,12 +75,11 @@ class RunConfig:
             raise ConfigError("; ".join(problems))
 
 
-def config_from_preset(preset: cases.ExperimentPreset, k: int | None = None,
-                       epsilon: float | None = None) -> RunConfig:
-    """Expand a named preset into a RunConfig; k and epsilon may be narrowed."""
+def config_from_preset(preset: cases.ExperimentPreset) -> RunConfig:
+    """Expand a named preset into a RunConfig at its first order."""
     return RunConfig(
-        k=preset.orders[0] if k is None else k,
-        epsilon=preset.eps if epsilon is None else epsilon,
+        k=preset.orders[0],
+        epsilon=preset.eps,
         alpha=preset.alpha,
         mesh=preset.family,
         levels=tuple(preset.levels),

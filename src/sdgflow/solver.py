@@ -53,8 +53,8 @@ place of each triangle's unknowns in it, the dissection tree, the skeleton
 order, the fronts with the place of every local Schur entry in its leaf's
 front and of every update entry in its parent's front. A new viscosity
 redoes only stages 1 and 2 and the Cholesky. Iterative refinement applies
-the saddle operator element by element from the original stacks, so no
-global saddle matrix is formed.
+the saddle operator and its absolute value element by element from the
+original stacks, in one pass, so no global saddle matrix is formed.
 """
 
 from __future__ import annotations
@@ -454,7 +454,7 @@ class DiscreteSolution:
     skeleton: int  # size of the factorized matrix
     lu_fill: int  # entries of its Cholesky factor
     residuals: list[float]  # componentwise backward error after the solve and each refinement
-    timings: dict[str, float]  # seconds: condense, factorize, refine
+    timings: dict[str, float]  # seconds: condense, factorize, first sweep, refine
 
 
 def build_system(blocks: SystemBlocks, eps: float, alpha: float,
@@ -488,10 +488,9 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
 REFINE_STEPS = 5
 REFINE_TARGET = 4 * 2.0**-53
 # Byte budget of the reduced local matrices of one batch of polygons. Their
-# stage-1 remainders, the places of these in the polygon matrices and the
-# polygon matrices, which the batch holds next, take 2.4-2.7 times as many
-# bytes at k = 2 and 3 on quadrilaterals. Every problem on an h = 1/4 grid,
-# k <= 3, eliminates each size class in one batch.
+# stage-1 remainders and the polygon matrices, which the batch holds next,
+# take 1.8-2.1 times as many bytes at k = 2 and 3 on quadrilaterals. Every
+# problem on an h = 1/4 grid, k <= 3, eliminates each size class in one batch.
 BATCH_BYTES = 3 << 20
 # Byte budget of the update matrices that one extend-add adds to their
 # parents' fronts, so that they are added while in cache: at square h = 1/64,
@@ -595,36 +594,42 @@ def _skeleton_solve(plan: CondensationPlan, factor, b: np.ndarray) -> np.ndarray
     return y
 
 
-def _operator(system: SaddleSystem, absolute: bool = False):
-    """x -> K x, with K the saddle matrix summed element by element from the
-    stacks that the condensation factorizes; with `absolute`, the sum of the
-    elements' absolute values, which bounds |K| entrywise. The absolute
-    values are taken in batches of triangles of at most BATCH_BYTES, so that
-    no copy of the stacks is made."""
+def _backward_error(system: SaddleSystem):
+    """x -> (r, omega): r = b - K x and the componentwise backward error
+    max_i |r_i| / (|K||x| + |b|)_i, 0 where both vanish. K is summed element
+    by element from the stacks that the condensation factorizes, and |K| is
+    bounded entrywise by the sum of the elements' absolute values. Both run in
+    the same batches of triangles of at most BATCH_BYTES, so that no copy of
+    the stacks is made."""
     s, el, se = system.blocks.spaces, system.blocks.elements, math.sqrt(system.eps)
-    nW, nU = s.W.ndof, s.U.ndof
+    nW, nU, b = s.W.ndof, s.U.ndof, system.rhs
     dofs = np.hstack([s.W.cell_dofs, nW + s.U.cell_dofs, nW + nU + s.P.cell_dofs])
     (nT, nw, _), nu = el.M.shape, el.A.shape[1]
-    stacks, sign = (el.M, el.B, el.A, el.D, el.c), 1.0 if absolute else -1.0
-    step = max(1, BATCH_BYTES // sum(X[0].nbytes for X in stacks)) if absolute else nT
+    stacks = (el.M, el.B, el.A, el.D, el.c)
+    step = max(1, BATCH_BYTES // sum(X[0].nbytes for X in stacks))
     mv = lambda X, v: (X @ v[:, :, None])[:, :, 0]  # X[t] v[t] for every t
     mtv = lambda X, v: (v[:, None, :] @ X)[:, 0]  # X[t]^T v[t]
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        local = x[dofs]
-        y = np.empty_like(local)  # each triangle's terms
+    def error(x: np.ndarray) -> tuple[np.ndarray, float]:
+        sides = ((-1.0, x, lambda X: X), (1.0, np.abs(x), np.abs))  # K x, then |K||x|
+        local = [v[dofs] for _, v, _ in sides]
+        y = [np.empty_like(v) for v in local]  # each triangle's terms
         for a in range(0, nT, step):
             t = slice(a, a + step)
-            M, B, A, D, c = (np.abs(X[t]) if absolute else X[t] for X in stacks)
-            w, u, p = local[t, :nw], local[t, nw:nw + nu], local[t, nw + nu:]
-            y[t, :nw] = se * mtv(B, u) + sign * mv(M, w)
-            y[t, nw:nw + nu] = se * mv(B, w) + mv(A, u) + mtv(D, p)
-            y[t, nw + nu:] = mv(D, u) + sign * x[-1] * c
-        out = np.bincount(dofs.ravel(), y.ravel(), minlength=len(x))
-        out[-1] = sign * np.sum((np.abs(el.c) if absolute else el.c) * local[:, nw + nu:])
-        return out
+            for (sign, v, part), loc, out in zip(sides, local, y):
+                M, B, A, D, c = (part(X[t]) for X in stacks)
+                w, u, p = loc[t, :nw], loc[t, nw:nw + nu], loc[t, nw + nu:]
+                out[t, :nw] = se * mtv(B, u) + sign * mv(M, w)
+                out[t, nw:nw + nu] = se * mv(B, w) + mv(A, u) + mtv(D, p)
+                out[t, nw + nu:] = mv(D, u) + sign * v[-1] * c
+        Kx, absKx = (np.bincount(dofs.ravel(), out.ravel(), minlength=len(x)) for out in y)
+        for (sign, _, part), loc, out in zip(sides, local, (Kx, absKx)):
+            out[-1] = sign * np.sum(part(el.c) * loc[:, nw + nu:])
+        r = b - Kx
+        scale = absKx + np.abs(b)
+        return r, float(np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale != 0).max())
 
-    return apply
+    return error
 
 
 def solve(system: SaddleSystem) -> DiscreteSolution:
@@ -655,25 +660,26 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         T1, inv1 = np.empty((count * m, ni, nl - ni)), np.empty((count * m, ni, ni))
         T2, inv2 = np.empty((count, n2, nk)), np.empty((count, n2, n2))
         S2 = schur[at:at + count * nk * nk].reshape(count, nk, nk)
-        # Place of each entry of the stage-1 remainders of a batch's polygons
-        # in their matrices; a shorter last batch reads the first rows.
-        place = ((np.arange(step) * (N * N))[:, None, None, None]
-                 + cls.position[:, :, None] * N + cls.position[:, None, :]).ravel()
         for a in range(0, count, step):
             b = min(a + step, count)
             K = _local_matrices(el, g, system.eps, U, cls.triangles[a:b].ravel(),
                                 work[:(b - a) * m * nl * nl].reshape(-1, nl, nl))
             S1 = _condense(K, ni, "triangle", T1[a * m:b * m], inv1[a * m:b * m])
             # Sum the remainders into the batch's polygon matrices, each
-            # entry over its polygon's triangles in increasing order.
-            Kp = work[:(b - a) * N * N]
+            # entry over its polygon's triangles in increasing order; no
+            # place repeats within one triangle.
+            Kp = work[:(b - a) * N * N].reshape(-1, N, N)
             Kp.fill(0.0)
-            np.add.at(Kp, place[:S1.size], S1.ravel())
+            for i, pos in enumerate(cls.position):
+                Kp[:, pos[:, None], pos] += S1[i::m]
             del S1
-            _condense(Kp.reshape(-1, N, N), n2, "polygon", T2[a:b], inv2[a:b], out=S2[a:b])
-        elims.append((plan.local[cls.triangles.ravel()], T1, inv1, T2, inv2))
+            _condense(Kp, n2, "polygon", T2[a:b], inv2[a:b], out=S2[a:b])
+        # One elimination record per stage: the unknowns it removes, those
+        # it keeps, Kii^{-1} Kio and Kii^{-1}.
+        local = plan.local[cls.triangles.ravel()]
+        elims += [(local[:, :ni], local[:, ni:], T1, inv1), (cls.interior, cls.kept, T2, inv2)]
         at += S2.size
-    del work, K, Kp, place, S2
+    del work, K, Kp, S2
     ns = len(plan.skeleton)
     schur[plan.pinned] = 0.0
     t1 = time.perf_counter()
@@ -704,24 +710,17 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
             -np.einsum("toi,ti->to", Moi, y0),
             se * np.einsum("tui,ti->tu", Bui, y0)]).ravel(), minlength=n)
         r[pressure] += lam * c
-        b1, y2 = [], []
-        for cls, (local, T1, _, T2, inv2) in zip(plan.classes, elims):
-            # Stages 1 and 2 leave the stage-1 unknowns of r as they are.
-            b1.append(r[local[:, :ni]])
-            r -= np.bincount(local[:, ni:].ravel(), np.einsum("tio,ti->to", T1, b1[-1]).ravel(),
-                             minlength=n)
-            b2 = r[cls.interior]
-            y2.append(np.einsum("pij,pj->pi", inv2, b2))
-            r -= np.bincount(cls.kept.ravel(), np.einsum("pik,pi->pk", T2, b2).ravel(),
+        held = []  # r of each stage's unknowns when it eliminates them
+        for inner, outer, T, _ in elims:
+            held.append(r[inner])
+            r -= np.bincount(outer.ravel(), np.einsum("tio,ti->to", T, held[-1]).ravel(),
                              minlength=n)
         rs = r[plan.skeleton]
         rs[plan.pin] = 0.0
         x = np.empty(n + 1)
         x[plan.skeleton] = _skeleton_solve(plan, factor, rs)
-        for cls, (local, T1, inv1, T2, _), c1, c2 in zip(plan.classes, elims, b1, y2):
-            x[cls.interior] = c2 - np.einsum("pik,pk->pi", T2, x[cls.kept])
-            x[local[:, :ni]] = (np.einsum("tij,tj->ti", inv1, c1)
-                                - np.einsum("tio,to->ti", T1, x[local[:, ni:]]))
+        for (inner, outer, T, inv), bi in zip(reversed(elims), reversed(held)):
+            x[inner] = np.einsum("tij,tj->ti", inv, bi) - np.einsum("tio,to->ti", T, x[outer])
         x[g0] = -y0 - np.einsum("tij,tj->ti", g.Minv, np.einsum("tio,to->ti", Mio, x[go])
                                 - se * np.einsum("tui,tu->ti", Bui, x[gu]))
         x[pressure] -= (b[-1] + c @ x[pressure]) / cz * z
@@ -731,14 +730,8 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     x = apply(system.rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite values")
-    K, absK, b = _operator(system), _operator(system, absolute=True), system.rhs
-
-    def backward_error(x: np.ndarray) -> tuple[np.ndarray, float]:
-        """The residual and max_i |r_i| / (|K||x| + |b|)_i, 0 where both vanish."""
-        r = b - K(x)
-        scale = absK(np.abs(x)) + np.abs(b)
-        return r, float(np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale != 0).max())
-
+    t3 = time.perf_counter()
+    backward_error, b = _backward_error(system), system.rhs
     best = x
     best_r, omega = backward_error(x)
     residuals = [omega]
@@ -761,8 +754,8 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         skeleton=ns,
         lu_fill=fill,
         residuals=residuals,
-        timings={"condense": t1 - t0, "factorize": t2 - t1,
-                 "refine": time.perf_counter() - t2},
+        timings={"condense": t1 - t0, "factorize": t2 - t1, "sweep": t3 - t2,
+                 "refine": time.perf_counter() - t3},
     )
 
 

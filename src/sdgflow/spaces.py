@@ -265,14 +265,14 @@ class StaggeredSpaces:
 
     # -- space construction ---------------------------------------------
 
-    def _build_space(self, tag: str, edge_rows: np.ndarray | None = None) -> Space:
+    def _build_space(self, tag: str) -> Space:
         """Number one space's DOFs and invert its local DOF matrices.
 
-        The edge rows (nC, nedge, size*nk) of each class, unless given, are
-        the space's frames applied to `side_moments`: its primal side, then
-        each dual side, rows (moment, frame row), columns (component, modal
-        function). The size*nk1 cell moments follow, ordered (j, component),
-        with component c of modal function j.
+        The edge rows (nC, nedge, size*nk) of each class are the space's
+        frames applied to `side_moments`: its primal side, then each dual
+        side, rows (moment, frame row), columns (component, modal function).
+        The size*nk1 cell moments follow, ordered (j, component), with
+        component c of modal function j.
         """
         mesh, nk, nk1, nT = self.mesh, self.nk, self.nk1, self.mesh.num_triangles
         te = self.by_class(mesh.tri_edges)
@@ -280,10 +280,9 @@ class StaggeredSpaces:
         # Side 0 is the primal side, 1 and 2 the dual ones.
         frames = [frame_rows(tag, s == 0, n[:, s], t[:, s]) for s in range(3)]
         size = frames[0].shape[-1]
-        if edge_rows is None:
-            edge_rows = np.concatenate([(F[:, None, :, :, None] * EM[:, s, :, None, None, :])
-                                        .reshape(len(te), -1, size * nk)
-                                        for s, F in enumerate(frames)], axis=1)
+        edge_rows = np.concatenate([(F[:, None, :, :, None] * EM[:, s, :, None, None, :])
+                                    .reshape(len(te), -1, size * nk)
+                                    for s, F in enumerate(frames)], axis=1)
         per_side = [EM.shape[2] * F.shape[1] for F in frames]  # k+1 per frame row
         counts = np.where(mesh.edge_primal, per_side[0], per_side[1])
         offsets = np.where(counts > 0, np.cumsum(counts) - counts, -1)

@@ -14,7 +14,7 @@ from direct_oracle import backward_error, direct_solve, residual, saddle_matrix
 from sdgflow import forms, mesh as mm, solver, verify
 from sdgflow.solver import (
     SolverError,
-    _operator,
+    _backward_error,
     assemble_blocks,
     build_system,
     solve,
@@ -64,8 +64,11 @@ def test_refinement_operator_is_the_assembled_matrix(family, k, eps):
     _spaces, _case, system = make_system(k=k, n=4, eps=eps, family=family)
     K, b = saddle_matrix(system), system.rhs
     y = np.random.default_rng(5).standard_normal(len(b))
-    Ky = _operator(system)(y)
-    assert np.abs(Ky - K @ y).max() < 1e-14 * np.abs(abs(K) @ abs(y)).max()
+    r, omega = _backward_error(system)(y)
+    assert np.abs((b - r) - K @ y).max() < 1e-14 * np.abs(abs(K) @ abs(y)).max()
+    # The elements' absolute values sum to at least |K| entrywise, so the
+    # pass's backward error is at most the assembled matrix's.
+    assert omega <= backward_error(K, y, b)
     # The reported residual is the assembled matrix's, up to the roundoff of
     # forming K x - b in another order: one ulp of |K||x| + |b|, about 100
     # times the differences seen and well below the residual itself.

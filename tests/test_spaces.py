@@ -87,19 +87,17 @@ def test_singular_local_system_names_its_triangle():
     # An exactly singular local DOF matrix fails the batched inverse; the
     # error still names the first such triangle.
     spaces = StaggeredSpaces(MESHES["distorted"], 1)
-    rows = spaces.side_moments[:, 0].copy()
-    rows[[2, 5]] = 0.0
+    spaces.side_moments[[2, 5], 0] = 0.0
     with pytest.raises(SpaceError, match="space P: .* triangle 2 is singular .*cond=inf"):
-        spaces._build_space("P", rows)
+        spaces._build_space("P")
     # The edge rows are one per class: on a square grid, singular rows of
     # classes 4 and 5 fail first on the lowest triangle of either.
     spaces = StaggeredSpaces(mm.build_staggered(mm.build_square_grid(8)), 1)
-    rows = spaces.by_class(spaces.side_moments)[:, 0].copy()
-    rows[[4, 5]] = 0.0
+    spaces.side_moments[spaces.class_tris[[4, 5]], 0] = 0.0
     first = int(np.flatnonzero(spaces.tri_class >= 4)[0])
     assert first > 5
     with pytest.raises(SpaceError, match=f"space P: .* triangle {first} is singular .*cond=inf"):
-        spaces._build_space("P", rows)
+        spaces._build_space("P")
 
 
 @pytest.mark.parametrize("family,n,classes", [
