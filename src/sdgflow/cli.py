@@ -100,6 +100,7 @@ class RunReport:
     cond_max: float  # worst 1-norm condition number of a local DOF system of W, U or P
     triangles: int
     classes: int  # classes of triangles whose local bases and stacks are built once
+    stack_entries: int  # entries of the element stacks and stage 0, one row per class
     skeleton: int
     lu_fill: int
     residuals: list[float]
@@ -115,7 +116,8 @@ class RunReport:
         lines = [
             f"mesh {self.config.mesh} {h}  k={self.config.k}"
             f"  epsilon={self.config.epsilon:g}  alpha={self.config.alpha:g}"
-            f"  triangles {self.triangles} in {self.classes} classes",
+            f"  triangles {self.triangles} in {self.classes} classes"
+            f"  stack_entries {self.stack_entries}",
             f"unknowns {self.ndof} (gradient {nW}, velocity {nU}, pressure {nP})"
             f"  cond_max {self.cond_max:.3e}",
             f"skeleton {self.skeleton}  lu_fill {self.lu_fill}  residuals "
@@ -185,6 +187,8 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
         cond_max=max(float(s.conds.max()) for s in (spaces.W, spaces.U, spaces.P)),
         triangles=mesh.num_triangles,
         classes=spaces.num_classes,
+        stack_entries=sum(x.size for stage in (blocks.elements, blocks.gradient)
+                          for x in vars(stage).values()),
         skeleton=solution.skeleton,
         lu_fill=solution.lu_fill,
         residuals=solution.residuals,

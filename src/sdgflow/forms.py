@@ -6,10 +6,11 @@ orthonormal modal coefficients, so every form is a sum of small dense
 per-triangle blocks C_test^T X C_trial, where X is the form on the broken
 modal space of that triangle. Both depend only on the triangle's inputs that
 `StaggeredSpaces` groups into classes, so the blocks of the first triangle
-of every class come from one batched product (`element_matrices` returns
-them) and `StaggeredSpaces.by_triangle` spreads them to the other members;
-the solver condenses and applies them triangle by triangle, and `scatter`
-sums them into a global matrix through `cell_dofs` where one is wanted.
+of every class come from one batched product and are kept one per class
+(`element_matrices` returns them); the solver gathers them
+(`StaggeredSpaces.gather`) a batch of triangles at a time to condense and
+apply them, and `scatter` sums them into a global matrix through
+`cell_dofs` where one is wanted.
 
 X is a volume term plus edge terms on the triangle's own three sides. The
 edge terms of the forms are averages {G n}, {(G n) . t} and {v . n} of a
@@ -65,7 +66,7 @@ def scatter(test: Space, trial: Space, local: np.ndarray) -> sp.csr_matrix:
 
 def _mass(spaces: StaggeredSpaces, space: Space, scale: float) -> np.ndarray:
     # The modal basis is orthonormal on the reference triangle.
-    C = spaces.by_class(space.dual_coeffs)
+    C = space.dual_coeffs
     return (scale * spaces.by_class(spaces.detJ))[:, None, None] * (np.swapaxes(C, 1, 2) @ C)
 
 
@@ -97,8 +98,7 @@ def _coupling_B(spaces: StaggeredSpaces) -> np.ndarray:
     # Plus the volume term int G_{ac} d_c v_a: rows (a, m), cols (a, c, n).
     X = (np.einsum("ar,tcnm->tamrcn", np.eye(2), D)
          + np.einsum("tsarc,tsmn->tamrcn", coef, S)).reshape(nC, 2 * nk, 4 * nk)
-    return (np.swapaxes(spaces.by_class(spaces.U.dual_coeffs), 1, 2) @ X
-            @ spaces.by_class(spaces.W.dual_coeffs))
+    return np.swapaxes(spaces.U.dual_coeffs, 1, 2) @ X @ spaces.W.dual_coeffs
 
 
 def _divergence_D(spaces: StaggeredSpaces) -> np.ndarray:
@@ -109,38 +109,36 @@ def _divergence_D(spaces: StaggeredSpaces) -> np.ndarray:
     coef = np.where(primal, 0.0, -sign)[:, :, None] * n
     X = (np.einsum("tamq->tqam", Dv)
          + np.einsum("tsa,tsqm->tqam", coef, S)).reshape(nC, nk, 2 * nk)
-    return (np.swapaxes(spaces.by_class(spaces.P.dual_coeffs), 1, 2) @ X
-            @ spaces.by_class(spaces.U.dual_coeffs))
+    return np.swapaxes(spaces.P.dual_coeffs, 1, 2) @ X @ spaces.U.dual_coeffs
 
 
 @dataclass
 class ElementMatrices:
     """Element stacks C_test^T X C_trial of the four forms, in the local DOF
     order of cell_dofs and laid out like the global blocks, and the share of
-    the pressure means, one row per triangle (or per class of triangles)."""
+    the pressure means, one row per class of triangles."""
 
-    M: np.ndarray  # (nT, nW_loc, nW_loc)
-    B: np.ndarray  # (nT, nU_loc, nW_loc)
-    A: np.ndarray  # (nT, nU_loc, nU_loc)
-    D: np.ndarray  # (nT, nP_loc, nU_loc)
-    c: np.ndarray  # (nT, nP_loc)
+    M: np.ndarray  # (nC, nW_loc, nW_loc)
+    B: np.ndarray  # (nC, nU_loc, nW_loc)
+    A: np.ndarray  # (nC, nU_loc, nU_loc)
+    D: np.ndarray  # (nC, nP_loc, nU_loc)
+    c: np.ndarray  # (nC, nP_loc)
 
 
 def element_matrices(spaces: StaggeredSpaces, alpha: float) -> ElementMatrices:
     """The stacks of the first triangle of each class of `spaces`, one row per
-    class; `spaces.by_triangle` spreads a stack to the triangles."""
+    class; `spaces.gather` reads them at the triangles."""
     return ElementMatrices(_mass(spaces, spaces.W, 1.0), _coupling_B(spaces),
                            _reaction(spaces, alpha), _divergence_D(spaces),
-                           _element_load(spaces.by_class(spaces.P.dual_coeffs),
-                                         _mean_loads(spaces)))
+                           _element_load(spaces.P.dual_coeffs, _mean_loads(spaces)))
 
 
 def assemble_B(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    return scatter(spaces.U, spaces.W, spaces.by_triangle(_coupling_B(spaces)))
+    return scatter(spaces.U, spaces.W, spaces.gather(_coupling_B(spaces)))
 
 
 def assemble_D(spaces: StaggeredSpaces) -> sp.csr_matrix:
-    return scatter(spaces.P, spaces.U, spaces.by_triangle(_divergence_D(spaces)))
+    return scatter(spaces.P, spaces.U, spaces.gather(_divergence_D(spaces)))
 
 
 def _element_load(C: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -149,10 +147,11 @@ def _element_load(C: np.ndarray, local: np.ndarray) -> np.ndarray:
     return np.einsum("tij,ti->tj", C, local.reshape(len(local), -1))
 
 
-def _load(space: Space, local: np.ndarray) -> np.ndarray:
+def _load(spaces: StaggeredSpaces, space: Space, local: np.ndarray) -> np.ndarray:
     """Global load vector: C^T local[t] summed through each triangle's cell_dofs."""
-    return np.bincount(space.cell_dofs.ravel(),
-                       _element_load(space.dual_coeffs, local).ravel(), minlength=space.ndof)
+    C = spaces.gather(space.dual_coeffs)
+    return np.bincount(space.cell_dofs.ravel(), _element_load(C, local).ravel(),
+                       minlength=space.ndof)
 
 
 def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +163,7 @@ def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]
     Fb = spaces.detJ[:, None, None] * (np.swapaxes(fv, 1, 2) @ weighted)
     gv = np.asarray(g(X.reshape(-1, 2))).reshape(nT, nq)
     Gb = spaces.detJ[:, None] * (gv @ weighted)
-    return _load(spaces.U, Fb), _load(spaces.P, Gb)
+    return _load(spaces, spaces.U, Fb), _load(spaces, spaces.P, Gb)
 
 
 def _mean_loads(spaces: StaggeredSpaces) -> np.ndarray:

@@ -13,9 +13,11 @@ moments couple to each other only through the mass block, which does not
 depend on the viscosity, so stage 0 eliminates them once per assembly,
 on the first triangle of each class of triangles with equal local inputs
 (see `spaces`): with i the W cell moments, o the W edge moments and u all U
-moments, `assemble_blocks` stores per triangle M_ii^{-1} and the reduced stacks
+moments, `assemble_blocks` stores per class M_ii^{-1} and the reduced stacks
 M' = M_oo - M_oi M_ii^{-1} M_io, B' = B_uo - B_ui M_ii^{-1} M_io and
-E = B_ui M_ii^{-1} B_ui^T (`GradientCells`). For each viscosity the solve
+E = B_ui M_ii^{-1} B_ui^T (`GradientCells`), beside the element stacks,
+also one per class. The solve gathers the rows of its triangles from these
+(`StaggeredSpaces.gather`) one batch at a time. For each viscosity the solve
 then runs one batch of polygons of one size at a time. Each triangle's
 reduced local matrix [[-M', se B'^T], [se B', A + eps E]], bordered by D
 (se = sqrt(eps)), has its cell U moments eliminated by a batched dense solve
@@ -67,7 +69,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import forms
-from .spaces import DiscreteField, Space, StaggeredSpaces
+from .spaces import DiscreteField, StaggeredSpaces
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -353,7 +355,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
 def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
     def get(blocks: SystemBlocks) -> sp.csr_matrix:
         s = blocks.spaces
-        X = forms.scatter(s.space(test), s.space(trial), getattr(blocks.elements, stack))
+        X = forms.scatter(s.space(test), s.space(trial), s.gather(getattr(blocks.elements, stack)))
         # The dual-basis products leave roundoff residue of analytically zero
         # integrals, which would otherwise dominate the sparsity pattern.
         size = np.abs(X.data)
@@ -366,28 +368,29 @@ def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
 
 @dataclass
 class GradientCells:
-    """Stage 0: every triangle's W cell moments (i) eliminated from its M and
-    B stacks, leaving its W edge moments (o) and its U moments (u)."""
+    """Stage 0: the W cell moments (i) of every class of triangles eliminated
+    from its M and B stacks, leaving its W edge moments (o) and its U moments
+    (u)."""
 
-    Minv: np.ndarray  # (nT, ni, ni) M_ii^{-1}
-    M: np.ndarray  # (nT, no, no) M_oo - M_oi M_ii^{-1} M_io
-    B: np.ndarray  # (nT, nu, no) B_uo - B_ui M_ii^{-1} M_io
-    E: np.ndarray  # (nT, nu, nu) B_ui M_ii^{-1} B_ui^T
+    Minv: np.ndarray  # (nC, ni, ni) M_ii^{-1}
+    M: np.ndarray  # (nC, no, no) M_oo - M_oi M_ii^{-1} M_io
+    B: np.ndarray  # (nC, nu, no) B_uo - B_ui M_ii^{-1} M_io
+    E: np.ndarray  # (nC, nu, nu) B_ui M_ii^{-1} B_ui^T
 
 
 def _eliminate_gradient_cells(el: forms.ElementMatrices, no: int) -> GradientCells:
     """Stage 0 of the condensation. The W cell moments are the last positions
     of the M and B stacks, from no on; the products run in batches of
-    triangles of at most BATCH_BYTES of W-by-W blocks."""
-    (nT, nw, _), nu = el.M.shape, el.B.shape[1]
+    classes of at most BATCH_BYTES of W-by-W blocks."""
+    (nC, nw, _), nu = el.M.shape, el.B.shape[1]
     try:
         Minv = np.linalg.inv(el.M[:, no:, no:])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular gradient cell block: {exc}") from exc
-    out = GradientCells(Minv, np.empty((nT, no, no)), np.empty((nT, nu, no)),
-                        np.empty((nT, nu, nu)))
+    out = GradientCells(Minv, np.empty((nC, no, no)), np.empty((nC, nu, no)),
+                        np.empty((nC, nu, nu)))
     step = max(1, BATCH_BYTES // (8 * nw * nw))
-    for a in range(0, nT, step):
+    for a in range(0, nC, step):
         t = slice(a, a + step)
         M, Bui, inv = el.M[t], el.B[t, :, no:], Minv[t]
         T, Mr, Br = inv @ M[:, no:, :no], out.M[t], out.B[t]
@@ -399,9 +402,9 @@ def _eliminate_gradient_cells(el: forms.ElementMatrices, no: int) -> GradientCel
 
 @dataclass
 class SystemBlocks:
-    """Element stacks of the forms, pressure means, the stage-0 eliminations
-    and the condensation plan. The global M, B, A and D are built on access,
-    for inspection only."""
+    """Element stacks of the forms and the stage-0 eliminations, one row per
+    class of triangles, pressure means and the condensation plan. The global
+    M, B, A and D are built on access, for inspection only."""
 
     spaces: StaggeredSpaces = field(repr=False)
     alpha: float  # reaction coefficient of the A stack
@@ -418,12 +421,11 @@ class SystemBlocks:
 
 
 def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
-    # The element stacks and stage 0 of each class of triangles, then spread
-    # to every triangle of the class.
+    # The element stacks and stage 0, one row per class of triangles.
     el = forms.element_matrices(spaces, alpha)
     gradient = _eliminate_gradient_cells(el, spaces.W.cell.start)
-    el, gradient = (type(x)(*map(spaces.by_triangle, vars(x).values())) for x in (el, gradient))
-    c = np.bincount(spaces.P.cell_dofs.ravel(), el.c.ravel(), minlength=spaces.P.ndof)
+    c = np.bincount(spaces.P.cell_dofs.ravel(), spaces.gather(el.c).ravel(),
+                    minlength=spaces.P.ndof)
     z = spaces.interpolate("P", lambda x: np.ones(len(x))).coeffs
     return SystemBlocks(spaces, alpha, el, c, z, gradient, _condensation_plan(spaces))
 
@@ -467,10 +469,10 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
         raise ValueError("viscosity must be positive and finite")
     if alpha != blocks.alpha:
         raise ValueError(f"alpha {alpha:g} differs from the blocks' alpha {blocks.alpha:g}")
-    s, el = blocks.spaces, blocks.elements
-    W, U, P = (x.cell_dofs.shape for x in (s.W, s.U, s.P))
+    s, el, nC = blocks.spaces, blocks.elements, blocks.spaces.num_classes
+    W, U, P = (x.cell_dofs.shape[1] for x in (s.W, s.U, s.P))
     shapes = (el.M.shape, el.B.shape, el.A.shape, el.D.shape, el.c.shape, blocks.c.shape)
-    if shapes != (W + W[1:], U + W[1:], U + U[1:], P + U[1:], P, (s.P.ndof,)):
+    if shapes != ((nC, W, W), (nC, U, W), (nC, U, U), (nC, P, U), (nC, P), (s.P.ndof,)):
         raise ValueError("block dimensions are inconsistent")
     if len(rhs_F) != s.U.ndof or len(rhs_G) != s.P.ndof:
         raise ValueError("right-hand side dimensions are inconsistent")
@@ -499,31 +501,33 @@ BATCH_BYTES = 3 << 20
 EXTEND_BYTES = 1 << 19
 
 
-def _local_matrices(el: forms.ElementMatrices, g: GradientCells, eps: float, U: Space,
-                    tris: np.ndarray, K: np.ndarray) -> np.ndarray:
+def _local_matrices(spaces: StaggeredSpaces, el: forms.ElementMatrices, g: GradientCells,
+                    eps: float, tris: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The reduced saddle matrices of triangles `tris`, rows and columns in
     the plan's local order: U cell moments, W edge moments, U edge moments,
     P cell_dofs. They are written to K, which holds one per triangle."""
-    (nu, no), npr, se = g.B.shape[1:], el.D.shape[1], math.sqrt(eps)
+    (nu, no), npr, se, U = g.B.shape[1:], el.D.shape[1], math.sqrt(eps), spaces.U
     nl, ni = nu + no + npr, nu - U.cell.start
     K.fill(0.0)
-    # A run of consecutive triangles reads views of the stacks, not copies.
+    # A run of consecutive triangles gathers views of the stacks where every
+    # triangle is its own class, not copies.
     if np.all(np.diff(tris) == 1):
         tris = slice(tris[0], tris[-1] + 1)
+    M, B, E, A, D = (spaces.gather(X, tris) for X in (g.M, g.B, g.E, el.A, el.D))
     # (local, stack) slices of each field; the U cell moments are moved first.
     w = ((slice(ni, ni + no), slice(None)),)
     u = ((slice(0, ni), U.cell), (slice(ni + no, nu + no), U.edges))
     p = ((slice(nu + no, nl), slice(None)),)
-    Bt, Dt = np.swapaxes(g.B, 1, 2), np.swapaxes(el.D, 1, 2)
+    Bt, Dt = np.swapaxes(B, 1, 2), np.swapaxes(D, 1, 2)
     # Copy the blocks by slices; fancy indexing is several times slower.
-    for rows, cols, X, scale in ((w, w, g.M, -1.0), (u, w, g.B, se), (w, u, Bt, se),
-                                 (u, u, g.E, eps), (p, u, el.D, 1.0), (u, p, Dt, 1.0)):
+    for rows, cols, X, scale in ((w, w, M, -1.0), (u, w, B, se), (w, u, Bt, se),
+                                 (u, u, E, eps), (p, u, D, 1.0), (u, p, Dt, 1.0)):
         for rt, rs in rows:
             for ct, cs in cols:
-                np.multiply(X[tris, rs, cs], scale, out=K[:, rt, ct])
+                np.multiply(X[:, rs, cs], scale, out=K[:, rt, ct])
     for rt, rs in u:
         for ct, cs in u:
-            K[:, rt, ct] += el.A[tris, rs, cs]
+            K[:, rt, ct] += A[:, rs, cs]
     return K
 
 
@@ -599,12 +603,12 @@ def _backward_error(system: SaddleSystem):
     max_i |r_i| / (|K||x| + |b|)_i, 0 where both vanish. K is summed element
     by element from the stacks that the condensation factorizes, and |K| is
     bounded entrywise by the sum of the elements' absolute values. Both run in
-    the same batches of triangles of at most BATCH_BYTES, so that no copy of
-    the stacks is made."""
+    the same batches of triangles of at most BATCH_BYTES, each gathering the
+    rows of its triangles, so that no copy of the stacks spans the mesh."""
     s, el, se = system.blocks.spaces, system.blocks.elements, math.sqrt(system.eps)
     nW, nU, b = s.W.ndof, s.U.ndof, system.rhs
     dofs = np.hstack([s.W.cell_dofs, nW + s.U.cell_dofs, nW + nU + s.P.cell_dofs])
-    (nT, nw, _), nu = el.M.shape, el.A.shape[1]
+    (nT, nw), nu, c = s.W.cell_dofs.shape, el.A.shape[1], s.gather(el.c)
     stacks = (el.M, el.B, el.A, el.D, el.c)
     step = max(1, BATCH_BYTES // sum(X[0].nbytes for X in stacks))
     mv = lambda X, v: (X @ v[:, :, None])[:, :, 0]  # X[t] v[t] for every t
@@ -616,15 +620,16 @@ def _backward_error(system: SaddleSystem):
         y = [np.empty_like(v) for v in local]  # each triangle's terms
         for a in range(0, nT, step):
             t = slice(a, a + step)
+            rows = [s.gather(X, t) for X in stacks]
             for (sign, v, part), loc, out in zip(sides, local, y):
-                M, B, A, D, c = (part(X[t]) for X in stacks)
+                M, B, A, D, ct = map(part, rows)
                 w, u, p = loc[t, :nw], loc[t, nw:nw + nu], loc[t, nw + nu:]
                 out[t, :nw] = se * mtv(B, u) + sign * mv(M, w)
                 out[t, nw:nw + nu] = se * mv(B, w) + mv(A, u) + mtv(D, p)
-                out[t, nw + nu:] = mv(D, u) + sign * v[-1] * c
+                out[t, nw + nu:] = mv(D, u) + sign * v[-1] * ct
         Kx, absKx = (np.bincount(dofs.ravel(), out.ravel(), minlength=len(x)) for out in y)
         for (sign, _, part), loc, out in zip(sides, local, (Kx, absKx)):
-            out[-1] = sign * np.sum(part(el.c) * loc[:, nw + nu:])
+            out[-1] = sign * np.sum(part(c) * loc[:, nw + nu:])
         r = b - Kx
         scale = absKx + np.abs(b)
         return r, float(np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale != 0).max())
@@ -638,7 +643,8 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     refinement against the original element stacks."""
     plan, n = system.blocks.interior, len(system.blocks.interior.triangle)
     el, g, se = system.blocks.elements, system.blocks.gradient, math.sqrt(system.eps)
-    W, U = system.blocks.spaces.W, system.blocks.spaces.U
+    spaces = system.blocks.spaces
+    W, U = spaces.W, spaces.U
     t0 = time.perf_counter()
     nl, ni = plan.local.shape[1], plan.num_inner
     # Every class's local Schur complements in turn, the order of plan.slots.
@@ -662,7 +668,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         S2 = schur[at:at + count * nk * nk].reshape(count, nk, nk)
         for a in range(0, count, step):
             b = min(a + step, count)
-            K = _local_matrices(el, g, system.eps, U, cls.triangles[a:b].ravel(),
+            K = _local_matrices(spaces, el, g, system.eps, cls.triangles[a:b].ravel(),
                                 work[:(b - a) * m * nl * nl].reshape(-1, nl, nl))
             S1 = _condense(K, ni, "triangle", T1[a * m:b * m], inv1[a * m:b * m])
             # Sum the remainders into the batch's polygon matrices, each
@@ -691,12 +697,15 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
                for inv, L21 in factor)
     t2 = time.perf_counter()
 
-    # Stage 0 rebuilds the W cell moments from M_ii^{-1} and views of the
-    # original stacks.
+    # Stage 0 rebuilds the W cell moments from M_ii^{-1} and the original
+    # stacks, gathered in batches of triangles of at most BATCH_BYTES.
     g0 = plan.gradient
     go, gu = W.cell_dofs[:, W.edges], W.ndof + U.cell_dofs
     gou = np.hstack([go, gu]).ravel()
+    (nT, no), nu = go.shape, gu.shape[1]
     Moi, Mio, Bui = el.M[:, W.edges, W.cell], el.M[:, W.cell, W.edges], el.B[:, :, W.cell]
+    step = max(1, BATCH_BYTES // (8 * (g.Minv[0].size + Moi[0].size + Bui[0].size)))
+    batches = [slice(a, a + step) for a in range(0, nT, step)]
     c, z = system.blocks.c, system.blocks.z
     pressure, cz = slice(n - len(z), n), c @ z
 
@@ -705,10 +714,13 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         # without it, whose kernel is z; b is then solved with the pinned
         # moment zero, and the multiple of z added that gives the mean.
         lam = -(z @ b[pressure]) / cz
-        y0 = np.einsum("tij,tj->ti", g.Minv, b[g0])
-        r = b[:n] + np.bincount(gou, np.hstack([
-            -np.einsum("toi,ti->to", Moi, y0),
-            se * np.einsum("tui,ti->tu", Bui, y0)]).ravel(), minlength=n)
+        y0, moved = np.empty(g0.shape), np.empty((nT, no + nu))
+        for t in batches:
+            Minv, Mt, Bt = (spaces.gather(X, t) for X in (g.Minv, Moi, Bui))
+            y0[t] = np.einsum("tij,tj->ti", Minv, b[g0[t]])
+            moved[t, :no] = -np.einsum("toi,ti->to", Mt, y0[t])
+            moved[t, no:] = se * np.einsum("tui,ti->tu", Bt, y0[t])
+        r = b[:n] + np.bincount(gou, moved.ravel(), minlength=n)
         r[pressure] += lam * c
         held = []  # r of each stage's unknowns when it eliminates them
         for inner, outer, T, _ in elims:
@@ -721,8 +733,10 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         x[plan.skeleton] = _skeleton_solve(plan, factor, rs)
         for (inner, outer, T, inv), bi in zip(reversed(elims), reversed(held)):
             x[inner] = np.einsum("tij,tj->ti", inv, bi) - np.einsum("tio,to->ti", T, x[outer])
-        x[g0] = -y0 - np.einsum("tij,tj->ti", g.Minv, np.einsum("tio,to->ti", Mio, x[go])
-                                - se * np.einsum("tui,tu->ti", Bui, x[gu]))
+        for t in batches:
+            Minv, Mt, Bt = (spaces.gather(X, t) for X in (g.Minv, Mio, Bui))
+            x[g0[t]] = -y0[t] - np.einsum("tij,tj->ti", Minv, np.einsum("tio,to->ti", Mt, x[go[t]])
+                                          - se * np.einsum("tui,tu->ti", Bt, x[gu[t]]))
         x[pressure] -= (b[-1] + c @ x[pressure]) / cz * z
         x[-1] = lam
         return x

@@ -17,9 +17,10 @@ the dual bases apply them to the modal traces, `interpolate` to a callable.
 Each space is one record (`Space`): an integer DOF layout (edge moments
 first, at per-edge offsets, then the cell moments as one contiguous range;
 each triangle's row of `cell_dofs` in the column ranges `primal`, `dual`
-and `cell`, which is all the solver reads of it) and, per triangle, a dual
-basis in the orthonormal modal basis (`dual_coeffs`). The forms, the loads
-and a field's broken modal coefficients are built from these two arrays.
+and `cell`, which is all the solver reads of it) and, per class of
+triangles (below), a dual basis in the orthonormal modal basis
+(`dual_coeffs`). The forms, the loads and a field's broken modal
+coefficients are built from these two arrays.
 
 Triangles are sorted into classes whose inputs to the local builders are
 equal byte for byte: the Jacobian, `side_flip` and `mesh.side_sign`, and the
@@ -29,10 +30,12 @@ these rows, classes numbered by their first triangle, `tri_class` and
 normal turned by 90 degrees, and side 0 is the primal side, 1 and 2 dual.
 Uniform grids repeat a few triangles (6 classes on a square grid at any h),
 so the dual bases, here, and the element stacks and stage-0 eliminations, in
-`forms` and `solver`, are computed once per class (`by_class`) and spread to
-every member (`by_triangle`), bit for bit what the per-triangle computation
-gives. Where every triangle is its own class, as on distorted grids, both are
-the identity and copy nothing.
+`forms` and `solver`, are computed and stored once per class, from the
+inputs of its first triangle (`by_class`). Their readers take the rows of
+the triangles at hand (`gather`), bit for bit what the per-triangle
+computation gives; the solver gathers one batch of triangles at a time.
+Where every triangle is its own class, as on distorted grids, both are the
+identity and copy nothing.
 
 The dual basis inverts each triangle's local DOF matrix in the modal basis
 of `polybasis` (numpy only). Each cell moment is detJ times one modal
@@ -120,7 +123,7 @@ class Space:
     primal: slice
     dual: slice
     cell: slice
-    dual_coeffs: np.ndarray  # (nT, nloc, nloc)
+    dual_coeffs: np.ndarray  # (nC, nloc, nloc), one per class of triangles
     conds: np.ndarray  # (nT,) 1-norm condition numbers of the local DOF matrices
 
     @property
@@ -233,10 +236,11 @@ class StaggeredSpaces:
         x itself where every triangle is its own class."""
         return x if self.num_classes == len(self.tri_class) else x[self.class_tris]
 
-    def by_triangle(self, x: np.ndarray) -> np.ndarray:
-        """Rows of the per-class array x spread to every triangle of each
-        class; x itself where every triangle is its own class."""
-        return x if self.num_classes == len(self.tri_class) else x[self.tri_class]
+    def gather(self, x: np.ndarray, tris=slice(None)) -> np.ndarray:
+        """Rows of the per-class array x at triangles `tris`, a slice or an
+        index array: x[tri_class[tris]]. Where every triangle is its own
+        class it is x[tris], which copies nothing for a slice."""
+        return x[tris] if self.num_classes == len(self.tri_class) else x[self.tri_class[tris]]
 
     def _reference_traces(self, rule) -> np.ndarray:
         """T[s, f, i, q]: modal function i at point q of reference side s, read
@@ -320,8 +324,7 @@ class StaggeredSpaces:
             colsum = np.abs(edge_rows).sum(axis=1)
             colsum[:, low] += detJ[:, None]
             conds = colsum.max(axis=1) * np.abs(dual).sum(axis=1).max(axis=1)
-            dual = self.by_triangle(dual)
-        conds = self.by_triangle(conds)
+        conds = self.gather(conds)
         bad = ~np.isfinite(conds) | (conds > COND_LIMIT)
         if bad.any():
             t = int(np.argmax(bad))
@@ -351,7 +354,8 @@ class StaggeredSpaces:
         """Per-triangle modal coefficients, shape (nT, size of a value, nk)."""
         s = self.space(field.tag)
         local = np.asarray(field.coeffs, dtype=float)[s.cell_dofs]
-        return np.einsum("tij,tj->ti", s.dual_coeffs, local).reshape(len(local), -1, self.nk)
+        return np.einsum("tij,tj->ti", self.gather(s.dual_coeffs),
+                         local).reshape(len(local), -1, self.nk)
 
     def eval_field(self, field: DiscreteField, tri: int, points, gradients: bool = False):
         """Evaluate a field at physical points inside triangle `tri`.
@@ -362,7 +366,7 @@ class StaggeredSpaces:
         """
         s = self.space(field.tag)
         local = np.asarray(field.coeffs, dtype=float)[s.cell_dofs[tri]]
-        coeffs = (s.dual_coeffs[tri] @ local).reshape(-1, self.nk)
+        coeffs = (self.gather(s.dual_coeffs, tri) @ local).reshape(-1, self.nk)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ref = (pts - self.origin[tri]) @ self.invJT[tri]
         out = s.shaped(coeffs @ self.basis.eval(ref))

@@ -15,10 +15,10 @@ from sdgflow.forms import _volume_derivative_blocks
 from sdgflow.spaces import StaggeredSpaces, Space
 
 
-def embedding(space: Space) -> sp.csr_matrix:
+def embedding(spaces: StaggeredSpaces, space: Space) -> sp.csr_matrix:
     """(nT*nloc, ndof) map from global coefficients to broken per-triangle modal
     coefficients: row t*nloc + i holds row i of triangle t's dual basis."""
-    C, dofs = space.dual_coeffs, space.cell_dofs
+    C, dofs = spaces.gather(space.dual_coeffs), space.cell_dofs
     nT, nloc = dofs.shape
     rows, cols = np.broadcast_arrays(np.arange(nT * nloc).reshape(nT, nloc, 1), dofs[:, None, :])
     return sp.csr_matrix((C.ravel(), (rows.ravel(), cols.ravel())), shape=(nT * nloc, space.ndof))
@@ -69,7 +69,7 @@ def assemble_B_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
     nk = spaces.nk
     nT = spaces.mesh.num_triangles
     acc = ([], [], [])
-    D = spaces.by_triangle(_volume_derivative_blocks(spaces))
+    D = spaces.gather(_volume_derivative_blocks(spaces))
     for t in range(nT):
         blk = np.zeros((2 * nk, 4 * nk))
         for a in range(2):
@@ -93,7 +93,7 @@ def assemble_B_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
                             )
             _triplets_from_block(ti * 2 * nk, tj * 4 * nk, blk, acc)
     Bb = _finish(acc, (nT * 2 * nk, nT * 4 * nk))
-    return (embedding(spaces.U).T @ Bb @ embedding(spaces.W)).tocsr()
+    return (embedding(spaces, spaces.U).T @ Bb @ embedding(spaces, spaces.W)).tocsr()
 
 
 def assemble_D_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
@@ -101,7 +101,7 @@ def assemble_D_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
     nk = spaces.nk
     nT = spaces.mesh.num_triangles
     acc = ([], [], [])
-    Dv = spaces.by_triangle(_volume_derivative_blocks(spaces))
+    Dv = spaces.gather(_volume_derivative_blocks(spaces))
     for t in range(nT):
         blk = np.zeros((nk, 2 * nk))
         for a in range(2):
@@ -118,4 +118,4 @@ def assemble_D_star(spaces: StaggeredSpaces) -> sp.csr_matrix:
                 blk[:, a * nk:(a + 1) * nk] = su * (n[a] / N) * S
             _triplets_from_block(tq * nk, tu * 2 * nk, blk, acc)
     Db = _finish(acc, (nT * nk, nT * 2 * nk))
-    return (embedding(spaces.P).T @ Db @ embedding(spaces.U)).tocsr()
+    return (embedding(spaces, spaces.P).T @ Db @ embedding(spaces, spaces.U)).tocsr()

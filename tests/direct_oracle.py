@@ -22,8 +22,8 @@ def saddle_matrix(system) -> sp.csc_matrix:
     """The symmetric saddle matrix of a solver.SaddleSystem, unknowns stacked
     as (L, u, p, multiplier), with the gradient and divergence rows negated."""
     s, el = system.blocks.spaces, system.blocks.elements
-    M, B = forms.scatter(s.W, s.W, el.M), forms.scatter(s.U, s.W, el.B)
-    A, D = forms.scatter(s.U, s.U, el.A), forms.scatter(s.P, s.U, el.D)
+    M, B = forms.scatter(s.W, s.W, s.gather(el.M)), forms.scatter(s.U, s.W, s.gather(el.B))
+    A, D = forms.scatter(s.U, s.U, s.gather(el.A)), forms.scatter(s.P, s.U, s.gather(el.D))
     c = sp.csr_matrix(system.blocks.c.reshape(-1, 1))
     se = math.sqrt(system.eps)
     return sp.bmat([[-M, se * B.T, None, None],

@@ -132,7 +132,19 @@ def test_run_single_reports_the_triangle_classes(family, classes):
     # is its own class. The counts end the mesh line.
     report = cli.run_single(RunConfig(k=1, mesh=family, levels=(4,)))
     assert (report.triangles, report.classes) == (64, classes)
-    assert report.summary().splitlines()[0].endswith(f"  triangles 64 in {classes} classes")
+    assert report.summary().splitlines()[0].endswith(
+        f"  triangles 64 in {classes} classes  stack_entries {report.stack_entries}")
+
+
+def test_run_single_reports_the_stack_entries():
+    # The element stacks (M, B, A, D and the pressure means) and stage 0
+    # (M_ii^{-1}, M', B', E) are stored one row per class: a square grid has
+    # six classes at any h, so h = 1/8 and h = 1/32 store the same entries.
+    # At k = 1 a class holds 12x12, 6x12, 6x6, 3x6 and 3 entries of the
+    # stacks and 4x4, 8x8, 6x8 and 6x6 of stage 0.
+    per_class = 144 + 72 + 36 + 18 + 3 + 16 + 64 + 48 + 36
+    reports = [cli.run_single(RunConfig(k=1, mesh="square", levels=(n,))) for n in (8, 32)]
+    assert [r.stack_entries for r in reports] == [6 * per_class] * 2
 
 
 def test_solve_loads_no_scipy_linalg():

@@ -63,7 +63,7 @@ def test_mass_W_gives_l2_norm():
     M = solver.assemble_blocks(spaces, 1.0).M
     rng = np.random.default_rng(3)
     x = rng.standard_normal(spaces.W.ndof)
-    broken = (embedding(spaces.W) @ x).reshape(-1, 4 * spaces.nk)
+    broken = (embedding(spaces, spaces.W) @ x).reshape(-1, 4 * spaces.nk)
     norm_sq = float((spaces.detJ[:, None] * broken**2).sum())
     assert np.isclose(float(x @ M @ x), norm_sq, rtol=1e-12)
 
@@ -79,7 +79,7 @@ def boundary_normal_moments(spaces, fn_normal):
     sm = spaces.mesh
     nk = spaces.nk
     rule = edge_quadrature(2 * spaces.k + 2)
-    E = embedding(spaces.P)
+    E = embedding(spaces, spaces.P)
     corr = np.zeros(spaces.P.ndof)
     # A boundary edge is the primal side of its one triangle.
     for t in np.flatnonzero(sm.edge_kind[sm.tri_edges[:, 0]] == mm.PRIMAL_BOUNDARY):

@@ -519,14 +519,15 @@ def test_gradient_cells_are_the_element_schur_complement(family, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_classes_change_nothing(family, k, monkeypatch):
     # Dual bases, element stacks and stage 0 built once per class of
-    # triangles and spread are, bit for bit, those built on every triangle.
+    # triangles and gathered are, bit for bit, those built on every triangle.
     def solved(spaces):
         blocks = assemble_blocks(spaces, 1.0)
         case = verify.trig_case(1e-4, 1.0)
         F, G = forms.assemble_rhs(spaces, case.f, case.g)
         sol = solve(build_system(blocks, 1e-4, 1.0, F, G))
-        return ([getattr(spaces.space(t), a) for t in "WUP" for a in ("dual_coeffs", "conds")]
-                + list(vars(blocks.elements).values()) + list(vars(blocks.gradient).values())
+        per_class = ([spaces.space(t).dual_coeffs for t in "WUP"]
+                     + list(vars(blocks.elements).values()) + list(vars(blocks.gradient).values()))
+        return ([spaces.space(t).conds for t in "WUP"] + [spaces.gather(x) for x in per_class]
                 + [sol.L.coeffs, sol.u.coeffs, sol.p.coeffs])
 
     spaces = make_spaces(k, 8, family)
@@ -601,13 +602,17 @@ def test_small_meshes_run_as_one_batch(family, monkeypatch):
     assert len(calls) == len(system.blocks.interior.classes)
 
 
-def test_solve_peak_memory_is_bounded_by_its_eliminations():
+@pytest.mark.parametrize("family,k,n", [("distorted", 2, 16), ("hanging", 3, 8)])
+def test_solve_peak_memory_is_bounded_by_its_eliminations(family, k, n):
     # Refinement reads the inverses of the gradient cell blocks, kept from the
-    # assembly, the stage-1 and stage-2 eliminations of the solve and the
-    # skeleton's Cholesky factor. Beyond these the solve holds the local
-    # matrices of one batch at a time; a stack of them over the whole mesh
-    # would take the peak to 3.9 times the bytes of the eliminations.
-    _spaces, _case, system = make_system(k=2, n=16, eps=1e-8, family="distorted")
+    # assembly one per class of triangles (20 on the hanging h = 1/8 mesh),
+    # the stage-1 and stage-2 eliminations of the solve and the skeleton's
+    # Cholesky factor. Beyond these the solve holds the local matrices of one
+    # batch at a time and the rows of the stacks it gathers for that batch. A
+    # stack of local matrices over the whole distorted mesh would take the
+    # peak to 3.9 times the bytes of the eliminations; M_ii^{-1}, M and B
+    # spread to every hanging triangle for the whole solve, to 2.8 times.
+    _spaces, _case, system = make_system(k=k, n=n, eps=1e-8, family=family)
     plan = system.blocks.interior
     nT, nl = plan.local.shape
     kept = system.blocks.gradient.Minv.size + nT * plan.num_inner * nl  # Minv, T1 and inv1

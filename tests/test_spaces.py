@@ -257,13 +257,14 @@ def test_dual_basis_inverts_every_local_system(name, k):
     for tag in "WUP":
         s = spaces.space(tag)
         nloc = math.prod(s.shape) * spaces.nk
-        assert s.dual_coeffs.shape == (nT, nloc, nloc)
-        cond = np.linalg.cond(s.dual_coeffs, 1)
+        dual = spaces.gather(s.dual_coeffs)
+        assert dual.shape == (nT, nloc, nloc)
+        cond = np.linalg.cond(dual, 1)
         assert (np.abs(s.conds - cond) <= 1e-10 * cond).all()
         for t in (0, nT // 2, nT - 1):
             dofs = s.cell_dofs[t]
             for l in range(nloc):
-                coeffs = s.dual_coeffs[t, :, l].reshape(-1, spaces.nk)
+                coeffs = dual[t, :, l].reshape(-1, spaces.nk)
 
                 def fn(pts, t=t, coeffs=coeffs):
                     ref = (pts - spaces.origin[t]) @ spaces.invJT[t]
