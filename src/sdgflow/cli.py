@@ -273,9 +273,10 @@ def table_to_svg(table: ConvergenceTable) -> str:
         f'<text x="15" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
         f'transform="rotate(-90 15 {(y0 + y1) / 2:.0f})">error (log scale)</text>',
     ]
-    for h in hs:
-        parts.append(f'<text x="{sx(h):.1f}" y="{y0 + 18}" text-anchor="middle">'
-                     f'1/{round(1 / h)}</text>')
+    for row in table.rows:
+        label = f"{row.h:.4g}" if row.level is None else f"1/{row.level}"
+        parts.append(f'<text x="{sx(row.h):.1f}" y="{y0 + 18}" text-anchor="middle">'
+                     f'{label}</text>')
     for d in range(le_min, le_max + 1):
         yy = sy(10.0 ** d)
         parts.append(f'<line x1="{x0 - 4}" y1="{yy:.1f}" x2="{x0}" y2="{yy:.1f}" '

@@ -30,6 +30,7 @@ other independently as the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -82,8 +83,8 @@ def _side_terms(spaces: StaggeredSpaces):
 
 
 def _reaction(spaces: StaggeredSpaces, alpha: float) -> np.ndarray:
-    if alpha <= 0.0:
-        raise ValueError("reaction coefficient must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("reaction coefficient must be positive and finite")
     return _mass(spaces, spaces.U, alpha)
 
 
@@ -115,22 +116,20 @@ def _divergence_D(spaces: StaggeredSpaces) -> np.ndarray:
 @dataclass
 class ElementMatrices:
     """Element stacks C_test^T X C_trial of the four forms, in the local DOF
-    order of cell_dofs and laid out like the global blocks, and the share of
-    the pressure means, one row per class of triangles."""
+    order of cell_dofs and laid out like the global blocks, one row per class
+    of triangles."""
 
     M: np.ndarray  # (nC, nW_loc, nW_loc)
     B: np.ndarray  # (nC, nU_loc, nW_loc)
     A: np.ndarray  # (nC, nU_loc, nU_loc)
     D: np.ndarray  # (nC, nP_loc, nU_loc)
-    c: np.ndarray  # (nC, nP_loc)
 
 
 def element_matrices(spaces: StaggeredSpaces, alpha: float) -> ElementMatrices:
     """The stacks of the first triangle of each class of `spaces`, one row per
     class; `spaces.gather` reads them at the triangles."""
     return ElementMatrices(_mass(spaces, spaces.W, 1.0), _coupling_B(spaces),
-                           _reaction(spaces, alpha), _divergence_D(spaces),
-                           _element_load(spaces.P.dual_coeffs, _mean_loads(spaces)))
+                           _reaction(spaces, alpha), _divergence_D(spaces))
 
 
 def assemble_B(spaces: StaggeredSpaces) -> sp.csr_matrix:
@@ -141,16 +140,11 @@ def assemble_D(spaces: StaggeredSpaces) -> sp.csr_matrix:
     return scatter(spaces.P, spaces.U, spaces.gather(_divergence_D(spaces)))
 
 
-def _element_load(C: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """C[t]^T local[t] per row t, from the dual bases C and the broken loads
-    local against the modal functions."""
-    return np.einsum("tij,ti->tj", C, local.reshape(len(local), -1))
-
-
 def _load(spaces: StaggeredSpaces, space: Space, local: np.ndarray) -> np.ndarray:
     """Global load vector: C^T local[t] summed through each triangle's cell_dofs."""
     C = spaces.gather(space.dual_coeffs)
-    return np.bincount(space.cell_dofs.ravel(), _element_load(C, local).ravel(),
+    return np.bincount(space.cell_dofs.ravel(),
+                       np.einsum("tij,ti->tj", C, local.reshape(len(local), -1)).ravel(),
                        minlength=space.ndof)
 
 
@@ -164,8 +158,3 @@ def assemble_rhs(spaces: StaggeredSpaces, f, g) -> tuple[np.ndarray, np.ndarray]
     gv = np.asarray(g(X.reshape(-1, 2))).reshape(nT, nq)
     Gb = spaces.detJ[:, None] * (gv @ weighted)
     return _load(spaces, spaces.U, Fb), _load(spaces, spaces.P, Gb)
-
-
-def _mean_loads(spaces: StaggeredSpaces) -> np.ndarray:
-    return (spaces.by_class(spaces.detJ)[:, None]
-            * (spaces.data_vals @ spaces.data_quad.weights)[None, :])

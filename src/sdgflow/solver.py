@@ -56,7 +56,8 @@ order, the fronts with the place of every local Schur entry in its leaf's
 front and of every update entry in its parent's front. A new viscosity
 redoes only stages 1 and 2 and the Cholesky. Iterative refinement applies
 the saddle operator and its absolute value element by element from the
-original stacks, in one pass, so no global saddle matrix is formed.
+original stacks, in one pass, and the multiplier's row and column from the
+pressure means, so no global saddle matrix is formed.
 """
 
 from __future__ import annotations
@@ -403,7 +404,8 @@ def _eliminate_gradient_cells(el: forms.ElementMatrices, no: int) -> GradientCel
 @dataclass
 class SystemBlocks:
     """Element stacks of the forms and the stage-0 eliminations, one row per
-    class of triangles, pressure means and the condensation plan. The global
+    class of triangles, the pressure means c (sqrt(1/2) on each triangle's
+    first P cell moment, 0 elsewhere) and the condensation plan. The global
     M, B, A and D are built on access, for inspection only."""
 
     spaces: StaggeredSpaces = field(repr=False)
@@ -424,8 +426,9 @@ def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
     # The element stacks and stage 0, one row per class of triangles.
     el = forms.element_matrices(spaces, alpha)
     gradient = _eliminate_gradient_cells(el, spaces.W.cell.start)
-    c = np.bincount(spaces.P.cell_dofs.ravel(), spaces.gather(el.c).ravel(),
-                    minlength=spaces.P.ndof)
+    # int_T q is sqrt(1/2) times T's first P cell moment: all other modal functions have mean 0.
+    c = np.zeros(spaces.P.ndof)
+    c[spaces.P.cell_dofs[:, spaces.P.cell.start]] = math.sqrt(0.5)
     z = spaces.interpolate("P", lambda x: np.ones(len(x))).coeffs
     return SystemBlocks(spaces, alpha, el, c, z, gradient, _condensation_plan(spaces))
 
@@ -471,8 +474,8 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
         raise ValueError(f"alpha {alpha:g} differs from the blocks' alpha {blocks.alpha:g}")
     s, el, nC = blocks.spaces, blocks.elements, blocks.spaces.num_classes
     W, U, P = (x.cell_dofs.shape[1] for x in (s.W, s.U, s.P))
-    shapes = (el.M.shape, el.B.shape, el.A.shape, el.D.shape, el.c.shape, blocks.c.shape)
-    if shapes != ((nC, W, W), (nC, U, W), (nC, U, U), (nC, P, U), (nC, P), (s.P.ndof,)):
+    shapes = (el.M.shape, el.B.shape, el.A.shape, el.D.shape, blocks.c.shape)
+    if shapes != ((nC, W, W), (nC, U, W), (nC, U, U), (nC, P, U), (s.P.ndof,)):
         raise ValueError("block dimensions are inconsistent")
     if len(rhs_F) != s.U.ndof or len(rhs_G) != s.P.ndof:
         raise ValueError("right-hand side dimensions are inconsistent")
@@ -604,12 +607,13 @@ def _backward_error(system: SaddleSystem):
     by element from the stacks that the condensation factorizes, and |K| is
     bounded entrywise by the sum of the elements' absolute values. Both run in
     the same batches of triangles of at most BATCH_BYTES, each gathering the
-    rows of its triangles, so that no copy of the stacks spans the mesh."""
+    rows of its triangles, so that no copy of the stacks spans the mesh. The
+    multiplier's row and column, the pressure means c >= 0, are added once."""
     s, el, se = system.blocks.spaces, system.blocks.elements, math.sqrt(system.eps)
-    nW, nU, b = s.W.ndof, s.U.ndof, system.rhs
+    nW, nU, b, c = s.W.ndof, s.U.ndof, system.rhs, system.blocks.c
     dofs = np.hstack([s.W.cell_dofs, nW + s.U.cell_dofs, nW + nU + s.P.cell_dofs])
-    (nT, nw), nu, c = s.W.cell_dofs.shape, el.A.shape[1], s.gather(el.c)
-    stacks = (el.M, el.B, el.A, el.D, el.c)
+    (nT, nw), nu, pressure = s.W.cell_dofs.shape, el.A.shape[1], slice(nW + nU, -1)
+    stacks = (el.M, el.B, el.A, el.D)
     step = max(1, BATCH_BYTES // sum(X[0].nbytes for X in stacks))
     mv = lambda X, v: (X @ v[:, :, None])[:, :, 0]  # X[t] v[t] for every t
     mtv = lambda X, v: (v[:, None, :] @ X)[:, 0]  # X[t]^T v[t]
@@ -622,14 +626,15 @@ def _backward_error(system: SaddleSystem):
             t = slice(a, a + step)
             rows = [s.gather(X, t) for X in stacks]
             for (sign, v, part), loc, out in zip(sides, local, y):
-                M, B, A, D, ct = map(part, rows)
+                M, B, A, D = map(part, rows)
                 w, u, p = loc[t, :nw], loc[t, nw:nw + nu], loc[t, nw + nu:]
                 out[t, :nw] = se * mtv(B, u) + sign * mv(M, w)
                 out[t, nw:nw + nu] = se * mv(B, w) + mv(A, u) + mtv(D, p)
-                out[t, nw + nu:] = mv(D, u) + sign * v[-1] * ct
+                out[t, nw + nu:] = mv(D, u)
         Kx, absKx = (np.bincount(dofs.ravel(), out.ravel(), minlength=len(x)) for out in y)
-        for (sign, _, part), loc, out in zip(sides, local, (Kx, absKx)):
-            out[-1] = sign * np.sum(part(c) * loc[:, nw + nu:])
+        for (sign, v, _), out in zip(sides, (Kx, absKx)):
+            out[pressure] += sign * v[-1] * c
+            out[-1] = sign * (c @ v[pressure])
         r = b - Kx
         scale = absKx + np.abs(b)
         return r, float(np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale != 0).max())

@@ -31,8 +31,8 @@ class ManufacturedCase:
 
 def trig_case(eps: float, alpha: float = 1.0) -> ManufacturedCase:
     """Sinusoidal velocity with homogeneous boundary trace on the unit square."""
-    if eps <= 0.0 or alpha <= 0.0:
-        raise ValueError("coefficients must be positive")
+    if not (0.0 < eps < math.inf and 0.0 < alpha < math.inf):
+        raise ValueError("coefficients must be positive and finite")
     p_shift = math.sin(1.0) * (math.cos(1.0) - 1.0)
 
     def u(pts):

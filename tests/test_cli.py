@@ -137,12 +137,12 @@ def test_run_single_reports_the_triangle_classes(family, classes):
 
 
 def test_run_single_reports_the_stack_entries():
-    # The element stacks (M, B, A, D and the pressure means) and stage 0
-    # (M_ii^{-1}, M', B', E) are stored one row per class: a square grid has
-    # six classes at any h, so h = 1/8 and h = 1/32 store the same entries.
-    # At k = 1 a class holds 12x12, 6x12, 6x6, 3x6 and 3 entries of the
-    # stacks and 4x4, 8x8, 6x8 and 6x6 of stage 0.
-    per_class = 144 + 72 + 36 + 18 + 3 + 16 + 64 + 48 + 36
+    # The element stacks (M, B, A, D) and stage 0 (M_ii^{-1}, M', B', E)
+    # are stored one row per class: a square grid has six classes at any h,
+    # so h = 1/8 and h = 1/32 store the same entries. At k = 1 a class holds
+    # 12x12, 6x12, 6x6 and 3x6 entries of the stacks and 4x4, 8x8, 6x8 and
+    # 6x6 of stage 0.
+    per_class = 144 + 72 + 36 + 18 + 16 + 64 + 48 + 36
     reports = [cli.run_single(RunConfig(k=1, mesh="square", levels=(n,))) for n in (8, 32)]
     assert [r.stack_entries for r in reports] == [6 * per_class] * 2
 
@@ -267,6 +267,16 @@ def test_svg_plot_contents():
     assert "polyline" in svg
     assert "slope 1" in svg and "slope 2" in svg
     assert "err_u" in svg and "err_p" in svg
+
+
+def test_svg_labels_file_mesh_rows_by_h():
+    # A grid row is labelled 1/level; a file mesh has no level, so its row is
+    # labelled by its h, here 0.6, not by the nearest 1/n.
+    table = _demo_table()
+    table.rows[0] = dataclasses.replace(table.rows[0], level=None, h=0.6)
+    svg = cli.table_to_svg(table)
+    assert ">0.6</text>" in svg and ">1/8</text>" in svg
+    assert ">1/2</text>" not in svg and ">1/4</text>" not in svg
 
 
 def test_emit_outputs_writes_files(tmp_path):

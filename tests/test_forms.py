@@ -145,8 +145,11 @@ def test_rhs_constant_load():
     assert np.isclose(float(G @ ones_p.coeffs), 1.0, atol=1e-12)
 
 
-def test_mean_vector_integrates_pressure():
-    spaces = StaggeredSpaces(MESHES["distorted"], 2)
+@pytest.mark.parametrize("name", sorted(MESHES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mean_vector_integrates_pressure(name, k):
+    spaces = StaggeredSpaces(MESHES[name], k)
+    P = spaces.P
     c = solver.assemble_blocks(spaces, 1.0).c
 
     def p(pts):
@@ -155,6 +158,11 @@ def test_mean_vector_integrates_pressure():
     ph = spaces.interpolate("P", p)
     # Exact integral over the unit square: 2 + 1/2 - 1 = 3/2.
     assert np.isclose(float(c @ ph.coeffs), 1.5, atol=1e-12)
+    # A pressure integrates over a triangle to sqrt(1/2) times its first
+    # cell moment; no other basis function has a nonzero mean.
+    first = P.cell_dofs[:, P.cell.start]
+    assert np.all(c[first] == np.sqrt(0.5))
+    assert not np.any(np.delete(c, first))
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -139,6 +139,18 @@ def test_build_system_rejects_another_alpha():
         build_system(system.blocks, 1.0, 1.0, F, G)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_coefficients_must_be_positive_and_finite(bad):
+    # Rejected where they enter: a NaN alpha would otherwise surface as a
+    # mismatch in build_system, and an infinite one as a failed solve.
+    spaces = make_spaces()
+    with pytest.raises(ValueError, match="reaction coefficient"):
+        assemble_blocks(spaces, bad)
+    for eps, alpha in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="coefficients"):
+            verify.trig_case(eps, alpha)
+
+
 def test_solve_residual_and_mean():
     _spaces, _case, system = make_system(k=2, n=3)
     sol = solve(system)
@@ -541,7 +553,7 @@ def test_classes_change_nothing(family, k, monkeypatch):
     assert alone.num_classes == spaces.mesh.num_triangles
     assert spaces.num_classes < alone.num_classes or family == "distorted"
     each = solved(alone)
-    assert len(grouped) == len(each) == 6 + 5 + 4 + 3
+    assert len(grouped) == len(each) == 6 + 4 + 4 + 3
     for a, b in zip(grouped, each):
         assert a.shape == b.shape and np.array_equal(a, b)
 
