@@ -165,7 +165,6 @@ class EdgeBasis:
 class QuadratureRule:
     points: np.ndarray  # (npts, dim) for triangles, (npts,) for edges
     weights: np.ndarray
-    degree: int
 
 
 def tri_basis(k: int) -> TriBasis:
@@ -197,7 +196,7 @@ def tri_quadrature(degree: int) -> QuadratureRule:
     y = (1.0 + B) / 2.0
     w = WA * WB / 8.0
     pts = np.column_stack([x.ravel(), y.ravel()])
-    return QuadratureRule(pts, w.ravel(), degree)
+    return QuadratureRule(pts, w.ravel())
 
 
 def edge_quadrature(degree: int) -> QuadratureRule:
@@ -206,4 +205,4 @@ def edge_quadrature(degree: int) -> QuadratureRule:
         raise ValueError(f"unsupported edge quadrature degree {degree}")
     n = max(1, (degree + 2) // 2)
     xi, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(xi, w, degree)
+    return QuadratureRule(xi, w)

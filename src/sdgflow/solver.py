@@ -115,12 +115,12 @@ class _FrontGroup:
 class CondensationPlan:
     """Layout of the condensation; depends only on mesh and k.
 
-    `triangle` and `polygon` give the owner of each W, U and P unknown in stages
-    0 and 1 (a triangle's W and U cell moments) and in stage 2, -1 where that
-    stage keeps it; the skeleton is what all keep. Each triangle's reduced
-    local unknowns are its U cell moments, the num_inner that stage 1
-    eliminates, then per space its `primal` and `dual` columns, and the P
-    `cell` ones: W edge moments, U edge moments and P cell_dofs.
+    Stages 0 and 1 eliminate a triangle's W and U cell moments, stage 2 a
+    polygon's `interior` unknowns (kept per size class); the skeleton is
+    what all keep. Each triangle's reduced local unknowns are its U cell
+    moments, the num_inner that stage 1 eliminates, then per space its
+    `primal` and `dual` columns, and the P `cell` ones: W edge moments, U
+    edge moments and P cell_dofs.
 
     The skeleton is ordered by a nested dissection of the polygons: `parent`
     is the tree, numbered in postorder, each primal edge is eliminated by the
@@ -131,8 +131,7 @@ class CondensationPlan:
     Schur entry in the buffer of the leaves, height 0.
     """
 
-    triangle: np.ndarray  # (n,)
-    polygon: np.ndarray  # (n,)
+    size: int  # number of eliminated unknowns
     gradient: np.ndarray  # (nT, ni) W cell moments of each triangle: stage 0
     num_inner: int
     local: np.ndarray  # (nT, nloc) reduced unknowns of each triangle
@@ -144,11 +143,6 @@ class CondensationPlan:
     slots: np.ndarray  # place of every local Schur entry, classes in turn, in the leaf buffer
     pin: int  # skeleton place of the moment pinned to zero
     pinned: np.ndarray  # local Schur entries of its row and column off the diagonal
-
-    @property
-    def size(self) -> int:
-        """Number of eliminated unknowns."""
-        return len(self.triangle) - len(self.skeleton)
 
 
 def _owners(n: int, dofs: np.ndarray, owner: np.ndarray, what: str) -> np.ndarray:
@@ -349,7 +343,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
         out[pos[:, :, None] < pos[:, None, :]] = front_sizes[0]
         pinned.append(at + np.flatnonzero((rows == pin)[:, :, None] != (rows == pin)[:, None, :]))
         at += out.size
-    return CondensationPlan(triangle, polygon, gradient, ni, local, classes, skeleton, parent,
+    return CondensationPlan(n - len(skeleton), gradient, ni, local, classes, skeleton, parent,
                             fronts, front_sizes, slots, pin, np.concatenate(pinned))
 
 
@@ -646,7 +640,7 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     """Direct solve of the saddle system by static condensation of the
     element matrices, stage 0 taken from the blocks, then iterative
     refinement against the original element stacks."""
-    plan, n = system.blocks.interior, len(system.blocks.interior.triangle)
+    plan, n = system.blocks.interior, sum(system.dims)
     el, g, se = system.blocks.elements, system.blocks.gradient, math.sqrt(system.eps)
     spaces = system.blocks.spaces
     W, U = spaces.W, spaces.U

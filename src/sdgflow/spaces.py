@@ -357,24 +357,17 @@ class StaggeredSpaces:
         return np.einsum("tij,tj->ti", self.gather(s.dual_coeffs),
                          local).reshape(len(local), -1, self.nk)
 
-    def eval_field(self, field: DiscreteField, tri: int, points, gradients: bool = False):
+    def eval_field(self, field: DiscreteField, tri: int, points):
         """Evaluate a field at physical points inside triangle `tri`.
 
-        Returns values shaped (npts, *shape) for the space's value shape;
-        with gradients=True also returns the gradient array with one extra
-        trailing axis for the derivative direction.
+        Returns values shaped (npts, *shape) for the space's value shape.
         """
         s = self.space(field.tag)
         local = np.asarray(field.coeffs, dtype=float)[s.cell_dofs[tri]]
         coeffs = (self.gather(s.dual_coeffs, tri) @ local).reshape(-1, self.nk)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ref = (pts - self.origin[tri]) @ self.invJT[tri]
-        out = s.shaped(coeffs @ self.basis.eval(ref))
-        if not gradients:
-            return out
-        ref_g = self.basis.grad(ref)  # (nk, npts, 2)
-        phys_g = np.einsum("ab,npb->npa", self.invJT[tri], ref_g)
-        return out, s.shaped(np.einsum("ck,kpa->cpa", coeffs, phys_g))
+        return s.shaped(coeffs @ self.basis.eval(ref))
 
     # -- interpolation by direct DOF evaluation --------------------------
 

@@ -1,5 +1,6 @@
 """Tests for primal mesh builders, the staggered subdivision, and mesh I/O."""
 
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -66,6 +67,81 @@ def test_distorted_grid_rejects_bad_delta():
         mm.build_distorted_grid(4, delta=0.5)
     with pytest.raises(ValueError):
         mm.build_distorted_grid(4, delta=-0.1)
+
+
+# sha256 of the vertex array's bytes, recorded when the perturbation drew one
+# vertex at a time. For delta <= 0.25 no quad folds, nothing is redrawn, and
+# the batched draw consumes the same random stream in the same vertex order.
+DISTORTED_DIGESTS = {
+    (4, 0): "56f90070159f4075d41fa5167942ae8f958617cf1aa35415caf3eba4b3549542",
+    (4, 7): "5ae6b93e9c1f087403a5a0a752fd909a0980efedfd649e0106f9e1c7b148171a",
+    (4, 42): "df4edcf1da05a6ee8418b45dd2ab0855102fffba29a85b1ea221ec179d12ebf2",
+    (16, 0): "00c417aa29b6a1a0e573540c44b011765454a701a5bf2b434b95310d7e808b29",
+    (16, 7): "00d29decfc3d6da6edf32b9de6ec9de66b4d254861dc16e7bb0b1787c8562221",
+    (16, 42): "b1ba28cf2061bfec6c371f3e4745af0e90e2d7fcd0a247556f238a35ca6f9bc0",
+    (64, 0): "2b8bd657f958c9473822defeaefbbfbfa0c14b6985f5ee53985cea4a66dc6505",
+    (64, 7): "4787c2aa2ed4171e7b70ba816d593a313718b0accb1f974d35f620c082d2af6c",
+    (64, 42): "b9f3faa36645c00624fa3a9a40cfeb68248e10d3ba2cee29029241b2bdf24136",
+}
+
+
+@pytest.mark.parametrize("n, seed", list(DISTORTED_DIGESTS), ids=lambda v: str(v))
+def test_distorted_grid_matches_pinned(n, seed):
+    vertices = mm.build_distorted_grid(n, 0.25, seed).vertices
+    digest = hashlib.sha256(np.ascontiguousarray(vertices, dtype="<f8").tobytes()).hexdigest()
+    assert digest == DISTORTED_DIGESTS[n, seed]
+
+
+_default_rng = np.random.default_rng
+
+
+class _CountingRng:
+    """A generator that counts its calls of `uniform`; `fold` replaces every
+    draw by that constant."""
+
+    def __init__(self, seed, fold=None):
+        self.rng, self.fold, self.calls = _default_rng(seed), fold, 0
+
+    def uniform(self, low, high, size):
+        self.calls += 1
+        return self.rng.uniform(low, high, size) if self.fold is None else np.full(size, self.fold)
+
+
+def _with_rng(monkeypatch, **kwargs) -> list:
+    made = []
+
+    def default_rng(seed):
+        made.append(_CountingRng(seed, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(mm.np.random, "default_rng", default_rng)
+    return made
+
+
+def _star_shaped(primal) -> bool:
+    coords = primal.vertices[primal.ids.reshape(-1, 4)]
+    nu = coords.mean(axis=1, keepdims=True)
+    return bool((mm._cross2(np.roll(coords, -1, axis=1) - coords, nu - coords) > 1e-14).all())
+
+
+def test_distorted_grid_redraws_folded_quads(monkeypatch):
+    # At delta 0.49 seed 5 folds a quad at n=8 in the first draw.
+    made = _with_rng(monkeypatch)
+    a = mm.build_distorted_grid(8, delta=0.49, seed=5)
+    assert made[-1].calls > 1
+    b = mm.build_distorted_grid(8, delta=0.49, seed=5)
+    assert np.array_equal(a.vertices, b.vertices)
+    assert _star_shaped(a)
+    mm.build_staggered(a)
+
+
+def test_distorted_grid_gives_up_after_100_rounds(monkeypatch):
+    # At n=2 the one interior vertex, moved to (0.05, 0.05), folds the
+    # lower-left quad in every round.
+    made = _with_rng(monkeypatch, fold=-0.45)
+    with pytest.raises(MeshError, match="no valid perturbation found for vertex 4"):
+        mm.build_distorted_grid(2, delta=0.49, seed=0)
+    assert made[-1].calls == 100
 
 
 @settings(max_examples=10, deadline=None)

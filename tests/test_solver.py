@@ -232,6 +232,18 @@ def test_interior_block_never_couples_across_triangles():
     assert sol.residual < 1e-10
 
 
+def _plan_owners(plan, tri_poly):
+    """The owner of each unknown in stages 0 and 1 (its triangle) and in
+    stage 2 (its polygon), -1 where that stage keeps it."""
+    n = plan.size + len(plan.skeleton)
+    triangle, polygon = np.full(n, -1), np.full(n, -1)
+    triangle[np.hstack([plan.gradient, plan.local[:, :plan.num_inner]])] = (
+        np.arange(len(plan.local))[:, None])
+    for cls in plan.classes:
+        polygon[cls.interior] = tri_poly[cls.triangles[:, :1]]
+    return triangle, polygon
+
+
 @pytest.mark.parametrize("family", ["square", "distorted", "hanging"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_interior_groups_layout(family, k):
@@ -241,17 +253,18 @@ def test_interior_groups_layout(family, k):
     W, U, P = spaces.W, spaces.U, spaces.P
     nW, nU = W.ndof, U.ndof
     n = nW + nU + P.ndof
-    assert groups.triangle.shape == groups.polygon.shape == (n,)
-    assert not np.any((groups.triangle >= 0) & (groups.polygon >= 0))
+    assert groups.size + len(groups.skeleton) == n
+    triangle, polygon = _plan_owners(groups, mesh.tri_poly)
+    assert not np.any((triangle >= 0) & (polygon >= 0))
 
     # Stage 1: triangle t owns its cell W entries and its cell U entries, and
     # the groups cover each of the two cell ranges once.
     cells = np.hstack([W.cell_dofs[:, W.cell], nW + U.cell_dofs[:, U.cell]])
     for t in range(mesh.num_triangles):
-        assert np.array_equal(np.flatnonzero(groups.triangle == t), np.sort(cells[t]))
+        assert np.array_equal(np.flatnonzero(triangle == t), np.sort(cells[t]))
     cell_ranges = np.concatenate([np.arange(W.num_edge_dofs, nW),
                                   nW + np.arange(U.num_edge_dofs, nU)])
-    assert np.array_equal(np.flatnonzero(groups.triangle >= 0), cell_ranges)
+    assert np.array_equal(np.flatnonzero(triangle >= 0), cell_ranges)
 
     # Stage 2: polygon p owns the W and U moments on its dual edges and the
     # cell P entries of its triangles, nothing else.
@@ -263,10 +276,11 @@ def test_interior_groups_layout(family, k):
             [W.edge_offsets[duals, None] + np.arange(k1),
              nW + U.edge_offsets[duals, None] + np.arange(k1)], axis=None)
         expected = np.concatenate([expected, nW + nU + P.cell_dofs[tris, P.cell].ravel()])
-        assert np.array_equal(np.flatnonzero(groups.polygon == p), np.sort(expected))
+        assert np.array_equal(np.flatnonzero(polygon == p), np.sort(expected))
 
     # Skeleton: 2(k+1) W and k+1 P moments per primal edge.
-    skeleton = np.flatnonzero((groups.triangle < 0) & (groups.polygon < 0))
+    skeleton = np.flatnonzero((triangle < 0) & (polygon < 0))
+    assert np.array_equal(skeleton, np.sort(groups.skeleton))
     assert len(skeleton) == 3 * k1 * len(mesh.primal_edge_ids)
     assert skeleton[-1] == nW + nU + P.num_edge_dofs - 1
 
@@ -292,10 +306,14 @@ def test_plan_matches_pinned(name):
     # Schur entry from the nested dissection. All must be reproduced exactly,
     # and each polygon's skeleton unknowns as a set.
     family, k = name.split("4-k")
-    plan = assemble_blocks(make_spaces(int(k), 4, family), 1.0).interior
+    spaces = make_spaces(int(k), 4, family)
+    plan = assemble_blocks(spaces, 1.0).interior
     ref = _PINNED_PLANS[name]
-    for key in ("skeleton", "slots", "triangle", "polygon"):
+    for key in ("skeleton", "slots"):
         assert _digest(getattr(plan, key)) == ref[key], key
+    triangle, polygon = _plan_owners(plan, spaces.mesh.tri_poly)
+    assert _digest(triangle) == ref["triangle"]
+    assert _digest(polygon) == ref["polygon"]
     assert len(plan.classes) == len(ref["classes"])
     for cls, pinned in zip(plan.classes, ref["classes"]):
         assert _digest(cls.triangles) == pinned["triangles"]
@@ -307,7 +325,7 @@ def _skeleton_by_sort(plan, schur):
     """The skeleton as the condensation once summed it, dense: one np.unique
     over the (row, column) key of every entry of every polygon's complement."""
     ns = len(plan.skeleton)
-    where = np.full(len(plan.triangle), -1)
+    where = np.full(plan.size + ns, -1)
     where[plan.skeleton] = np.arange(ns)
     keys = []
     for cls in plan.classes:
@@ -404,7 +422,7 @@ def test_plan_peak_memory_is_bounded_by_what_it_keeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = [plan.triangle, plan.polygon, plan.local, plan.skeleton, plan.parent, plan.slots,
+    arrays = [plan.local, plan.skeleton, plan.parent, plan.slots,
               plan.pinned]  # plan.gradient is a view of W's cell_dofs
     for cls in plan.classes:
         arrays += [cls.triangles, cls.position, cls.interior, cls.kept]

@@ -187,9 +187,7 @@ def test_space_record_names_its_layout(family, k):
             assert np.all(per_edge[kind] == count)
 
         f = random_field(spaces, tag)
-        vals, grads = spaces.eval_field(f, 0, pts, gradients=True)
-        assert vals.shape == (len(pts),) + s.shape == spaces.eval_field(f, 0, pts).shape
-        assert grads.shape == (len(pts),) + s.shape + (2,)
+        assert spaces.eval_field(f, 0, pts).shape == (len(pts),) + s.shape
 
 
 @pytest.mark.parametrize("name", ["square3", "distorted", "hanging"])
@@ -327,20 +325,6 @@ def test_interpolation_reproduces_polynomials(name, k):
             pts = ref @ spaces.jac[t].T + spaces.origin[t]
             vals = spaces.eval_field(f, t, pts)
             assert np.abs(np.asarray(vals) - np.asarray(fn(pts))).max() < 1e-11
-
-
-def test_eval_field_gradients_match_finite_differences():
-    spaces = StaggeredSpaces(MESHES["square2"], 2)
-    f = spaces.interpolate("P", poly_scalar(2))
-    pts = np.array([[0.3, 0.2]])
-    _, grad = spaces.eval_field(f, 0, pts, gradients=True)
-    h = 1e-6
-    for a, e in enumerate([np.array([h, 0.0]), np.array([0.0, h])]):
-        fd = (
-            spaces.eval_field(f, 0, pts + e)[0]
-            - spaces.eval_field(f, 0, pts - e)[0]
-        ) / (2 * h)
-        assert abs(fd - grad[0, a]) < 1e-8
 
 
 # -- trace continuity ----------------------------------------------------
