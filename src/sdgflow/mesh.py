@@ -55,6 +55,18 @@ def _length(d: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(d, d))
 
 
+def _side_checks(a: np.ndarray, b: np.ndarray, point: np.ndarray,
+                 diameter: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checks of `PrimalMesh.validate` on polygon sides a -> b, with the
+    polygon's interior point and diameter: whether the side fails, the signed
+    area of its subdivision triangle (a, b, point), which must be positive
+    for a star-shaped polygon, and its length, which must be at least RHO
+    times the diameter."""
+    tri_area = 0.5 * _cross2(b - a, point - a)
+    h_e = _length(b - a)
+    return (tri_area <= 0.0) | (h_e < RHO * diameter), tri_area, h_e
+
+
 @dataclass
 class PrimalMesh:
     """Polygonal partition of the domain with per-polygon interior points.
@@ -116,9 +128,6 @@ class PrimalMesh:
         ps, vs = poly[order], ids[order]
         repeats = np.bincount(ps[1:][(ps[1:] == ps[:-1]) & (vs[1:] == vs[:-1])], minlength=P) > 0
         area = self._signed_areas(poly, nxt)
-        a, b = self.vertices[ids], self.vertices[ids[nxt]]
-        tri_area = 0.5 * _cross2(b - a, self.interior_points[poly] - a)
-        h_e = _length(b - a)
         # Diameter: the largest distance over all vertex pairs of a polygon.
         m = sizes[poly]
         first = np.repeat(np.arange(len(ids)), m)
@@ -127,7 +136,8 @@ class PrimalMesh:
         d = self.vertices[ids[first]] - self.vertices[ids[second]]
         h_s = np.zeros(P)
         np.maximum.at(h_s, poly[first], np.sqrt((d ** 2).sum(-1)))
-        side_bad = (tri_area <= 0.0) | (h_e < RHO * h_s[poly])
+        side_bad, tri_area, h_e = _side_checks(self.vertices[ids], self.vertices[ids[nxt]],
+                                               self.interior_points[poly], h_s[poly])
         bad = (sizes < 3) | repeats | (area <= 0.0) | (np.bincount(poly, side_bad, minlength=P) > 0)
         if not bad.any():
             return
@@ -285,11 +295,13 @@ def build_distorted_grid(n: int, delta: float = 0.25, seed: int = 42) -> PrimalM
     """Square grid with interior vertices perturbed by U[-delta*h, delta*h]^2.
 
     Deterministic for a given (n, delta, seed). All interior vertices are
-    drawn at once, in vertex order. A quad that is not star-shaped w.r.t.
-    its vertex mean has its interior vertices redrawn, again in vertex
-    order, until no quad fails; after 100 rounds MeshError names the lowest
-    vertex still redrawn. For delta <= 0.25 every quad stays convex, so the
-    first draw is kept: the same numbers as one draw per vertex.
+    drawn at once, in vertex order. A quad that `PrimalMesh.validate` would
+    reject, not star-shaped w.r.t. its vertex mean or with a side shorter
+    than RHO times its diameter, has its interior vertices redrawn, again in
+    vertex order, until no quad fails; after 100 rounds MeshError names the
+    lowest vertex still redrawn. For delta <= 0.25 every quad stays convex
+    with sides of at least half of h, so the first draw is kept: the same
+    numbers as one draw per vertex.
     """
     if not 0.0 <= delta < 0.5:
         raise ValueError("distortion fraction must lie in [0, 0.5)")
@@ -306,9 +318,11 @@ def build_distorted_grid(n: int, delta: float = 0.25, seed: int = 42) -> PrimalM
         vertices[redraw] = mesh.vertices[redraw] + rng.uniform(
             -delta * h, delta * h, size=(redraw.sum(), 2))
         coords = vertices[quads]
-        nu = coords.mean(axis=1, keepdims=True)
-        folded = np.any(_cross2(np.roll(coords, -1, axis=1) - coords, nu - coords) <= 1e-14, axis=1)
-        redraw = interior & (np.bincount(quads[folded].ravel(), minlength=len(vertices)) > 0)
+        d = coords[:, :, None] - coords[:, None]
+        bad = _side_checks(coords, np.roll(coords, -1, axis=1), coords.mean(axis=1, keepdims=True),
+                           np.sqrt((d ** 2).sum(-1)).max(axis=(1, 2))[:, None])[0]
+        redraw = interior & (np.bincount(quads[bad.any(axis=1)].ravel(),
+                                         minlength=len(vertices)) > 0)
         if not redraw.any():
             return _mesh_at_centroids(vertices, mesh.offsets, mesh.ids)
     raise MeshError(f"no valid perturbation found for vertex {np.argmax(redraw)}")

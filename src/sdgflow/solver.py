@@ -40,10 +40,11 @@ LEAF_POLYGONS. Each primal edge is eliminated by the lowest node of the tree
 whose subdomain holds all of its polygons, so the edges a node eliminates
 separate its two subtrees, and the skeleton lists the edges node by node in
 postorder. A node's front holds the edges it eliminates and those its
-subdomain's polygons touch that an ancestor eliminates. The local Schur
-complements fill the leaf fronts; each node eliminates its own block by a
-Cholesky of its negation, a pivot that is not negative raising SolverError,
-and adds what remains (the update matrix) to its parent's front. Nodes of
+subdomain's polygons touch that an ancestor eliminates. Each batch adds
+its polygons' Schur complements to their leaf fronts as soon as it condenses
+them; each node eliminates its own block by a Cholesky of its negation, a
+pivot that is not negative raising SolverError, and adds what remains (the
+update matrix) to its parent's front. One extend-add serves both. Nodes of
 one height with fronts of one shape are eliminated as one batch, and the
 factor is kept as the inverse of each own block's Cholesky factor and the
 rows below it, so that the triangular sweeps are matrix products.
@@ -51,13 +52,13 @@ rows below it, so that the triangular sweeps are matrix products.
 What depends only on the mesh and k is computed once per assembly, in a
 CondensationPlan: the triangles of every polygon, one local layout per
 polygon size (taken from its first polygon, checked on the others) with the
-place of each triangle's unknowns in it, the dissection tree, the skeleton
-order, the fronts with the place of every local Schur entry in its leaf's
-front and of every update entry in its parent's front. A new viscosity
-redoes only stages 1 and 2 and the Cholesky. Iterative refinement applies
-the saddle operator and its absolute value element by element from the
-original stacks, in one pass, and the multiplier's row and column from the
-pressure means, so no global saddle matrix is formed.
+place of each triangle's unknowns in it, the skeleton order, the fronts,
+and the extend-add maps of every polygon into its leaf's front and of every
+node into its parent's front. A new viscosity redoes only stages 1 and 2
+and the Cholesky. Iterative refinement applies the saddle operator and its
+absolute value element by element from the original stacks, in one pass,
+and the multiplier's row and column from the pressure means, so no global
+saddle matrix is formed.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class _SizeClass:
     position: np.ndarray  # (m, nr) places of each triangle's outer unknowns in the layout
     interior: np.ndarray  # (count, n2) stage-2 unknowns of each polygon
     kept: np.ndarray  # (count, nk) its skeleton unknowns
+    rows: np.ndarray  # (count, nk) extend-add: entry (i, j) of polygon g's Schur complement
+    cols: np.ndarray  # (count, nk) adds to entry rows[g, i] + cols[g, j] of the leaf buffer
 
 
 @dataclass
@@ -100,15 +103,12 @@ class _FrontGroup:
     their height."""
 
     height: int
-    nodes: np.ndarray  # (G,) nodes of the tree, in postorder
     own: np.ndarray  # (G, no) skeleton places of the unknowns each node eliminates
     update: np.ndarray  # (G, nu) skeleton places of the rest of its front
     base: int  # offset of the first front in the buffer of this height
     parent: int  # height of the parents, -1 at the root
-    # Extend-add: entry (i, j) of node g's update matrix adds to entry
-    # rows[g, i] + cols[g, j] of the buffer of the parents' height.
-    rows: np.ndarray  # (G, nu)
-    cols: np.ndarray  # (G, nu)
+    rows: np.ndarray  # (G, nu) extend-add: entry (i, j) of node g's update matrix adds to
+    cols: np.ndarray  # (G, nu) entry rows[g, i] + cols[g, j] of the buffer of the parents' height
 
 
 @dataclass
@@ -122,13 +122,14 @@ class CondensationPlan:
     `primal` and `dual` columns, and the P `cell` ones: W edge moments, U
     edge moments and P cell_dofs.
 
-    The skeleton is ordered by a nested dissection of the polygons: `parent`
-    is the tree, numbered in postorder, each primal edge is eliminated by the
-    lowest node whose subdomain holds all of its polygons, and the skeleton
-    lists the edges node by node. `fronts` groups the nodes for the
-    multifrontal Cholesky, heights in increasing order; `front_sizes` is the
-    size of the front buffer of each height, and `slots` places every local
-    Schur entry in the buffer of the leaves, height 0.
+    The skeleton is ordered by a nested dissection of the polygons: each
+    primal edge is eliminated by the lowest node whose subdomain holds all of
+    its polygons, and the skeleton lists the edges node by node in postorder.
+    `fronts` groups the nodes for the multifrontal Cholesky, heights in
+    increasing order; `front_sizes` is the size of the front buffer of each
+    height. The plan keeps maps, not places: each size class maps its
+    polygons' Schur complements into the buffer of the leaves, height 0, and
+    each front group its update matrices into the buffer of its parents.
     """
 
     size: int  # number of eliminated unknowns
@@ -137,12 +138,10 @@ class CondensationPlan:
     local: np.ndarray  # (nT, nloc) reduced unknowns of each triangle
     classes: list[_SizeClass]
     skeleton: np.ndarray  # (ns,) saddle unknowns in elimination order
-    parent: np.ndarray  # (nodes,) parent of each node of the dissection tree, -1 at the root
     fronts: list[_FrontGroup]
     front_sizes: list[int]
-    slots: np.ndarray  # place of every local Schur entry, classes in turn, in the leaf buffer
     pin: int  # skeleton place of the moment pinned to zero
-    pinned: np.ndarray  # local Schur entries of its row and column off the diagonal
+    pinned: np.ndarray  # leaf-buffer places of its row and column off the diagonal
 
 
 def _owners(n: int, dofs: np.ndarray, owner: np.ndarray, what: str) -> np.ndarray:
@@ -162,12 +161,12 @@ def _owners(n: int, dofs: np.ndarray, owner: np.ndarray, what: str) -> np.ndarra
 LEAF_POLYGONS = 4
 
 
-def _dissect(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dissect(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nested dissection of the polygons at `points`: bisect them at the
     median along the longer extent of the current set, down to leaves of at
-    most LEAF_POLYGONS. Returns the parent of every node, numbered in
-    postorder (-1 at the root), and the leaf of every polygon."""
-    parent, leaf = [], np.empty(len(points), dtype=int)
+    most LEAF_POLYGONS. Returns each node's parent (-1 at the root) and height
+    (0 at a leaf), nodes in postorder, and each polygon's leaf."""
+    parent, height, leaf = [], [], np.empty(len(points), dtype=int)
 
     def split(polys: np.ndarray) -> int:
         children = ()
@@ -179,15 +178,17 @@ def _dissect(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             leaf[polys] = len(parent)
         parent.append(-1)
+        height.append(1 + max((height[child] for child in children), default=-1))
         for child in children:
             parent[child] = len(parent) - 1
         return len(parent) - 1
 
     split(np.arange(len(points)))
-    return np.array(parent), leaf
+    return np.array(parent), np.array(height), leaf
 
 
-def _fronts(parent: np.ndarray, owner: np.ndarray, touch: tuple[np.ndarray, np.ndarray],
+def _fronts(parent: np.ndarray, height: np.ndarray, owner: np.ndarray,
+            touch: tuple[np.ndarray, np.ndarray],
             k3: int) -> tuple[list[_FrontGroup], list[int], np.ndarray, np.ndarray, np.ndarray]:
     """The fronts of the multifrontal Cholesky, in edges of k3 unknowns. Node
     v's front lists the edges it eliminates (owner == v, in skeleton order),
@@ -212,9 +213,6 @@ def _fronts(parent: np.ndarray, owner: np.ndarray, touch: tuple[np.ndarray, np.n
     keys = np.unique(np.concatenate(keys))
     fptr = np.searchsorted(keys, np.arange(nn + 1) * ne)
     nfe, noe = np.diff(fptr), np.bincount(owner, minlength=nn)
-    height = np.zeros(nn, dtype=int)
-    for node, up in enumerate(parent[:-1]):  # children come before parents
-        height[up] = max(height[up], height[node] + 1)
     # The two children of a node, the second just before it in postorder,
     # fall in two groups, so that a group's updates add to distinct fronts.
     up_height = np.where(parent >= 0, height[parent], -1)
@@ -237,7 +235,7 @@ def _fronts(parent: np.ndarray, owner: np.ndarray, touch: tuple[np.ndarray, np.n
         up = parent[nodes]
         at = np.searchsorted(keys, up[:, None] * ne + edges[:, no:]) - fptr[up, None]
         cols = (at[:, :, None] * k3 + np.arange(k3)).reshape(len(nodes), -1)
-        groups.append(_FrontGroup(int(h), nodes, own, update, int(fbase[nodes[0]]), int(hp),
+        groups.append(_FrontGroup(int(h), own, update, int(fbase[nodes[0]]), int(hp),
                                   fbase[up, None] + cols * (nfe[up, None] * k3), cols))
     return groups, sizes, fbase, nfe, keys
 
@@ -259,9 +257,10 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     parts.append((nW + nU + P.cell_dofs[:, P.cell], 2))
     local = np.hstack([dofs for dofs, _ in parts])
     stage = np.repeat([st for _, st in parts], [dofs.shape[1] for dofs, _ in parts])
-    ni, stage2 = int(np.count_nonzero(stage == 1)), np.flatnonzero(stage == 2)
-    triangle = _owners(n, np.hstack([gradient, local[:, :ni]]), np.arange(nT), "triangle")
-    polygon = _owners(n, local[:, stage2], tri_poly, "polygon")
+    del parts
+    ni = int(np.count_nonzero(stage == 1))
+    _owners(n, np.hstack([gradient, local[:, :ni]]), np.arange(nT), "triangle")
+    inner = _owners(n, local[:, stage == 2], tri_poly, "polygon") >= 0  # stage 2's unknowns
 
     # Skeleton order: the primal edges node by node of the dissection tree,
     # in mesh order within a node; per edge its W then its P moments. Each
@@ -269,7 +268,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     # of nodes, holds the leaves of all its polygons: up from the first leaf
     # until the node passes the last.
     prim = mesh.primal_edge_ids
-    parent, leaf = _dissect(mesh.primal.interior_points)
+    parent, height, leaf = _dissect(mesh.primal.interior_points)
     edge = np.full(len(mesh.edge_kind), -1)
     edge[prim] = np.arange(len(prim))
     tri_edge, tri_leaf = edge[mesh.tri_edges[:, 0]], leaf[tri_poly]
@@ -287,9 +286,8 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
                           for X, at in spaced]).ravel()
     k3 = sum(X.per_primal for X, _ in spaced)  # skeleton unknowns per primal edge
     ns = len(skeleton)
-    where = np.full(n, -1)
-    where[skeleton] = np.arange(ns)
-    fronts, front_sizes, fbase, nfe, keys = _fronts(parent, owner[order], (tri_leaf, tri_edge), k3)
+    fronts, front_sizes, fbase, nfe, keys = _fronts(parent, height, owner[order],
+                                                    (tri_leaf, tri_edge), k3)
     # The constant pressure, the skeleton's kernel, has a nonzero edge mean;
     # pin that moment of the last edge.
     pin = ns - P.per_primal
@@ -301,12 +299,12 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     sizes = np.bincount(tri_poly)
     by_poly = np.argsort(tri_poly, kind="stable")
     tri_first = np.cumsum(sizes) - sizes
-    classes = []
+    layouts = []
     for m in np.unique(sizes):
         tris = by_poly[tri_first[sizes == m, None] + np.arange(m)]
         dofs = local[tris, ni:]  # (count, m, nr) outer unknowns
         first = dofs[0].ravel()
-        uniq, position = np.unique((polygon[first] < 0) * n + first, return_inverse=True)
+        uniq, position = np.unique(~inner[first] * n + first, return_inverse=True)
         position = position.reshape(dofs.shape[1:])
         n2 = np.count_nonzero(uniq < n)
         layout = np.empty((len(tris), len(uniq)), dtype=dofs.dtype)
@@ -315,36 +313,35 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
         # and its stage-2 unknowns in the first n2 places.
         if (np.any(layout[:, position] != dofs)
                 or np.any(np.diff(np.sort(layout, axis=1), axis=1) == 0)
-                or np.any((polygon[layout] < 0) != (np.arange(len(uniq)) >= n2))):
+                or np.any(inner[layout] != (np.arange(len(uniq)) < n2))):
             raise SolverError(f"{m}-gon polygons have different local layouts")
-        classes.append(_SizeClass(tris, position, layout[:, :n2], layout[:, n2:]))
-    # Every class's local Schur entries in turn, polygon by polygon, (row,
-    # column) in the order of its kept unknowns, the order of solve's stacks.
-    slots = np.empty(sum(c.kept.size * c.kept.shape[1] for c in classes), dtype=int)
-    pinned, at = [], 0
-    for cls in classes:
-        (count, m), n2, nkept = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
+        layouts.append((tris, position, layout[:, :n2], layout[:, n2:]))
+    del inner
+    where = np.full(n, -1)
+    where[skeleton] = np.arange(ns)
+    classes, pinned = [], []
+    for tris, position, interior, kept in layouts:
+        m, n2, nkept = tris.shape[1], interior.shape[1], kept.shape[1]
         # The triangle of each skeleton place; its unknowns must lie on that
         # triangle's primal edge, which the polygon's leaf front holds.
         tri_of = np.empty(nkept, dtype=int)
-        outer = cls.position >= n2
-        tri_of[cls.position[outer] - n2] = np.nonzero(outer)[0]
-        rows = where[cls.kept]
-        if np.any(rows // k3 != tri_edge[cls.triangles][:, tri_of]):
+        outer = position >= n2
+        tri_of[position[outer] - n2] = np.nonzero(outer)[0]
+        rows = where[kept]
+        if np.any(rows // k3 != tri_edge[tris][:, tri_of]):
             raise SolverError(f"{m}-gon polygons list skeleton unknowns off their primal edges")
-        # Entry (i, j) lands at row pos[i] and column pos[j] of the leaf's
-        # front, or past the leaf buffer if that is above the diagonal.
-        node = tri_leaf[cls.triangles[:, 0], None]
+        # Row and column of each skeleton unknown in the polygon's leaf front.
+        node = tri_leaf[tris[:, 0], None]
         pos = (np.searchsorted(keys, node * len(prim) + rows // k3) - np.searchsorted(
             keys, node * len(prim))) * k3 + rows % k3
-        out = slots[at:at + count * nkept * nkept].reshape(count, nkept, nkept)
-        np.add(fbase[node, None] + pos[:, :, None] * (nfe[node, None] * k3), pos[:, None, :],
-               out=out)
-        out[pos[:, :, None] < pos[:, None, :]] = front_sizes[0]
-        pinned.append(at + np.flatnonzero((rows == pin)[:, :, None] != (rows == pin)[:, None, :]))
-        at += out.size
-    return CondensationPlan(n - len(skeleton), gradient, ni, local, classes, skeleton, parent,
-                            fronts, front_sizes, slots, pin, np.concatenate(pinned))
+        cls = _SizeClass(tris, position, interior, kept, fbase[node] + pos * (nfe[node] * k3), pos)
+        # The places of the pinned moment's row and column, off the diagonal.
+        g, i = np.nonzero(rows == pin)
+        c, ci = pos[g], pos[g, i, None]
+        pinned.append(np.where(c < ci, cls.rows[g, i, None] + c, cls.rows[g] + ci)[c != ci])
+        classes.append(cls)
+    return CondensationPlan(n - len(skeleton), gradient, ni, local, classes, skeleton, fronts,
+                            front_sizes, pin, np.concatenate(pinned))
 
 
 def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
@@ -528,11 +525,10 @@ def _local_matrices(spaces: StaggeredSpaces, el: forms.ElementMatrices, g: Gradi
     return K
 
 
-def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
+def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Batched Schur complements of the dense local matrices K onto their
     trailing unknowns. Writes Kii^{-1} Kio to T and Kii^{-1} to inv and
-    returns the complements, in out if it is given."""
+    returns the complements."""
     Kio = K[:, :ni, ni:]
     try:
         inv[...] = np.linalg.inv(K[:, :ni, :ni])
@@ -540,21 +536,28 @@ def _condense(K: np.ndarray, ni: int, owner: str, T: np.ndarray, inv: np.ndarray
         raise SolverError(f"singular {owner} block: {exc}") from exc
     np.matmul(inv, Kio, out=T)
     # K is symmetric, so Koi Kii^{-1} = T^T.
-    S = np.matmul(np.swapaxes(Kio, 1, 2), T, out=out)
+    S = np.swapaxes(Kio, 1, 2) @ T
     return np.subtract(K[:, ni:, ni:], S, out=S)
 
 
-def _factor(plan: CondensationPlan, schur: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _extend_add(out: np.ndarray, blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Add each entry (i, j) of block g on or below its front's diagonal,
+    cols[g, i] >= cols[g, j], to out[rows[g, i] + cols[g, j]], repeated
+    targets summed: the fronts hold the lower triangles that potrf reads."""
+    lower = cols[:, :, None] >= cols[:, None, :]
+    np.add.at(out, (rows[:, :, None] + cols[:, None, :])[lower], blocks[lower])
+
+
+def _factor(plan: CondensationPlan,
+            buffers: dict[int, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Multifrontal Cholesky of the negated skeleton, A = -S = L L^T.
 
-    The local Schur complements fill the leaf fronts. Each group of fronts,
-    heights in increasing order, eliminates its own block, F11 = -L11 L11^T,
-    and adds its update matrix F22 + L21 L21^T to the parents' fronts, with
-    L21 = -F21 L11^{-T}. Returns L11^{-1} and L21 of every group, what the
-    triangular sweeps of `_skeleton_solve` read."""
-    # The fronts hold their lower triangles, which is all that LAPACK's
-    # Cholesky (potrf) reads; entries above the diagonal go past the leaves.
-    buffers = {0: np.bincount(plan.slots, schur, minlength=plan.front_sizes[0] + 1)[:-1]}
+    `buffers` holds the front buffers by height, the leaves' (0) filled with
+    the local Schur complements. Each group of fronts, heights in increasing
+    order, eliminates its own block, F11 = -L11 L11^T, and adds its update
+    matrix F22 + L21 L21^T to the parents' fronts, with L21 = -F21 L11^{-T};
+    a buffer is dropped once its fronts are done. Returns L11^{-1} and L21 of
+    every group, what the triangular sweeps of `_skeleton_solve` read."""
     factor = []
     for q, grp in enumerate(plan.fronts):
         (count, no), nf = grp.own.shape, grp.own.shape[1] + grp.update.shape[1]
@@ -569,11 +572,10 @@ def _factor(plan: CondensationPlan, schur: np.ndarray) -> list[tuple[np.ndarray,
             if grp.parent not in buffers:
                 buffers[grp.parent] = np.zeros(plan.front_sizes[grp.parent])
             step = max(1, EXTEND_BYTES // (8 * (nf - no) ** 2))
-            i, j = np.tril_indices(nf - no)
             for a in range(0, count, step):
                 s = slice(a, a + step)
                 update = F[s, no:, no:] + L21[s] @ np.swapaxes(L21[s], 1, 2)
-                buffers[grp.parent][grp.rows[s][:, i] + grp.cols[s][:, j]] += update[:, i, j]
+                _extend_add(buffers[grp.parent], update, grp.rows[s], grp.cols[s])
         if q + 1 == len(plan.fronts) or plan.fronts[q + 1].height != grp.height:
             del buffers[grp.height], F
         factor.append((inv, L21))
@@ -646,9 +648,8 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
     W, U = spaces.W, spaces.U
     t0 = time.perf_counter()
     nl, ni = plan.local.shape[1], plan.num_inner
-    # Every class's local Schur complements in turn, the order of plan.slots.
-    schur = np.empty(len(plan.slots))
-    elims, at = [], 0
+    # Each batch adds its polygons' Schur complements to the leaf fronts.
+    buffers, elims = {0: np.zeros(plan.front_sizes[0])}, []
     # One work buffer, allocated once per solve, holds a batch's local
     # matrices and then, once they are condensed, its polygon matrices.
     steps, size = [], 0
@@ -664,7 +665,6 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         # triangles, polygon by polygon.
         T1, inv1 = np.empty((count * m, ni, nl - ni)), np.empty((count * m, ni, ni))
         T2, inv2 = np.empty((count, n2, nk)), np.empty((count, n2, n2))
-        S2 = schur[at:at + count * nk * nk].reshape(count, nk, nk)
         for a in range(0, count, step):
             b = min(a + step, count)
             K = _local_matrices(spaces, el, g, system.eps, cls.triangles[a:b].ravel(),
@@ -678,19 +678,18 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
             for i, pos in enumerate(cls.position):
                 Kp[:, pos[:, None], pos] += S1[i::m]
             del S1
-            _condense(Kp, n2, "polygon", T2[a:b], inv2[a:b], out=S2[a:b])
+            _extend_add(buffers[0], _condense(Kp, n2, "polygon", T2[a:b], inv2[a:b]),
+                        cls.rows[a:b], cls.cols[a:b])
         # One elimination record per stage: the unknowns it removes, those
         # it keeps, Kii^{-1} Kio and Kii^{-1}.
         local = plan.local[cls.triangles.ravel()]
         elims += [(local[:, :ni], local[:, ni:], T1, inv1), (cls.interior, cls.kept, T2, inv2)]
-        at += S2.size
-    del work, K, Kp, S2
+    del work, K, Kp
     ns = len(plan.skeleton)
-    schur[plan.pinned] = 0.0
+    buffers[0][plan.pinned] = 0.0
     t1 = time.perf_counter()
     # Pinned, the skeleton is negative definite; its Cholesky finds out.
-    factor = _factor(plan, schur)
-    del schur
+    factor = _factor(plan, buffers)
     # Entries of L: the lower triangle of each own block and the rows below.
     fill = sum(len(inv) * inv.shape[1] * (inv.shape[1] + 1 + 2 * L21.shape[1]) // 2
                for inv, L21 in factor)

@@ -312,6 +312,14 @@ def test_main_solve_same_config_is_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_mesh_check_builds_a_valid_mesh_near_the_largest_delta(capsys):
+    # Seed 3 draws quads with a side shorter than RHO times their diameter;
+    # the grid redraws them instead of handing validation a bad mesh.
+    assert cli.main(["mesh", "check", "--mesh", "distorted", "--levels", "32",
+                     "--delta", "0.49", "--seed", "3"]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
 def test_main_mesh_check_and_file_import(tmp_path, capsys):
     assert cli.main(["mesh", "check", "--mesh", "square", "--levels", "2,4"]) == 0
     assert "OK" in capsys.readouterr().out

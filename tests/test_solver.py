@@ -303,14 +303,21 @@ def test_plan_matches_pinned(name):
     # The owners and each class's triangles and stage-2 unknowns were recorded
     # from the condensation that numbered each polygon's unknowns by one
     # global sort; the skeleton order and the front place of every local
-    # Schur entry from the nested dissection. All must be reproduced exactly,
-    # and each polygon's skeleton unknowns as a set.
+    # Schur entry from the nested dissection, when the plan kept those places
+    # ("slots": classes in turn, past the leaf buffer above a front's
+    # diagonal). All must be reproduced exactly, the places from the classes'
+    # extend-add maps, and each polygon's skeleton unknowns as a set.
     family, k = name.split("4-k")
     spaces = make_spaces(int(k), 4, family)
     plan = assemble_blocks(spaces, 1.0).interior
     ref = _PINNED_PLANS[name]
-    for key in ("skeleton", "slots"):
-        assert _digest(getattr(plan, key)) == ref[key], key
+    assert _digest(plan.skeleton) == ref["skeleton"]
+    slots = []
+    for cls in plan.classes:
+        place = cls.rows[:, :, None] + cls.cols[:, None, :]
+        place[cls.cols[:, :, None] < cls.cols[:, None, :]] = plan.front_sizes[0]
+        slots.append(place.ravel())
+    assert _digest(np.concatenate(slots)) == ref["slots"]
     triangle, polygon = _plan_owners(plan, spaces.mesh.tri_poly)
     assert _digest(triangle) == ref["triangle"]
     assert _digest(polygon) == ref["polygon"]
@@ -352,21 +359,21 @@ def _plan_spaces(family, k):
 
 @pytest.mark.parametrize("family,k", _PLAN_CASES)
 def test_pattern_from_edge_graph_matches_sort(family, k):
-    # The plan places every local Schur entry in the lower triangle of its
+    # The plan maps every local Schur entry to the lower triangle of its
     # leaf's front, by the graph of primal edges and the polygons they bound;
-    # summed, the leaf fronts must be the lower triangle of what sorting
-    # every entry gives. The values are integers, so that any order of
-    # summation is exact.
+    # added by the extend-add, the leaf fronts must be the lower triangle of
+    # what sorting every entry gives. The values are integers, so that any
+    # order of summation is exact.
     plan = assemble_blocks(_plan_spaces(family, k), 1.0).interior
     if family == "mixed":
         assert [cls.triangles.shape for cls in plan.classes] == [(1, 3), (1, 4), (1, 5)]
     rng = np.random.default_rng(k)
-    schur = []
+    fronts, schur = np.zeros(plan.front_sizes[0]), []
     for cls in plan.classes:
         X = rng.integers(-8, 9, (len(cls.kept),) + 2 * cls.kept.shape[1:]).astype(float)
+        solver._extend_add(fronts, X + np.swapaxes(X, 1, 2), cls.rows, cls.cols)
         schur.append((X + np.swapaxes(X, 1, 2)).ravel())
     schur = np.concatenate(schur)
-    fronts = np.bincount(plan.slots, schur, minlength=plan.front_sizes[0] + 1)[:-1]
     ns = len(plan.skeleton)
     S = np.zeros((ns, ns))
     for grp in plan.fronts:
@@ -380,35 +387,76 @@ def test_pattern_from_edge_graph_matches_sort(family, k):
 
 @pytest.mark.parametrize("family,k", _PLAN_CASES)
 def test_dissection_separates_sibling_subtrees(family, k):
-    # The edges that a node eliminates separate its two subtrees: no edge
-    # eliminated in one shares a polygon with an edge eliminated in the
-    # other. Every primal edge is eliminated by exactly one node.
+    # Rebuilt by `_dissect`, the tree numbers its nodes in postorder, so a
+    # subtree is the range of nodes from its first to its root. Each primal
+    # edge must be eliminated by the lowest node whose subtree holds the
+    # leaves of all its polygons, the skeleton must list the edges node by
+    # node, and each front's own edges must be those of one node of the
+    # front's height. The edges that a node eliminates separate its two
+    # subtrees: no edge eliminated in one shares a polygon with an edge
+    # eliminated in the other.
     spaces = _plan_spaces(family, k)
     plan = assemble_blocks(spaces, 1.0).interior
-    mesh, k3, parent = spaces.mesh, 3 * (k + 1), plan.parent
-    prim = mesh.primal_edge_ids
-    offsets = spaces.W.edge_offsets[prim]
-    assert np.array_equal(np.sort(plan.skeleton[::k3]), np.sort(offsets))
-    node = np.full(len(prim), -1)  # the node that eliminates each skeleton edge
-    for grp in plan.fronts:
-        places = grp.own[:, ::k3] // k3
-        assert np.all(node[places] == -1)
-        node[places] = grp.nodes[:, None]
-    assert np.all(node >= 0)
-    # The skeleton edge of each triangle's primal side.
-    place = np.full(len(mesh.edge_kind), -1)
-    place[prim[np.argsort(offsets)]] = np.argsort(plan.skeleton[::k3])
-    tri_node = node[place[mesh.tri_edges[:, 0]]]
-    # Postorder: a subtree is the range of nodes from its first to its root.
+    mesh, k3 = spaces.mesh, 3 * (k + 1)
+    parent, height, leaf = solver._dissect(mesh.primal.interior_points)
     first = np.arange(len(parent))
     for v, up in enumerate(parent):
         assert up == -1 and v == len(parent) - 1 or up > v
         first[up] = min(first[up], first[v])
+    prim = mesh.primal_edge_ids
+    node = np.full(len(mesh.edge_kind), -1)  # the node that eliminates each primal edge
+    for e in prim:
+        leaves = leaf[mesh.tri_poly[mesh.tri_edges[:, 0] == e]]
+        node[e] = min(v for v in range(len(parent))
+                      if first[v] <= leaves.min() and leaves.max() <= v)
+    order = np.argsort(node[prim], kind="stable")
+    assert np.array_equal(plan.skeleton[::k3], spaces.W.edge_offsets[prim[order]])
+    eliminated = np.zeros(len(prim), dtype=int)
+    for grp in plan.fronts:
+        places = grp.own[:, ::k3] // k3
+        owners = node[prim[order[places]]]
+        assert np.all(owners == owners[:, :1]) and np.all(height[owners] == grp.height)
+        np.add.at(eliminated, places.ravel(), 1)
+    assert np.all(eliminated == 1)
+    tri_node = node[mesh.tri_edges[:, 0]]
     for v in range(len(parent)):
         children = np.flatnonzero(parent == v)
         assert len(children) in (0, 2)
+        assert height[v] == max(height[children] + 1, default=0)
         sides = [set(mesh.tri_poly[(first[c] <= tri_node) & (tri_node <= c)]) for c in children]
         assert not (sides and sides[0] & sides[1])
+
+
+def test_extend_add_sums_each_lower_entry_into_its_place():
+    # Every entry (i, j) with cols[g, i] >= cols[g, j] adds to
+    # rows[g, i] + cols[g, j], repeated targets summed, whatever the order of
+    # the columns; the values are integers, so that any order of summation is
+    # exact.
+    rng = np.random.default_rng(0)
+    G, n = 5, 6
+    blocks = rng.integers(-8, 9, (G, n, n)).astype(float)
+    cols = np.stack([rng.permutation(n) for _ in range(G)])
+    rows = rng.integers(0, 3, (G, n)) * n  # three rows of n places, shared
+    dense = np.zeros(3 * n)
+    for g in range(G):
+        for i in range(n):
+            for j in range(n):
+                if cols[g, i] >= cols[g, j]:
+                    dense[rows[g, i] + cols[g, j]] += blocks[g, i, j]
+    buffer = np.zeros(3 * n)
+    solver._extend_add(buffer, blocks, rows, cols)
+    assert np.array_equal(buffer, dense)
+    # With increasing columns into distinct fronts it adds the lower
+    # triangles, as a fancy-indexed sum over tril_indices does.
+    nf = 9
+    cols = np.stack([np.sort(rng.choice(nf, n, replace=False)) for _ in range(G)])
+    rows = np.arange(G)[:, None] * nf * nf + cols * nf
+    blocks = rng.standard_normal((G, n, n))
+    tril, (i, j) = np.zeros(G * nf * nf), np.tril_indices(n)
+    tril[rows[:, i] + cols[:, j]] += blocks[:, i, j]
+    buffer = np.zeros(G * nf * nf)
+    solver._extend_add(buffer, blocks, rows, cols)
+    assert np.array_equal(buffer, tril)
 
 
 def test_plan_peak_memory_is_bounded_by_what_it_keeps():
@@ -422,12 +470,11 @@ def test_plan_peak_memory_is_bounded_by_what_it_keeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = [plan.local, plan.skeleton, plan.parent, plan.slots,
-              plan.pinned]  # plan.gradient is a view of W's cell_dofs
+    arrays = [plan.local, plan.skeleton, plan.pinned]  # plan.gradient is a view of W's cell_dofs
     for cls in plan.classes:
-        arrays += [cls.triangles, cls.position, cls.interior, cls.kept]
+        arrays += [cls.triangles, cls.position, cls.interior, cls.kept, cls.rows, cls.cols]
     for grp in plan.fronts:
-        arrays += [grp.nodes, grp.own, grp.update, grp.rows, grp.cols]
+        arrays += [grp.own, grp.update, grp.rows, grp.cols]
     assert peak < 2 * sum(a.nbytes for a in arrays)
 
 
@@ -582,8 +629,9 @@ def test_plan_depends_only_on_mesh_and_k(family):
     first = assemble_blocks(StaggeredSpaces(mesh, 2), 1.0).interior
     blocks = assemble_blocks(StaggeredSpaces(mesh, 2), 0.5)
     assert np.array_equal(first.skeleton, blocks.interior.skeleton)
-    assert np.array_equal(first.parent, blocks.interior.parent)
-    assert np.array_equal(first.slots, blocks.interior.slots)
+    assert np.array_equal(first.pinned, blocks.interior.pinned)
+    for a, b in zip(first.classes, blocks.interior.classes, strict=True):
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
     F, G = np.zeros(blocks.A.shape[0]), np.zeros(blocks.D.shape[0])
     stokes, darcy = (build_system(blocks, eps, 0.5, F, G) for eps in (1.0, 1e-8))
     assert stokes.blocks.interior is darcy.blocks.interior
