@@ -100,7 +100,7 @@ class RunReport:
     cond_max: float  # worst 1-norm condition number of a local DOF system of W, U or P
     triangles: int
     classes: int  # classes of triangles whose local bases and stacks are built once
-    stack_entries: int  # entries of the element stacks and stage 0, one row per class
+    stack_entries: int  # entries of the element stacks, one row per class
     skeleton: int
     lu_fill: int
     residuals: list[float]
@@ -187,8 +187,7 @@ def run_single(config: RunConfig, n: int | None = None) -> RunReport:
         cond_max=max(float(s.conds.max()) for s in (spaces.W, spaces.U, spaces.P)),
         triangles=mesh.num_triangles,
         classes=spaces.num_classes,
-        stack_entries=sum(x.size for stage in (blocks.elements, blocks.gradient)
-                          for x in vars(stage).values()),
+        stack_entries=sum(x.size for x in vars(blocks.elements).values()),
         skeleton=solution.skeleton,
         lu_fill=solution.lu_fill,
         residuals=solution.residuals,

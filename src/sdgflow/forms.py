@@ -7,9 +7,9 @@ per-triangle blocks C_test^T X C_trial, where X is the form on the broken
 modal space of that triangle. Both depend only on the triangle's inputs that
 `StaggeredSpaces` groups into classes, so the blocks of the first triangle
 of every class come from one batched product and are kept one per class
-(`element_matrices` returns them); the solver gathers them
-(`StaggeredSpaces.gather`) a batch of triangles at a time to condense and
-apply them, and `scatter` sums them into a global matrix through
+(`element_matrices` returns them); the solver condenses them per class
+and gathers them (`StaggeredSpaces.gather`) a batch of triangles at a time
+to apply them, and `scatter` sums them into a global matrix through
 `cell_dofs` where one is wanted.
 
 X is a volume term plus edge terms on the triangle's own three sides. The

@@ -8,29 +8,24 @@ symmetry. The solve condenses the matrix without it, whose kernel is the
 constant pressure z, and finds the multiplier and the multiple of z in
 closed form.
 
-The solve condenses element by element in three stages. The gradient's cell
-moments couple to each other only through the mass block, which does not
-depend on the viscosity, so stage 0 eliminates them once per assembly,
-on the first triangle of each class of triangles with equal local inputs
-(see `spaces`): with i the W cell moments, o the W edge moments and u all U
-moments, `assemble_blocks` stores per class M_ii^{-1} and the reduced stacks
-M' = M_oo - M_oi M_ii^{-1} M_io, B' = B_uo - B_ui M_ii^{-1} M_io and
-E = B_ui M_ii^{-1} B_ui^T (`GradientCells`), beside the element stacks,
-also one per class. The solve gathers the rows of its triangles from these
-(`StaggeredSpaces.gather`) one batch at a time. For each viscosity the solve
-then runs one batch of polygons of one size at a time. Each triangle's
-reduced local matrix [[-M', se B'^T], [se B', A + eps E]], bordered by D
-(se = sqrt(eps)), has its cell U moments eliminated by a batched dense solve
-(stage 1). The remainders are summed per polygon, and each polygon's
-dual-edge W/U moments and cell P moments are eliminated by a second batched
-solve (stage 2). Each stage takes its unknowns by the column ranges that
-the spaces' records name (`primal`, `dual`, `cell` of `spaces.Space`). A
-batch's local matrices stay within BATCH_BYTES, and one work buffer per
-solve holds them and then the batch's polygon matrices, so the only dense
-stacks the solve makes over the whole mesh are the eliminations that
-refinement reads back. The local Schur complements sum into the
-primal-edge skeleton, the W and P moments of every primal edge; with the
-edge-mean P moment of one edge pinned to zero it is negative definite.
+The solve condenses element by element in two stages, once per viscosity,
+one batch of polygons of one size at a time. The element stacks are kept
+one per class of triangles with equal local inputs (see `spaces`), and so
+is stage 1: each batch condenses the classes of its triangles, not the
+triangles. A class's local matrix [[-M, se B^T], [se B, A]], bordered by D
+(se = sqrt(eps)), has its W and U cell moments eliminated together by a
+batched dense solve (stage 1), and the remainders are gathered back to the
+batch's triangles (`StaggeredSpaces.gather`) and summed per polygon. Each
+polygon's dual-edge W/U moments and cell P moments are eliminated by a
+second batched solve (stage 2). Both stages go through one `_condense`, and
+each takes its unknowns by the column ranges that the spaces' records name
+(`primal`, `dual`, `cell` of `spaces.Space`). A batch's class matrices and
+its polygon matrices each stay within BATCH_BYTES, and one work buffer per
+solve holds them in turn, so the only dense stacks the solve makes over the
+whole mesh are the eliminations that refinement reads back. The local Schur
+complements sum into the primal-edge skeleton, the W and P moments of every
+primal edge; with the edge-mean P moment of one edge pinned to zero it is
+negative definite.
 
 The skeleton is factored by a multifrontal Cholesky (Liu, SIAM Review 34,
 1992) on a nested dissection of the polygons (George, SIAM J. Numer. Anal.
@@ -54,11 +49,11 @@ CondensationPlan: the triangles of every polygon, one local layout per
 polygon size (taken from its first polygon, checked on the others) with the
 place of each triangle's unknowns in it, the skeleton order, the fronts,
 and the extend-add maps of every polygon into its leaf's front and of every
-node into its parent's front. A new viscosity redoes only stages 1 and 2
-and the Cholesky. Iterative refinement applies the saddle operator and its
-absolute value element by element from the original stacks, in one pass,
-and the multiplier's row and column from the pressure means, so no global
-saddle matrix is formed.
+node into its parent's front. A new viscosity redoes stages 1 and 2 and the
+Cholesky. Iterative refinement applies the saddle operator and its absolute
+value element by element from the original stacks, in one pass, and the
+multiplier's row and column from the pressure means, so no global saddle
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -115,9 +110,9 @@ class _FrontGroup:
 class CondensationPlan:
     """Layout of the condensation; depends only on mesh and k.
 
-    Stages 0 and 1 eliminate a triangle's W and U cell moments, stage 2 a
+    Stage 1 eliminates a triangle's W and U cell moments, stage 2 a
     polygon's `interior` unknowns (kept per size class); the skeleton is
-    what all keep. Each triangle's reduced local unknowns are its U cell
+    what both keep. Each triangle's local unknowns are its W and U cell
     moments, the num_inner that stage 1 eliminates, then per space its
     `primal` and `dual` columns, and the P `cell` ones: W edge moments, U
     edge moments and P cell_dofs.
@@ -133,9 +128,8 @@ class CondensationPlan:
     """
 
     size: int  # number of eliminated unknowns
-    gradient: np.ndarray  # (nT, ni) W cell moments of each triangle: stage 0
     num_inner: int
-    local: np.ndarray  # (nT, nloc) reduced unknowns of each triangle
+    local: np.ndarray  # (nT, nloc) local unknowns of each triangle
     classes: list[_SizeClass]
     skeleton: np.ndarray  # (ns,) saddle unknowns in elimination order
     fronts: list[_FrontGroup]
@@ -246,12 +240,11 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     n = nW + nU + P.ndof
     tri_poly = mesh.tri_poly
     spaced = ((W, 0), (U, nW), (P, nW + nU))  # each space and its first unknown
-    # Stage 0 removes the W cell moments. Each triangle's reduced unknowns
-    # are its U cell moments, which stage 1 removes, then per space its
-    # primal-side unknowns, which the skeleton (0) keeps, and its dual-side
-    # ones, which stage 2 removes with the P cell moments.
-    gradient = W.cell_dofs[:, W.cell]
-    parts = [(nW + U.cell_dofs[:, U.cell], 1)]
+    # Each triangle's local unknowns are its W and U cell moments, which
+    # stage 1 removes, then per space its primal-side unknowns, which the
+    # skeleton (0) keeps, and its dual-side ones, which stage 2 removes with
+    # the P cell moments.
+    parts = [(W.cell_dofs[:, W.cell], 1), (nW + U.cell_dofs[:, U.cell], 1)]
     for X, at in spaced:
         parts += [(at + X.cell_dofs[:, X.primal], 0), (at + X.cell_dofs[:, X.dual], 2)]
     parts.append((nW + nU + P.cell_dofs[:, P.cell], 2))
@@ -259,7 +252,7 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
     stage = np.repeat([st for _, st in parts], [dofs.shape[1] for dofs, _ in parts])
     del parts
     ni = int(np.count_nonzero(stage == 1))
-    _owners(n, np.hstack([gradient, local[:, :ni]]), np.arange(nT), "triangle")
+    _owners(n, local[:, :ni], np.arange(nT), "triangle")
     inner = _owners(n, local[:, stage == 2], tri_poly, "polygon") >= 0  # stage 2's unknowns
 
     # Skeleton order: the primal edges node by node of the dissection tree,
@@ -340,8 +333,8 @@ def _condensation_plan(spaces: StaggeredSpaces) -> CondensationPlan:
         c, ci = pos[g], pos[g, i, None]
         pinned.append(np.where(c < ci, cls.rows[g, i, None] + c, cls.rows[g] + ci)[c != ci])
         classes.append(cls)
-    return CondensationPlan(n - len(skeleton), gradient, ni, local, classes, skeleton, fronts,
-                            front_sizes, pin, np.concatenate(pinned))
+    return CondensationPlan(n - len(skeleton), ni, local, classes, skeleton, fronts, front_sizes,
+                            pin, np.concatenate(pinned))
 
 
 def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
@@ -359,52 +352,17 @@ def _global_block(test: str, trial: str, stack: str, doc: str) -> property:
 
 
 @dataclass
-class GradientCells:
-    """Stage 0: the W cell moments (i) of every class of triangles eliminated
-    from its M and B stacks, leaving its W edge moments (o) and its U moments
-    (u)."""
-
-    Minv: np.ndarray  # (nC, ni, ni) M_ii^{-1}
-    M: np.ndarray  # (nC, no, no) M_oo - M_oi M_ii^{-1} M_io
-    B: np.ndarray  # (nC, nu, no) B_uo - B_ui M_ii^{-1} M_io
-    E: np.ndarray  # (nC, nu, nu) B_ui M_ii^{-1} B_ui^T
-
-
-def _eliminate_gradient_cells(el: forms.ElementMatrices, no: int) -> GradientCells:
-    """Stage 0 of the condensation. The W cell moments are the last positions
-    of the M and B stacks, from no on; the products run in batches of
-    classes of at most BATCH_BYTES of W-by-W blocks."""
-    (nC, nw, _), nu = el.M.shape, el.B.shape[1]
-    try:
-        Minv = np.linalg.inv(el.M[:, no:, no:])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular gradient cell block: {exc}") from exc
-    out = GradientCells(Minv, np.empty((nC, no, no)), np.empty((nC, nu, no)),
-                        np.empty((nC, nu, nu)))
-    step = max(1, BATCH_BYTES // (8 * nw * nw))
-    for a in range(0, nC, step):
-        t = slice(a, a + step)
-        M, Bui, inv = el.M[t], el.B[t, :, no:], Minv[t]
-        T, Mr, Br = inv @ M[:, no:, :no], out.M[t], out.B[t]
-        np.subtract(M[:, :no, :no], np.matmul(M[:, :no, no:], T, out=Mr), out=Mr)
-        np.subtract(el.B[t, :, :no], np.matmul(Bui, T, out=Br), out=Br)
-        np.matmul(Bui @ inv, np.swapaxes(Bui, 1, 2), out=out.E[t])
-    return out
-
-
-@dataclass
 class SystemBlocks:
-    """Element stacks of the forms and the stage-0 eliminations, one row per
-    class of triangles, the pressure means c (sqrt(1/2) on each triangle's
-    first P cell moment, 0 elsewhere) and the condensation plan. The global
-    M, B, A and D are built on access, for inspection only."""
+    """Element stacks of the forms, one row per class of triangles, the
+    pressure means c (sqrt(1/2) on each triangle's first P cell moment, 0
+    elsewhere), the constant pressure z and the condensation plan. The
+    global M, B, A and D are built on access, for inspection only."""
 
     spaces: StaggeredSpaces = field(repr=False)
     alpha: float  # reaction coefficient of the A stack
     elements: forms.ElementMatrices = field(repr=False)
     c: np.ndarray  # (nP,) pressure means
     z: np.ndarray  # (nP,) the constant pressure 1
-    gradient: GradientCells = field(repr=False)
     interior: CondensationPlan = field(repr=False)
 
     M = _global_block("W", "W", "M", "nW x nW gradient mass")
@@ -414,14 +372,12 @@ class SystemBlocks:
 
 
 def assemble_blocks(spaces: StaggeredSpaces, alpha: float) -> SystemBlocks:
-    # The element stacks and stage 0, one row per class of triangles.
-    el = forms.element_matrices(spaces, alpha)
-    gradient = _eliminate_gradient_cells(el, spaces.W.cell.start)
+    el = forms.element_matrices(spaces, alpha)  # one row per class of triangles
     # int_T q is sqrt(1/2) times T's first P cell moment: all other modal functions have mean 0.
     c = np.zeros(spaces.P.ndof)
     c[spaces.P.cell_dofs[:, spaces.P.cell.start]] = math.sqrt(0.5)
     z = spaces.interpolate("P", lambda x: np.ones(len(x))).coeffs
-    return SystemBlocks(spaces, alpha, el, c, z, gradient, _condensation_plan(spaces))
+    return SystemBlocks(spaces, alpha, el, c, z, _condensation_plan(spaces))
 
 
 @dataclass
@@ -483,9 +439,8 @@ def build_system(blocks: SystemBlocks, eps: float, alpha: float,
 # since their terms are O(sqrt(eps)) beside an O(1) right-hand side.
 REFINE_STEPS = 5
 REFINE_TARGET = 4 * 2.0**-53
-# Byte budget of the reduced local matrices of one batch of polygons. Their
-# stage-1 remainders and the polygon matrices, which the batch holds next,
-# take 1.8-2.1 times as many bytes at k = 2 and 3 on quadrilaterals. Every
+# Byte budget of one batch of polygons: the local matrices of the classes of
+# its triangles, and then its polygon matrices, each stay within it. Every
 # problem on an h = 1/4 grid, k <= 3, eliminates each size class in one batch.
 BATCH_BYTES = 3 << 20
 # Byte budget of the update matrices that one extend-add adds to their
@@ -495,33 +450,28 @@ BATCH_BYTES = 3 << 20
 EXTEND_BYTES = 1 << 19
 
 
-def _local_matrices(spaces: StaggeredSpaces, el: forms.ElementMatrices, g: GradientCells,
-                    eps: float, tris: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The reduced saddle matrices of triangles `tris`, rows and columns in
-    the plan's local order: U cell moments, W edge moments, U edge moments,
-    P cell_dofs. They are written to K, which holds one per triangle."""
-    (nu, no), npr, se, U = g.B.shape[1:], el.D.shape[1], math.sqrt(eps), spaces.U
-    nl, ni = nu + no + npr, nu - U.cell.start
+def _local_matrices(spaces: StaggeredSpaces, el: forms.ElementMatrices, eps: float,
+                    rows, K: np.ndarray) -> np.ndarray:
+    """The saddle matrices of the classes of triangles `rows`, a slice or an
+    index array, rows and columns in the plan's local order: W cell moments,
+    U cell moments, W edge moments, U edge moments, P cell_dofs. They are
+    written to K, which holds one per class."""
+    W, U, se = spaces.W, spaces.U, math.sqrt(eps)
+    nw, nu = el.M.shape[1], el.A.shape[1]
+    ni = nw - W.cell.start + nu - U.cell.start
     K.fill(0.0)
-    # A run of consecutive triangles gathers views of the stacks where every
-    # triangle is its own class, not copies.
-    if np.all(np.diff(tris) == 1):
-        tris = slice(tris[0], tris[-1] + 1)
-    M, B, E, A, D = (spaces.gather(X, tris) for X in (g.M, g.B, g.E, el.A, el.D))
-    # (local, stack) slices of each field; the U cell moments are moved first.
-    w = ((slice(ni, ni + no), slice(None)),)
-    u = ((slice(0, ni), U.cell), (slice(ni + no, nu + no), U.edges))
-    p = ((slice(nu + no, nl), slice(None)),)
+    M, B, A, D = (X[rows] for X in (el.M, el.B, el.A, el.D))
+    # (local, stack) slices of each field; the cell moments are moved first.
+    w = ((slice(0, nw - W.cell.start), W.cell), (slice(ni, ni + W.cell.start), W.edges))
+    u = ((slice(nw - W.cell.start, ni), U.cell), (slice(ni + W.cell.start, nw + nu), U.edges))
+    p = ((slice(nw + nu, None), slice(None)),)
     Bt, Dt = np.swapaxes(B, 1, 2), np.swapaxes(D, 1, 2)
     # Copy the blocks by slices; fancy indexing is several times slower.
     for rows, cols, X, scale in ((w, w, M, -1.0), (u, w, B, se), (w, u, Bt, se),
-                                 (u, u, E, eps), (p, u, D, 1.0), (u, p, Dt, 1.0)):
+                                 (u, u, A, 1.0), (p, u, D, 1.0), (u, p, Dt, 1.0)):
         for rt, rs in rows:
             for ct, cs in cols:
                 np.multiply(X[:, rs, cs], scale, out=K[:, rt, ct])
-    for rt, rs in u:
-        for ct, cs in u:
-            K[:, rt, ct] += A[:, rs, cs]
     return K
 
 
@@ -640,50 +590,58 @@ def _backward_error(system: SaddleSystem):
 
 def solve(system: SaddleSystem) -> DiscreteSolution:
     """Direct solve of the saddle system by static condensation of the
-    element matrices, stage 0 taken from the blocks, then iterative
-    refinement against the original element stacks."""
+    element matrices, then iterative refinement against the original element
+    stacks."""
     plan, n = system.blocks.interior, sum(system.dims)
-    el, g, se = system.blocks.elements, system.blocks.gradient, math.sqrt(system.eps)
-    spaces = system.blocks.spaces
-    W, U = spaces.W, spaces.U
+    el, spaces = system.blocks.elements, system.blocks.spaces
+    tri_class = spaces.tri_class
     t0 = time.perf_counter()
     nl, ni = plan.local.shape[1], plan.num_inner
+    # Stage 1 is kept one row per class, written by each batch whose
+    # triangles are of that class.
+    T1, inv1 = np.empty((spaces.num_classes, ni, nl - ni)), np.empty((spaces.num_classes, ni, ni))
     # Each batch adds its polygons' Schur complements to the leaf fronts.
     buffers, elims = {0: np.zeros(plan.front_sizes[0])}, []
-    # One work buffer, allocated once per solve, holds a batch's local
-    # matrices and then, once they are condensed, its polygon matrices.
-    steps, size = [], 0
+    # One work buffer, allocated once per solve, holds a batch's class
+    # matrices and then, once they are condensed, its polygon matrices. A
+    # batch of p m-gons condenses at most min(p m, nc) classes, nc those of
+    # the size class.
+    steps, size, fit = [], 0, BATCH_BYTES // (8 * nl * nl)
     for cls in plan.classes:
         (count, m), N = cls.triangles.shape, cls.interior.shape[1] + cls.kept.shape[1]
-        steps.append(min(count, max(1, BATCH_BYTES // (8 * m * nl * nl))))
-        size = max(size, steps[-1] * max(m * nl * nl, N * N))
+        nc = len(np.unique(tri_class[cls.triangles]))
+        polygons = min(count if nc <= fit else fit // m, BATCH_BYTES // (8 * N * N))
+        steps.append(min(count, max(1, polygons)))
+        size = max(size, min(steps[-1] * m, nc) * nl * nl, steps[-1] * N * N)
     work = np.empty(size)
     for cls, step in zip(plan.classes, steps):
         (count, m), n2, nk = cls.triangles.shape, cls.interior.shape[1], cls.kept.shape[1]
         N = n2 + nk
-        # Stages 1 and 2 of the class; the rows of T1 and inv1 are its
-        # triangles, polygon by polygon.
-        T1, inv1 = np.empty((count * m, ni, nl - ni)), np.empty((count * m, ni, ni))
         T2, inv2 = np.empty((count, n2, nk)), np.empty((count, n2, n2))
         for a in range(0, count, step):
             b = min(a + step, count)
-            K = _local_matrices(spaces, el, g, system.eps, cls.triangles[a:b].ravel(),
-                                work[:(b - a) * m * nl * nl].reshape(-1, nl, nl))
-            S1 = _condense(K, ni, "triangle", T1[a * m:b * m], inv1[a * m:b * m])
+            # The classes of the batch's triangles, and the class of each.
+            rows, of = np.unique(tri_class[cls.triangles[a:b]], return_inverse=True)
+            of, K = of.reshape(b - a, m), work[:len(rows) * nl * nl].reshape(-1, nl, nl)
+            if rows[-1] - rows[0] == len(rows) - 1:  # a run: views, not copies
+                rows = slice(rows[0], rows[-1] + 1)
+            T, inv = T1[rows], inv1[rows]
+            S1 = _condense(_local_matrices(spaces, el, system.eps, rows, K), ni, "triangle", T, inv)
+            if not isinstance(rows, slice):  # copies: write them back
+                T1[rows], inv1[rows] = T, inv
             # Sum the remainders into the batch's polygon matrices, each
             # entry over its polygon's triangles in increasing order; no
             # place repeats within one triangle.
             Kp = work[:(b - a) * N * N].reshape(-1, N, N)
             Kp.fill(0.0)
             for i, pos in enumerate(cls.position):
-                Kp[:, pos[:, None], pos] += S1[i::m]
+                Kp[:, pos[:, None], pos] += S1[of[:, i]]
             del S1
             _extend_add(buffers[0], _condense(Kp, n2, "polygon", T2[a:b], inv2[a:b]),
                         cls.rows[a:b], cls.cols[a:b])
-        # One elimination record per stage: the unknowns it removes, those
-        # it keeps, Kii^{-1} Kio and Kii^{-1}.
-        local = plan.local[cls.triangles.ravel()]
-        elims += [(local[:, :ni], local[:, ni:], T1, inv1), (cls.interior, cls.kept, T2, inv2)]
+        # The stage-2 elimination record of the class: the unknowns it
+        # removes, those it keeps, Kii^{-1} Kio and Kii^{-1}.
+        elims.append((cls.interior, cls.kept, T2, inv2))
     del work, K, Kp
     ns = len(plan.skeleton)
     buffers[0][plan.pinned] = 0.0
@@ -695,15 +653,11 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
                for inv, L21 in factor)
     t2 = time.perf_counter()
 
-    # Stage 0 rebuilds the W cell moments from M_ii^{-1} and the original
-    # stacks, gathered in batches of triangles of at most BATCH_BYTES.
-    g0 = plan.gradient
-    go, gu = W.cell_dofs[:, W.edges], W.ndof + U.cell_dofs
-    gou = np.hstack([go, gu]).ravel()
-    (nT, no), nu = go.shape, gu.shape[1]
-    Moi, Mio, Bui = el.M[:, W.edges, W.cell], el.M[:, W.cell, W.edges], el.B[:, :, W.cell]
-    step = max(1, BATCH_BYTES // (8 * (g.Minv[0].size + Moi[0].size + Bui[0].size)))
-    batches = [slice(a, a + step) for a in range(0, nT, step)]
+    # Stage 1 runs over the triangles in batches of at most BATCH_BYTES of
+    # the rows of T1 and inv1 that it gathers.
+    cells, rest = plan.local[:, :ni], plan.local[:, ni:]
+    step = max(1, BATCH_BYTES // (8 * (T1[0].size + inv1[0].size)))
+    batches = [slice(a, a + step) for a in range(0, len(cells), step)]
     c, z = system.blocks.c, system.blocks.z
     pressure, cz = slice(n - len(z), n), c @ z
 
@@ -712,15 +666,16 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         # without it, whose kernel is z; b is then solved with the pinned
         # moment zero, and the multiple of z added that gives the mean.
         lam = -(z @ b[pressure]) / cz
-        y0, moved = np.empty(g0.shape), np.empty((nT, no + nu))
-        for t in batches:
-            Minv, Mt, Bt = (spaces.gather(X, t) for X in (g.Minv, Moi, Bui))
-            y0[t] = np.einsum("tij,tj->ti", Minv, b[g0[t]])
-            moved[t, :no] = -np.einsum("toi,ti->to", Mt, y0[t])
-            moved[t, no:] = se * np.einsum("tui,ti->tu", Bt, y0[t])
-        r = b[:n] + np.bincount(gou, moved.ravel(), minlength=n)
+        r = b[:n].copy()
         r[pressure] += lam * c
-        held = []  # r of each stage's unknowns when it eliminates them
+        # r of each stage's unknowns when it eliminates them; no other
+        # elimination updates the cell moments of a triangle.
+        held1, moved = r[cells], np.empty(rest.shape)
+        for t in batches:
+            moved[t] = np.einsum("tio,ti->to", spaces.gather(T1, t), held1[t])
+        r -= np.bincount(rest.ravel(), moved.ravel(), minlength=n)
+        del moved
+        held = []
         for inner, outer, T, _ in elims:
             held.append(r[inner])
             r -= np.bincount(outer.ravel(), np.einsum("tio,ti->to", T, held[-1]).ravel(),
@@ -732,9 +687,8 @@ def solve(system: SaddleSystem) -> DiscreteSolution:
         for (inner, outer, T, inv), bi in zip(reversed(elims), reversed(held)):
             x[inner] = np.einsum("tij,tj->ti", inv, bi) - np.einsum("tio,to->ti", T, x[outer])
         for t in batches:
-            Minv, Mt, Bt = (spaces.gather(X, t) for X in (g.Minv, Mio, Bui))
-            x[g0[t]] = -y0[t] - np.einsum("tij,tj->ti", Minv, np.einsum("tio,to->ti", Mt, x[go[t]])
-                                          - se * np.einsum("tui,tu->ti", Bt, x[gu[t]]))
+            x[cells[t]] = (np.einsum("tij,tj->ti", spaces.gather(inv1, t), held1[t])
+                           - np.einsum("tio,to->ti", spaces.gather(T1, t), x[rest[t]]))
         x[pressure] -= (b[-1] + c @ x[pressure]) / cz * z
         x[-1] = lam
         return x

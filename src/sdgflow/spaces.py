@@ -29,7 +29,7 @@ these rows, classes numbered by their first triangle, `tri_class` and
 `class_tris`). The other edge inputs follow from these: the tangent is the
 normal turned by 90 degrees, and side 0 is the primal side, 1 and 2 dual.
 Uniform grids repeat a few triangles (6 classes on a square grid at any h),
-so the dual bases, here, and the element stacks and stage-0 eliminations, in
+so the dual bases, here, and the element stacks and stage-1 eliminations, in
 `forms` and `solver`, are computed and stored once per class, from the
 inputs of its first triangle (`by_class`). Their readers take the rows of
 the triangles at hand (`gather`), bit for bit what the per-triangle

@@ -137,12 +137,10 @@ def test_run_single_reports_the_triangle_classes(family, classes):
 
 
 def test_run_single_reports_the_stack_entries():
-    # The element stacks (M, B, A, D) and stage 0 (M_ii^{-1}, M', B', E)
-    # are stored one row per class: a square grid has six classes at any h,
-    # so h = 1/8 and h = 1/32 store the same entries. At k = 1 a class holds
-    # 12x12, 6x12, 6x6 and 3x6 entries of the stacks and 4x4, 8x8, 6x8 and
-    # 6x6 of stage 0.
-    per_class = 144 + 72 + 36 + 18 + 16 + 64 + 48 + 36
+    # The element stacks (M, B, A, D) are stored one row per class: a square
+    # grid has six classes at any h, so h = 1/8 and h = 1/32 store the same
+    # entries. At k = 1 a class holds 12x12, 6x12, 6x6 and 3x6 entries.
+    per_class = 144 + 72 + 36 + 18
     reports = [cli.run_single(RunConfig(k=1, mesh="square", levels=(n,))) for n in (8, 32)]
     assert [r.stack_entries for r in reports] == [6 * per_class] * 2
 

@@ -233,12 +233,11 @@ def test_interior_block_never_couples_across_triangles():
 
 
 def _plan_owners(plan, tri_poly):
-    """The owner of each unknown in stages 0 and 1 (its triangle) and in
-    stage 2 (its polygon), -1 where that stage keeps it."""
+    """The owner of each unknown in stage 1 (its triangle) and in stage 2
+    (its polygon), -1 where that stage keeps it."""
     n = plan.size + len(plan.skeleton)
     triangle, polygon = np.full(n, -1), np.full(n, -1)
-    triangle[np.hstack([plan.gradient, plan.local[:, :plan.num_inner]])] = (
-        np.arange(len(plan.local))[:, None])
+    triangle[plan.local[:, :plan.num_inner]] = np.arange(len(plan.local))[:, None]
     for cls in plan.classes:
         polygon[cls.interior] = tri_poly[cls.triangles[:, :1]]
     return triangle, polygon
@@ -470,7 +469,7 @@ def test_plan_peak_memory_is_bounded_by_what_it_keeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = [plan.local, plan.skeleton, plan.pinned]  # plan.gradient is a view of W's cell_dofs
+    arrays = [plan.local, plan.skeleton, plan.pinned]
     for cls in plan.classes:
         arrays += [cls.triangles, cls.position, cls.interior, cls.kept, cls.rows, cls.cols]
     for grp in plan.fronts:
@@ -564,38 +563,65 @@ def test_constant_pressure_is_the_kernel_without_the_multiplier(family, k):
 @pytest.mark.parametrize("family", ["square", "distorted", "hanging"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gradient_cells_are_the_element_schur_complement(family, k):
-    # Stage 0, taken from the blocks, must be what eliminating each
-    # triangle's W cell moments from its dense element saddle matrix over
-    # (W, U, P) leaves, at any viscosity.
+    # Stage 1 eliminates the gradient (W) and velocity (U) cell moments of
+    # each class of triangles together. Its local matrices must be the dense
+    # element saddle matrix over (W, U, P), cell moments moved first, and
+    # what it leaves the Schur complement onto the W and U edge moments and
+    # the P unknowns, at any viscosity.
     spaces = make_spaces(k, 4, family)
     blocks = assemble_blocks(spaces, 1.0)
-    el, g = blocks.elements, blocks.gradient
-    nT, nw, _ = el.M.shape
+    el, plan, W, U = blocks.elements, blocks.interior, spaces.W, spaces.U
+    nC, nw, _ = el.M.shape
     nu, npr = el.A.shape[1], el.D.shape[1]
-    no = 4 * (k + 1)  # W edge moments; the cell moments follow
-    ni = nw - no
-    assert g.Minv.shape == (nT, ni, ni)
-    cells = np.arange(no, nw)
-    rest = np.setdiff1d(np.arange(nw + nu + npr), cells)
-    Z, Zw, Dt = np.zeros((nT, npr, npr)), np.zeros((nT, nw, npr)), np.swapaxes(el.D, 1, 2)
+    ni, nl = plan.num_inner, plan.local.shape[1]
+    cells = np.concatenate([np.arange(W.cell.start, nw), nw + np.arange(U.cell.start, nu)])
+    rest = np.setdiff1d(np.arange(nl), cells)
+    assert len(cells) == ni and nl == nw + nu + npr
+    Z, Zw, Dt = np.zeros((nC, npr, npr)), np.zeros((nC, nw, npr)), np.swapaxes(el.D, 1, 2)
     for eps in (1.0, 1e-8):
         se = np.sqrt(eps)
         K = np.block([[-el.M, se * np.swapaxes(el.B, 1, 2), Zw],
                       [se * el.B, el.A, Dt],
                       [np.swapaxes(Zw, 1, 2), el.D, Z]])
+        order = np.concatenate([cells, rest])
+        local = solver._local_matrices(spaces, el, eps, slice(None), np.empty((nC, nl, nl)))
+        assert np.array_equal(local, K[:, order][:, :, order])
         Kri = K[:, rest][:, :, cells]
         schur = (K[:, rest][:, :, rest]
                  - Kri @ np.linalg.solve(K[:, cells][:, :, cells], np.swapaxes(Kri, 1, 2)))
-        reduced = np.block([[-g.M, se * np.swapaxes(g.B, 1, 2), Zw[:, :no]],
-                            [se * g.B, el.A + eps * g.E, Dt],
-                            [np.swapaxes(Zw[:, :no], 1, 2), el.D, Z]])
-        assert np.abs(reduced - schur).max() <= 1e-12 * np.abs(K).max()
+        S = solver._condense(local, ni, "triangle", np.empty((nC, ni, nl - ni)),
+                             np.empty((nC, ni, ni)))
+        assert np.abs(S - schur).max() <= 1e-12 * np.abs(K).max()
+
+
+def test_singular_cell_block_raises_solver_error():
+    # One class's gradient mass zeroed on its cell moments: the joint W and
+    # U cell block [[0, se B^T], [se B, A]] of that class has more W than U
+    # cell moments, so it is singular.
+    spaces, _case, system = make_system(k=1, n=3, family="distorted")
+    W = spaces.W
+    system.blocks.elements.M[5, W.cell, W.cell] = 0.0
+    with pytest.raises(SolverError, match="singular triangle block"):
+        solve(system)
+
+
+def test_first_solve_is_accurate_in_the_stokes_limit():
+    # With the W cell moments eliminated apart from the U ones, the reduced
+    # U block A + eps E, E about 2.9e4 times A, cost the first solve at
+    # eps = 1 two digits of backward error (2.0e-7), and its first
+    # refinement step stopped at 8.0e-14. Eliminated together, the first
+    # solve reaches 4.2e-9 and the first step 4.2e-16 to 4.9e-16, which
+    # straddles REFINE_TARGET with the number of BLAS threads.
+    _spaces, _case, system = make_system(k=3, n=16, eps=1.0, family="distorted")
+    sol = solve(system)
+    assert sol.residuals[0] < 2e-8
+    assert sol.residuals[1] < 1e-15
 
 
 @pytest.mark.parametrize("family", ["square", "hanging", "distorted"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_classes_change_nothing(family, k, monkeypatch):
-    # Dual bases, element stacks and stage 0 built once per class of
+    # Dual bases, element stacks and stage 1 built once per class of
     # triangles and gathered are, bit for bit, those built on every triangle.
     def solved(spaces):
         blocks = assemble_blocks(spaces, 1.0)
@@ -603,7 +629,7 @@ def test_classes_change_nothing(family, k, monkeypatch):
         F, G = forms.assemble_rhs(spaces, case.f, case.g)
         sol = solve(build_system(blocks, 1e-4, 1.0, F, G))
         per_class = ([spaces.space(t).dual_coeffs for t in "WUP"]
-                     + list(vars(blocks.elements).values()) + list(vars(blocks.gradient).values()))
+                     + list(vars(blocks.elements).values()))
         return ([spaces.space(t).conds for t in "WUP"] + [spaces.gather(x) for x in per_class]
                 + [sol.L.coeffs, sol.u.coeffs, sol.p.coeffs])
 
@@ -618,7 +644,7 @@ def test_classes_change_nothing(family, k, monkeypatch):
     assert alone.num_classes == spaces.mesh.num_triangles
     assert spaces.num_classes < alone.num_classes or family == "distorted"
     each = solved(alone)
-    assert len(grouped) == len(each) == 6 + 4 + 4 + 3
+    assert len(grouped) == len(each) == 6 + 4 + 3
     for a, b in zip(grouped, each):
         assert a.shape == b.shape and np.array_equal(a, b)
 
@@ -648,9 +674,10 @@ def count_batches(monkeypatch):
 
 @pytest.mark.parametrize("family,n", [("hanging", 4), ("distorted", 8)])
 def test_batches_reproduce_one_batch(family, n, monkeypatch):
-    # On the hanging mesh the triangles of 4-gons and 5-gons interleave, so
-    # the stage-1 rows are not in triangle order. A budget of two quads' local
-    # matrices runs every class in at least three batches.
+    # On the hanging mesh the classes of the 4-gons' and 5-gons' triangles
+    # interleave, so stage 1 condenses copies of their rows, not views. A
+    # budget of two quads' local matrices runs every class in at least three
+    # batches.
     _spaces, _case, system = make_system(k=2, n=n, eps=1e-4, family=family)
     plan = system.blocks.interior
     nl = plan.local.shape[1]
@@ -682,18 +709,15 @@ def test_small_meshes_run_as_one_batch(family, monkeypatch):
 
 @pytest.mark.parametrize("family,k,n", [("distorted", 2, 16), ("hanging", 3, 8)])
 def test_solve_peak_memory_is_bounded_by_its_eliminations(family, k, n):
-    # Refinement reads the inverses of the gradient cell blocks, kept from the
-    # assembly one per class of triangles (20 on the hanging h = 1/8 mesh),
-    # the stage-1 and stage-2 eliminations of the solve and the skeleton's
+    # Refinement reads the stage-1 eliminations, one per class of triangles
+    # (20 on the hanging h = 1/8 mesh), the stage-2 ones and the skeleton's
     # Cholesky factor. Beyond these the solve holds the local matrices of one
-    # batch at a time and the rows of the stacks it gathers for that batch. A
-    # stack of local matrices over the whole distorted mesh would take the
-    # peak to 3.9 times the bytes of the eliminations; M_ii^{-1}, M and B
-    # spread to every hanging triangle for the whole solve, to 2.8 times.
-    _spaces, _case, system = make_system(k=k, n=n, eps=1e-8, family=family)
+    # batch at a time and the rows of the stacks it gathers for that batch;
+    # the peak is 1.4 and 1.9 times the bytes of the eliminations. One batch
+    # for the whole mesh would take it to 2.4 and 3.7 times.
+    spaces, _case, system = make_system(k=k, n=n, eps=1e-8, family=family)
     plan = system.blocks.interior
-    nT, nl = plan.local.shape
-    kept = system.blocks.gradient.Minv.size + nT * plan.num_inner * nl  # Minv, T1 and inv1
+    kept = spaces.num_classes * plan.num_inner * plan.local.shape[1]  # T1 and inv1
     for cls in plan.classes:
         count, n2 = cls.interior.shape
         kept += count * n2 * (n2 + cls.kept.shape[1])  # T2 and inv2
